@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gallery import Gallery
 from . import vmf
+from .gallery import Gallery, cosines
 
 # Wire-format method names accepted by the evaluation pipeline and CLI.
 METHOD_NAMES = ("AccScr", "SCF", "PFE", "SF", "GalUE", "HolUE", "HolUE-sum")
@@ -13,15 +13,13 @@ METHOD_NAMES = ("AccScr", "SCF", "PFE", "SF", "GalUE", "HolUE", "HolUE-sum")
 
 def acc_score(gallery: Gallery, z) -> float:
     """Best gallery cosine similarity for a probe."""
-    z = vmf.as_unit_vector(np.asarray(z, dtype=np.float64))
-    if z.shape[0] != gallery.d:
-        raise ValueError(f"dimension mismatch: gallery d={gallery.d}, z d={z.shape[0]}")
-    return float(np.max(gallery.means @ z))
+    return float(cosines(gallery, vmf.as_unit_vector(z)).max())
 
 
-def q_accscr(score: float, tau: float) -> float:
-    """Distance of the acceptance score from the operating threshold."""
-    return abs(float(score) - float(tau))
+def q_accscr(score, tau: float):
+    """Distance of the acceptance score (a float or an array) from the operating threshold."""
+    out = np.abs(np.asarray(score, dtype=np.float64) - float(tau))
+    return float(out) if out.ndim == 0 else out
 
 
 def q_scf(kappa: float) -> float:

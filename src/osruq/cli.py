@@ -15,7 +15,7 @@ import sys
 from . import __version__
 from .baselines import METHOD_NAMES
 from .bundle import BundleError, dumps_canonical, read_bundle, write_bundle
-from .evaluation import MissingQualityError, MissingValidationError, run_evaluation
+from .evaluation import MissingValidationError, run_evaluation
 from .holistic import DEFAULT_TEMPERATURE
 from .metrics import METRIC_NAMES
 from .oracle import SCOPES, run_verification
@@ -136,21 +136,24 @@ def cmd_eval(args) -> int:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    # every target is evaluated before anything is written, so a failing
+    # target leaves no partial output behind
+    reports = []
+    for target in targets:
+        try:
+            reports.append(run_evaluation(
+                protocol, target, methods=methods, temperature=args.temperature,
+                beta=args.beta, max_reject_fraction=args.max_reject_fraction,
+                seed=args.seed, stats_split=args.stats_split))
+        except ValueError as exc:
+            print(f"error: fpir={target:g}: {getattr(exc, 'stage', 'evaluation')}: {exc}",
+                  file=sys.stderr)
+            return EXIT_NO_VALIDATION if isinstance(exc, MissingValidationError) else EXIT_CONFIG
+
     os.makedirs(args.out, exist_ok=True)
     evaluations = []
     any_undefined = False
-    for target in targets:
-        try:
-            report = run_evaluation(
-                protocol, target, methods=methods, temperature=args.temperature,
-                beta=args.beta, max_reject_fraction=args.max_reject_fraction,
-                seed=args.seed, stats_split=args.stats_split)
-        except MissingValidationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NO_VALIDATION
-        except (MissingQualityError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+    for target, report in zip(targets, reports):
         tag = f"fpir_{target:g}"
         curve_paths = _write_curves(args.out, tag, report)
         method_block = {}

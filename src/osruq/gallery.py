@@ -9,6 +9,7 @@ the K+1 posterior entries always sum to one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import logsumexp
@@ -83,6 +84,14 @@ class GalleryModel:
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "beta", beta)
 
+    @cached_property
+    def _term_offsets(self) -> tuple[float, float]:
+        """(class offset, out-of-gallery term) of log_joint_terms; normalizers run once per model."""
+        gal = self.gallery
+        log_c = vmf.log_c_d(gal.d, self.kappa)
+        return (np.log((1.0 - self.beta) / gal.k) + log_c,
+                np.log(self.beta) + vmf.log_alpha(gal.d, self.kappa) + log_c)
+
 
 @dataclass(frozen=True)
 class Posterior:
@@ -116,8 +125,7 @@ def aggregate_template(samples) -> np.ndarray:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[0] < 1:
         raise ValueError(f"expected (m, d) samples, got shape {arr.shape}")
-    for row in arr:
-        vmf.as_unit_vector(row)
+    vmf.as_unit_rows(arr)
     mean = arr.mean(axis=0)
     norm = float(np.linalg.norm(mean))
     if norm < 1e-12:
@@ -125,47 +133,81 @@ def aggregate_template(samples) -> np.ndarray:
     return mean / norm
 
 
-def log_joint_terms(model: GalleryModel, z: np.ndarray) -> np.ndarray:
+# Scoring a block of probes keeps about ten (rows, K+1) float64 temporaries
+# alive at once; this many elements holds each near 256 KB.
+_BLOCK_ELEMENTS = 1 << 15
+
+
+def row_blocks(n_rows: int, k: int) -> list:
+    """Slices that cover n_rows probes in blocks sized for a K-class gallery."""
+    step = max(1, _BLOCK_ELEMENTS // (k + 1))
+    return [slice(i, i + step) for i in range(0, n_rows, step)]
+
+
+def cosines(gallery: Gallery, z) -> np.ndarray:
+    """Cosine of each probe with each class mean: (d,) -> (K,), (N, d) -> (N, K).
+
+    One matrix-vector product per row, so each row has the bits of a
+    single-probe call (a matrix-matrix product would not).
+    """
+    z = vmf.as_unit_rows(z)
+    if z.shape[-1] != gallery.d:
+        raise ValueError(f"dimension mismatch: gallery d={gallery.d}, z d={z.shape[-1]}")
+    return np.matmul(gallery.means, z[..., None])[..., 0]
+
+
+def terms_from_cosines(model: GalleryModel, cos: np.ndarray) -> np.ndarray:
+    """log_joint_terms from precomputed cosines (last axis: K classes)."""
+    class_offset, oog_term = model._term_offsets
+    terms = np.empty(cos.shape[:-1] + (cos.shape[-1] + 1,))
+    terms[..., :-1] = class_offset + model.kappa * cos
+    terms[..., -1] = oog_term
+    return terms
+
+
+def log_joint_terms(model: GalleryModel, z) -> np.ndarray:
     """Unnormalized log posterior terms: K class entries then out-of-gallery.
 
     Term c is log[(1-beta)/K * C_d(kappa) * exp(kappa mu_c.z)]; the final term
     is log[beta / surface_area]. Their logsumexp is the marginal log density.
+    z is one probe (d,) or a stack of probes (N, d); the result is (K+1,) or
+    (N, K+1).
     """
-    z = vmf.as_unit_vector(z)
-    gal = model.gallery
-    if z.shape[0] != gal.d:
-        raise ValueError(f"dimension mismatch: gallery d={gal.d}, z d={z.shape[0]}")
-    log_c = vmf.log_c_d(gal.d, model.kappa)
-    cos = gal.means @ z
-    terms = np.empty(gal.k + 1)
-    terms[: gal.k] = np.log((1.0 - model.beta) / gal.k) + log_c + model.kappa * cos
-    terms[gal.k] = np.log(model.beta) + vmf.log_alpha(gal.d, model.kappa) + log_c
-    return terms
+    return terms_from_cosines(model, cosines(model.gallery, z))
 
 
-def log_marginal(model: GalleryModel, z) -> float:
-    """Log marginal density of a probe under the gallery mixture."""
-    return float(logsumexp(log_joint_terms(model, np.asarray(z, dtype=np.float64))))
+def log_marginal(model: GalleryModel, z) -> float | np.ndarray:
+    """Log marginal density under the gallery mixture: a float for (d,), an (N,) array for (N, d)."""
+    out = logsumexp(log_joint_terms(model, z), axis=-1)
+    return float(out) if out.ndim == 0 else out
+
+
+def softmax(terms: np.ndarray) -> np.ndarray:
+    """Normalize log terms over the last axis into probabilities that sum to one."""
+    probs = np.exp(terms - logsumexp(terms, axis=-1, keepdims=True))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
 
 
 def posterior(model: GalleryModel, z) -> Posterior:
     """Posterior over the K classes and the out-of-gallery event."""
-    terms = log_joint_terms(model, np.asarray(z, dtype=np.float64))
-    probs = np.exp(terms - logsumexp(terms))
-    probs /= probs.sum()
+    probs = softmax(log_joint_terms(model, z))
     return Posterior(gallery_probs=probs[:-1], oog_prob=float(probs[-1]))
 
 
-def decide(post: Posterior, gallery: Gallery) -> Decision:
-    """Accept the most probable class unless out-of-gallery dominates.
+def decision_index(gallery_probs: np.ndarray, oog_prob) -> np.ndarray:
+    """Accepted class index per posterior row, or -1 to reject: out-of-gallery must
+    strictly exceed every class probability; argmax ties go to the lowest index."""
+    best = gallery_probs.argmax(axis=-1)
+    return best - (best + 1) * (oog_prob > gallery_probs.max(axis=-1))  # -1 where rejected
 
-    Rejects only when the out-of-gallery probability strictly exceeds every
-    class probability; argmax ties resolve to the lowest class index.
-    """
+
+def decide(post: Posterior, gallery: Gallery) -> Decision:
+    """Accept the most probable class unless out-of-gallery dominates (see decision_index)."""
     if post.gallery_probs.shape[0] != gallery.k:
         raise ValueError("posterior and gallery sizes disagree")
-    best = int(np.argmax(post.gallery_probs))
-    if post.oog_prob > post.gallery_probs[best]:
+    best = int(decision_index(post.gallery_probs, post.oog_prob))
+    if best < 0:
         return Decision(accepted=False, class_id=None)
     return Decision(accepted=True, class_id=gallery.class_ids[best])
 

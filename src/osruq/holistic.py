@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import vmf
-from .gallery import GalleryModel, Posterior, log_joint_terms
+from .gallery import GalleryModel, Posterior, log_joint_terms, softmax
 
 DEFAULT_TEMPERATURE = 20.0
 
@@ -53,12 +53,14 @@ class ProbabilisticEmbedding:
 
 @dataclass(frozen=True)
 class KlComponents:
-    kl1: float
-    kl2: float
+    """One probe's two components, or (N,) arrays of them for a batch of probes."""
+
+    kl1: float | np.ndarray
+    kl2: float | np.ndarray
     temperature: float
 
     def __post_init__(self):
-        if not np.isfinite(self.kl1) or not np.isfinite(self.kl2):
+        if not (np.all(np.isfinite(self.kl1)) and np.all(np.isfinite(self.kl2))):
             raise ValueError("KL components must be finite")
         if not self.temperature > 0.0:
             raise ValueError("temperature must be > 0")
@@ -89,14 +91,17 @@ def scaled_gallery_posterior(model: GalleryModel, emb: ProbabilisticEmbedding, t
     """
     if not temperature > 0.0:
         raise ValueError(f"temperature must be > 0, got {temperature!r}")
-    terms = log_joint_terms(model, emb.mean) / float(temperature)
-    probs = np.exp(terms - logsumexp(terms))
-    probs /= probs.sum()
+    probs = softmax(log_joint_terms(model, emb.mean) / float(temperature))
     return Posterior(gallery_probs=probs[:-1], oog_prob=float(probs[-1]))
 
 
-def kl_components(model: GalleryModel, emb: ProbabilisticEmbedding, temperature: float = DEFAULT_TEMPERATURE) -> KlComponents:
-    """The two confidence components at the probe mean.
+def self_log_density(d: int, kappa):
+    """log density of each probe's own vMF at its mean: log C_d(kappa) + kappa."""
+    return vmf.log_c_d(d, kappa) + kappa
+
+
+def kl_from_terms(model: GalleryModel, terms: np.ndarray, log_self, temperature: float):
+    """(kl1, kl2) arrays for (N, K+1) log_joint_terms rows and the probes' self_log_density.
 
     kl1 sums P_T(c|x) log(P_T(c|x) / prior(c)) over gallery classes only; it
     can be negative because the gallery block of the posterior is a
@@ -106,34 +111,45 @@ def kl_components(model: GalleryModel, emb: ProbabilisticEmbedding, temperature:
     if not temperature > 0.0:
         raise ValueError(f"temperature must be > 0, got {temperature!r}")
     t_inv = 1.0 / float(temperature)
-    gal = model.gallery
-    if emb.d != gal.d:
-        raise ValueError(f"dimension mismatch: gallery d={gal.d}, probe d={emb.d}")
-
-    terms = log_joint_terms(model, emb.mean)
-    log_marg = float(logsumexp(terms))
+    log_marg = logsumexp(terms, axis=1)
     scaled = terms * t_inv
-    log_post_t = scaled - logsumexp(scaled)
+    log_post_t = scaled[:, :-1] - logsumexp(scaled, axis=1, keepdims=True)
 
-    log_prior = np.log((1.0 - model.beta) / gal.k)
-    post_t = np.exp(log_post_t[:-1])
+    log_prior = np.log((1.0 - model.beta) / model.gallery.k)
+    post_t = np.exp(log_post_t)
+    parts = post_t * (log_post_t - log_prior)
     active = post_t > 0.0
-    kl1 = float(np.sum(post_t[active] * (log_post_t[:-1][active] - log_prior)))
+    kl1 = parts.sum(axis=1)
+    # a row with underflowed entries sums only the others: numpy groups its
+    # pairwise sum by position, so zeros left in would move the rounding
+    for i in np.flatnonzero(~active.all(axis=1)):
+        kl1[i] = np.sum(parts[i][active[i]])
 
-    log_oog = float(terms[-1])  # log(beta / surface_area)
-    log_self = float(vmf.log_c_d(emb.d, emb.kappa)) + emb.kappa  # probe density at its own mean
+    log_oog = terms[:, -1]  # log(beta / surface_area)
     bracket = (t_inv - 1.0) * log_oog + log_self - log_marg
-    kl2 = float(np.exp(t_inv * log_oog - log_marg) * bracket)
-    return KlComponents(kl1=kl1, kl2=kl2, temperature=float(temperature))
+    kl2 = np.exp(t_inv * log_oog - log_marg) * bracket
+    return kl1, kl2
+
+
+def kl_components(model: GalleryModel, emb: ProbabilisticEmbedding, temperature: float = DEFAULT_TEMPERATURE) -> KlComponents:
+    """The two confidence components at the probe mean (see kl_from_terms)."""
+    if emb.d != model.gallery.d:
+        raise ValueError(f"dimension mismatch: gallery d={model.gallery.d}, probe d={emb.d}")
+    terms = log_joint_terms(model, emb.mean[None, :])
+    kl1, kl2 = kl_from_terms(model, terms, self_log_density(emb.d, emb.kappa), temperature)
+    return KlComponents(kl1=float(kl1[0]), kl2=float(kl2[0]), temperature=float(temperature))
 
 
 def fit_stats(components) -> CalibrationStats:
-    """Mean/std (ddof=1) of the two components over a calibration split."""
-    comps = list(components)
-    if len(comps) < 2:
-        raise CalibrationError(f"need at least 2 components to fit stats, got {len(comps)}")
-    kl1 = np.array([c.kl1 for c in comps])
-    kl2 = np.array([c.kl2 for c in comps])
+    """Mean/std (ddof=1) of a batch KlComponents, or of per-probe ones, over a calibration split."""
+    if isinstance(components, KlComponents):
+        kl1, kl2 = np.atleast_1d(components.kl1), np.atleast_1d(components.kl2)
+    else:
+        comps = list(components)
+        kl1 = np.array([c.kl1 for c in comps])
+        kl2 = np.array([c.kl2 for c in comps])
+    if kl1.shape[0] < 2:
+        raise CalibrationError(f"need at least 2 components to fit stats, got {kl1.shape[0]}")
     std1 = float(np.std(kl1, ddof=1))
     std2 = float(np.std(kl2, ddof=1))
     if std1 <= 0.0 or std2 <= 0.0:
@@ -141,17 +157,17 @@ def fit_stats(components) -> CalibrationStats:
     return CalibrationStats(mean1=float(np.mean(kl1)), std1=std1, mean2=float(np.mean(kl2)), std2=std2)
 
 
-def normalize(components: KlComponents, stats: CalibrationStats) -> tuple[float, float]:
-    """z-normalize the two components with validation-split statistics."""
+def normalize(components: KlComponents, stats: CalibrationStats) -> tuple:
+    """z-normalize the two components (floats or arrays) with validation-split statistics."""
     return (
         (components.kl1 - stats.mean1) / stats.std1,
         (components.kl2 - stats.mean2) / stats.std2,
     )
 
 
-def holue_sum(kl1n: float, kl2n: float) -> float:
-    """Summed normalized components; higher means more confident."""
-    return float(kl1n) + float(kl2n)
+def holue_sum(kl1n, kl2n):
+    """Summed normalized components (floats or arrays); higher means more confident."""
+    return kl1n + kl2n
 
 
 @dataclass(frozen=True)
@@ -267,11 +283,15 @@ def fit_mlp(features, labels, config: TrainingConfig = TrainingConfig(), seed: i
 
 
 def mlp_predict(calibrator: MlpCalibrator, kl1n, kl2n) -> float | np.ndarray:
-    """Predicted probability that the decision is correct, in (0, 1)."""
+    """Predicted probability that the decision is correct, in (0, 1).
+
+    Each row goes through the net as a (1, 2) input of its own: a batch then
+    has the bits of one call per probe, which one (N, 2) product does not.
+    """
     x = np.column_stack([np.atleast_1d(np.asarray(kl1n, dtype=np.float64)),
                          np.atleast_1d(np.asarray(kl2n, dtype=np.float64))])
-    _, logits = _forward(calibrator.weights, calibrator.biases, x)
-    probs = np.clip(_sigmoid(logits[:, 0]), 1e-12, 1.0 - 1e-12)
+    _, logits = _forward(calibrator.weights, calibrator.biases, x[:, None, :])
+    probs = np.clip(_sigmoid(logits[:, 0, 0]), 1e-12, 1.0 - 1e-12)
     if np.ndim(kl1n) == 0:
         return float(probs[0])
     return probs

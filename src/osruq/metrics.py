@@ -27,6 +27,25 @@ class CurveTruncationError(ValueError):
     """A requested rejection fraction leaves no probes to evaluate."""
 
 
+# Outcome classes of a probe under its fixed decision.
+TP, FN, FP, TN = range(4)
+
+
+def outcome_classes(mated, accepted, correct) -> np.ndarray:
+    """TP / FN / FP / TN per probe; the one definition of the open-set outcome.
+
+    correct says the accepted class is the probe's own; it only matters for
+    mated probes.
+    """
+    mated, accepted, correct = (np.asarray(a, dtype=bool) for a in (mated, accepted, correct))
+    return np.where(mated, np.where(accepted & correct, TP, FN), np.where(accepted, FP, TN))
+
+
+def decision_correct(classes) -> np.ndarray:
+    """True where the decision is right (TP or TN), False where it is an error."""
+    return np.isin(classes, (TP, TN))
+
+
 @dataclass(frozen=True)
 class ProbeOutcome:
     """One scored probe: ground truth, fixed decision, per-method confidences."""
@@ -42,23 +61,36 @@ class ProbeOutcome:
 
     @property
     def error(self) -> bool:
-        if self.mated:
-            return not (self.decision.accepted and self.decision.class_id == self.true_class)
-        return self.decision.accepted
+        return not decision_correct(classify([self]))[0]
+
+
+def classify(outcomes) -> np.ndarray:
+    """Outcome classes of a sequence of ProbeOutcome."""
+    return outcome_classes([o.mated for o in outcomes], [o.decision.accepted for o in outcomes],
+                           [o.decision.class_id == o.true_class for o in outcomes])
+
+
+def class_counts(classes: np.ndarray) -> tuple[int, int, int, int]:
+    """(TP, FN, FP, non-mated) counts of an array of outcome classes."""
+    tp, fn, fp, tn = (int(c) for c in np.bincount(classes, minlength=4))
+    return tp, fn, fp, fp + tn
 
 
 def confusion_counts(outcomes) -> tuple[int, int, int]:
     """(TP, FN, FP) over a collection of probe outcomes."""
-    tp = fn = fp = 0
-    for out in outcomes:
-        if out.mated:
-            if out.decision.accepted and out.decision.class_id == out.true_class:
-                tp += 1
-            else:
-                fn += 1
-        elif out.decision.accepted:
-            fp += 1
-    return tp, fn, fp
+    return class_counts(classify(list(outcomes)))[:3]
+
+
+def _rates(tp, fn, fp, n_nonmated):
+    """(FPIR, FNIR, F1) from count arrays; degenerate denominators yield 0."""
+    tp, fn, fp, nm = (np.asarray(c, dtype=np.float64) for c in (tp, fn, fp, n_nonmated))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fpir = np.where(nm > 0, fp / nm, 0.0)
+        fnir = np.where(fn + tp > 0, fn / (fn + tp), 0.0)
+        precision = tp / (tp + fp)
+        recall = tp / (tp + fn)
+        f1 = np.where(tp > 0, 2.0 * precision * recall / (precision + recall), 0.0)
+    return fpir, fnir, f1
 
 
 def osr_metrics(tp: int, fn: int, fp: int, n_nonmated: int) -> tuple[float, float, float]:
@@ -67,15 +99,7 @@ def osr_metrics(tp: int, fn: int, fp: int, n_nonmated: int) -> tuple[float, floa
         raise ValueError("counts must be non-negative")
     if fp > n_nonmated:
         raise ValueError("more false positives than non-mated probes")
-    fpir = fp / n_nonmated if n_nonmated > 0 else 0.0
-    fnir = fn / (fn + tp) if fn + tp > 0 else 0.0
-    if tp == 0:
-        f1 = 0.0
-    else:
-        precision = tp / (tp + fp)
-        recall = tp / (tp + fn)
-        f1 = 2.0 * precision * recall / (precision + recall)
-    return float(fpir), float(fnir), float(f1)
+    return tuple(float(v) for v in _rates(tp, fn, fp, n_nonmated))
 
 
 def threshold_for_fpir(nonmated_scores, target_fpir: float) -> float:
@@ -119,97 +143,97 @@ class RejectionCurve:
             raise ValueError(f"unknown metric {self.metric!r}")
 
 
-def _metric_from_counts(metric: str, tp: int, fn: int, fp: int, n_nonmated: int) -> float:
-    fpir, fnir, f1 = osr_metrics(tp, fn, fp, n_nonmated)
-    return {"FPIR": fpir, "FNIR": fnir, "F1": f1}[metric]
-
-
-def _curve_from_order(outcomes, order, metric: str, max_fraction: float, n_points: int) -> RejectionCurve:
-    """Curve for a fixed removal order (list of indices, removed first to last)."""
-    n = len(outcomes)
-    # prefix[j] = counts removed after dropping the first j probes in order
-    tp_cum = np.zeros(n + 1, dtype=np.int64)
-    fn_cum = np.zeros(n + 1, dtype=np.int64)
-    fp_cum = np.zeros(n + 1, dtype=np.int64)
-    nm_cum = np.zeros(n + 1, dtype=np.int64)
-    for j, idx in enumerate(order):
-        out = outcomes[idx]
-        is_tp = out.mated and out.decision.accepted and out.decision.class_id == out.true_class
-        is_fn = out.mated and not is_tp
-        is_fp = (not out.mated) and out.decision.accepted
-        tp_cum[j + 1] = tp_cum[j] + is_tp
-        fn_cum[j + 1] = fn_cum[j] + is_fn
-        fp_cum[j + 1] = fp_cum[j] + is_fp
-        nm_cum[j + 1] = nm_cum[j] + (not out.mated)
-    tp_tot, fn_tot, fp_tot, nm_tot = tp_cum[n], fn_cum[n], fp_cum[n], nm_cum[n]
-
-    fractions = np.linspace(0.0, max_fraction, n_points)
-    values = np.empty(n_points)
-    for i, r in enumerate(fractions):
-        drop = math.floor(r * n)
-        if drop >= n:
-            raise CurveTruncationError(f"fraction {r} removes every probe")
-        values[i] = _metric_from_counts(
-            metric,
-            int(tp_tot - tp_cum[drop]),
-            int(fn_tot - fn_cum[drop]),
-            int(fp_tot - fp_cum[drop]),
-            int(nm_tot - nm_cum[drop]),
-        )
-    return RejectionCurve(fractions=fractions, values=values, metric=metric)
-
-
-def _validate_curve_args(outcomes, metric: str, max_fraction: float, n_points: int):
-    if len(outcomes) < 1:
+def _drop_grid(n: int, max_fraction: float, n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rejected fractions and how many probes each one removes."""
+    if n < 1:
         raise ValueError("need at least one probe outcome")
-    if metric not in METRIC_NAMES:
-        raise ValueError(f"unknown metric {metric!r}")
     if not 0.0 < max_fraction <= 1.0:
         raise ValueError(f"max_fraction must be in (0, 1], got {max_fraction!r}")
     if n_points < 2:
         raise ValueError(f"need at least 2 grid points, got {n_points!r}")
+    fractions = np.linspace(0.0, max_fraction, n_points)
+    drops = np.floor(fractions * n).astype(np.intp)
+    if drops[-1] >= n:
+        raise CurveTruncationError(f"fraction {fractions[np.argmax(drops >= n)]} removes every probe")
+    return fractions, drops
+
+
+def _curve_from_order(classes: np.ndarray, order: np.ndarray, drops: np.ndarray) -> dict:
+    """Every metric at each drop count of one removal order, from one cumsum of its classes."""
+    removed = np.zeros((classes.shape[0] + 1, 4), dtype=np.int64)
+    np.cumsum(classes[order][:, None] == np.arange(4), axis=0, out=removed[1:])
+    kept = removed[-1] - removed[drops]
+    fpir, fnir, f1 = _rates(kept[:, TP], kept[:, FN], kept[:, FP], kept[:, FP] + kept[:, TN])
+    return {"F1": f1, "FPIR": fpir, "FNIR": fnir}
+
+
+def rejection_curves(classes, scores, probe_ids, max_fraction: float = 0.5,
+                     n_points: int = 101) -> dict:
+    """Curves of every metric, dropping the lowest-score probes first.
+
+    Probes are removed in ascending (score, probe_id) order; at fraction r the
+    floor(r*N) lowest are gone and the metric is recomputed on the rest.
+    Decisions stay fixed.
+    """
+    classes = np.asarray(classes)
+    fractions, drops = _drop_grid(classes.shape[0], max_fraction, n_points)
+    order = np.lexsort((np.asarray(probe_ids), np.asarray(scores, dtype=np.float64)))
+    return _curves(fractions, _curve_from_order(classes, order, drops))
+
+
+def reference_curve_sets(classes, probe_ids, max_fraction: float = 0.5, n_points: int = 101,
+                         n_shuffles: int = 100, seed: int = 0) -> tuple[dict, dict]:
+    """(oracle, random) reference curves of every metric on the same grid.
+
+    The oracle removes erroneous probes first (ties by probe_id); the random
+    reference averages the curve over seeded shuffles of the removal order.
+    """
+    classes = np.asarray(classes)
+    n = classes.shape[0]
+    fractions, drops = _drop_grid(n, max_fraction, n_points)
+    if n_shuffles < 1:
+        raise ValueError("need at least one shuffle")
+    errors_first = np.lexsort((np.asarray(probe_ids), decision_correct(classes)))
+    oracle = _curve_from_order(classes, errors_first, drops)
+
+    total = {metric: np.zeros(n_points) for metric in METRIC_NAMES}
+    for s in range(n_shuffles):
+        order = np.random.default_rng([int(seed), s]).permutation(n)
+        for metric, values in _curve_from_order(classes, order, drops).items():
+            total[metric] += values
+    return _curves(fractions, oracle), _curves(fractions, {m: v / n_shuffles for m, v in total.items()})
+
+
+def _curves(fractions: np.ndarray, values: dict) -> dict:
+    return {m: RejectionCurve(fractions=fractions, values=values[m], metric=m) for m in METRIC_NAMES}
+
+
+def _check_metric(metric: str):
+    if metric not in METRIC_NAMES:
+        raise ValueError(f"unknown metric {metric!r}")
 
 
 def rejection_curve(outcomes, method: str, metric: str = "F1",
                     max_fraction: float = 0.5, n_points: int = 101) -> RejectionCurve:
-    """Drop the lowest-score probes first; decisions stay fixed.
-
-    Probes are removed in ascending (score, probe_id) order; at fraction r the
-    floor(r*N) lowest are gone and the metric is recomputed on the rest.
-    """
+    """One metric's rejection_curves for a list of ProbeOutcome scored by method."""
     outcomes = list(outcomes)
-    _validate_curve_args(outcomes, metric, max_fraction, n_points)
+    _check_metric(metric)
     for out in outcomes:
         if method not in out.scores:
             raise ValueError(f"probe {out.probe_id} has no score for method {method!r}")
-    order = sorted(range(len(outcomes)),
-                   key=lambda i: (outcomes[i].scores[method], outcomes[i].probe_id))
-    return _curve_from_order(outcomes, order, metric, max_fraction, n_points)
+    return rejection_curves(classify(outcomes), [o.scores[method] for o in outcomes],
+                            [o.probe_id for o in outcomes], max_fraction, n_points)[metric]
 
 
 def reference_curves(outcomes, metric: str = "F1", max_fraction: float = 0.5,
                      n_points: int = 101, n_shuffles: int = 100,
                      seed: int = 0) -> tuple[RejectionCurve, RejectionCurve]:
-    """(oracle, random) reference curves on the same grid.
-
-    The oracle removes erroneous probes first (ties by probe_id); the random
-    reference averages the curve over seeded shuffles of the removal order.
-    """
+    """One metric's (oracle, random) reference_curve_sets for a list of ProbeOutcome."""
     outcomes = list(outcomes)
-    _validate_curve_args(outcomes, metric, max_fraction, n_points)
-    if n_shuffles < 1:
-        raise ValueError("need at least one shuffle")
-    oracle_order = sorted(range(len(outcomes)),
-                          key=lambda i: (not outcomes[i].error, outcomes[i].probe_id))
-    oracle = _curve_from_order(outcomes, oracle_order, metric, max_fraction, n_points)
-
-    total = np.zeros(n_points)
-    for s in range(n_shuffles):
-        rng = np.random.default_rng([int(seed), s])
-        order = rng.permutation(len(outcomes))
-        total += _curve_from_order(outcomes, order, metric, max_fraction, n_points).values
-    random_curve = RejectionCurve(fractions=oracle.fractions, values=total / n_shuffles, metric=metric)
-    return oracle, random_curve
+    _check_metric(metric)
+    oracle, random_curves = reference_curve_sets(
+        classify(outcomes), [o.probe_id for o in outcomes], max_fraction, n_points, n_shuffles, seed)
+    return oracle[metric], random_curves[metric]
 
 
 def curve_auc(curve: RejectionCurve) -> float:

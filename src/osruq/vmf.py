@@ -36,6 +36,17 @@ def as_unit_vector(v, atol: float = UNIT_NORM_ATOL) -> np.ndarray:
     return v
 
 
+def as_unit_rows(v, atol: float = UNIT_NORM_ATOL) -> np.ndarray:
+    """as_unit_vector for one vector (d,) or for every row of a stack (N, d)."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 2:
+        return as_unit_vector(v, atol)
+    bad = ~(np.abs(np.linalg.norm(v, axis=1) - 1.0) <= atol)
+    if np.any(bad):
+        raise ValueError(f"rows {np.flatnonzero(bad)[:5].tolist()} of {v.shape} are not unit vectors")
+    return v
+
+
 @dataclass(frozen=True)
 class VmfParams:
     """Mean direction and concentration; kappa == 0 is the uniform sphere."""

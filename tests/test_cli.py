@@ -244,3 +244,16 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
     assert exc.value.code == 0
+
+
+def test_eval_failing_target_writes_nothing(tmp_path, capsys):
+    # the default FPIR 0.2 needs a threshold below every one the mixed
+    # preset's gallery can reach; 0.05 and 0.1 succeed before it fails
+    config = write_config(tmp_path, preset="mixed")
+    bundle = os.path.join(tmp_path, "bundle")
+    assert cli.main(["gen", "--config", config, "--out", bundle]) == 0
+    out = os.path.join(tmp_path, "eval")
+    assert cli.main(["eval", "--bundle", bundle, "--out", out]) == 2
+    assert not os.path.exists(os.path.join(out, "curves"))
+    assert not os.path.exists(os.path.join(out, "report.json"))
+    assert "error: fpir=0.2: operating point: threshold " in capsys.readouterr().err

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from osruq import baselines, evaluation as ev, metrics as mt, protocol as pr
+from osruq import baselines, evaluation as ev, gallery as ga, metrics as mt, protocol as pr
 from osruq.gallery import GalleryModel, equivalent_threshold
 from osruq.holistic import TrainingConfig
 
@@ -128,3 +128,49 @@ def test_stats_split_changes_scores():
     a = ev.run_evaluation(proto, 0.1, methods=("HolUE-sum",), stats_split="validation")
     b = ev.run_evaluation(proto, 0.1, methods=("HolUE-sum",), stats_split="test")
     assert a.methods["HolUE-sum"].auc["F1"] != b.methods["HolUE-sum"].auc["F1"]
+
+
+def with_validation(proto, validation):
+    """The protocol with its validation split replaced by the given probes."""
+    def retag(p, split):
+        return pr.ProbeRecord(probe_id=p.probe_id, class_id=p.class_id, mean=p.mean,
+                              kappa=p.kappa, pfe_sigma2=p.pfe_sigma2, sf_scale=p.sf_scale,
+                              split=split)
+    test = [retag(p, "test") for p in proto.mated_probes + proto.nonmated_probes
+            if p.split == "test"]
+    val = [retag(p, "validation") for p in validation]
+    probes = test + val
+    return pr.OsrProtocol(
+        gallery=proto.gallery,
+        mated_probes=tuple(p for p in probes if p.class_id is not None),
+        nonmated_probes=tuple(p for p in probes if p.class_id is None),
+        gallery_members=proto.gallery_members, meta=proto.meta)
+
+
+def stage_of(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    return info.value.stage
+
+
+def test_failures_name_their_stage():
+    proto = small_protocol()
+    assert stage_of(lambda: ev.run_evaluation(proto, 1.0)) == "arguments"
+    assert stage_of(lambda: ev.run_evaluation(proto, 0.999)) == "operating point"
+    assert stage_of(lambda: ev.run_evaluation(proto, 0.1, methods=("AccScr",),
+                                              max_reject_fraction=1.0)) == "curves"
+
+    mated_val = [p for p in proto.mated_probes if p.split == "validation"]
+    twins = [mated_val[0], pr.ProbeRecord(
+        probe_id="twin", class_id=mated_val[0].class_id, mean=mated_val[0].mean,
+        kappa=mated_val[0].kappa, pfe_sigma2=None, sf_scale=None, split="validation")]
+    assert stage_of(lambda: ev.run_evaluation(with_validation(proto, twins), 0.1,
+                                              methods=("HolUE-sum",))) == "calibration"
+
+    report = ev.run_evaluation(proto, 0.1, methods=("AccScr",))
+    model = GalleryModel(gallery=proto.gallery, kappa=report.kappa, beta=report.beta)
+    correct = [p for p in mated_val if ga.decide(ga.posterior(model, p.mean), proto.gallery)
+               .class_id == p.class_id]
+    assert len(correct) >= 2
+    assert stage_of(lambda: ev.run_evaluation(with_validation(proto, correct), 0.1,
+                                              methods=("HolUE",), mlp_config=FAST_MLP)) == "training"
