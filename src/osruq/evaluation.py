@@ -107,6 +107,7 @@ def run_evaluation(
     that failed: arguments, operating point, scoring, calibration, training
     or curves.
     """
+    validation = _split(protocol.mated_probes, "validation") + _split(protocol.nonmated_probes, "validation")
     with _stage("arguments"):
         methods = tuple(methods)
         for m in methods:
@@ -116,13 +117,14 @@ def run_evaluation(
             raise ValueError(f"target_fpir must be in (0, 1), got {target_fpir!r}")
         if stats_split not in ("validation", "test"):
             raise ValueError(f"stats_split must be validation or test, got {stats_split!r}")
+        if "HolUE" in methods and stats_split == "test" and validation:
+            raise ValueError("HolUE trains on validation labels; stats_split='test' applies to HolUE-sum only")
 
     gal = protocol.gallery
     mated_test = _split(protocol.mated_probes, "test")
     nonmated_test = _split(protocol.nonmated_probes, "test")
     test = mated_test + nonmated_test
     needs_components = "HolUE" in methods or "HolUE-sum" in methods
-    validation = _split(protocol.mated_probes, "validation") + _split(protocol.nonmated_probes, "validation")
     with _stage("calibration"):
         if needs_components and stats_split == "validation":
             _require(len(validation) >= 2, MissingValidationError,

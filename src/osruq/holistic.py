@@ -176,11 +176,15 @@ class TrainingConfig:
     epochs: int = 2000
     momentum: float = 0.9
     init_scale: float = 0.5
-    hidden: tuple[int, int] = (16, 16)
+    hidden: tuple[int, ...] = (16, 16)  # () trains a logistic regression
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.epochs < 1 or not 0.0 <= self.momentum < 1.0:
-            raise ValueError("invalid training configuration")
+        object.__setattr__(self, "hidden", tuple(self.hidden))  # a list would leave the config unhashable
+        # a chained comparison is False for NaN, so NaN fails every range check
+        if not (0.0 < self.learning_rate < np.inf and 0.0 < self.init_scale < np.inf
+                and 0.0 <= self.momentum < 1.0
+                and all(isinstance(v, (int, np.integer)) and v > 0 for v in (self.epochs, *self.hidden))):
+            raise ValueError(f"invalid training configuration: {self}")
 
 
 @dataclass
@@ -188,7 +192,9 @@ class MlpCalibrator:
     """2 -> 16 -> 16 -> 1 network: tanh hidden layers, sigmoid output.
 
     Trained with full-batch gradient descent plus momentum to predict the
-    probability that a decision is correct from (kl1n, kl2n).
+    probability that a decision is correct from (kl1n, kl2n). weights[l] is
+    (n_in, n_out) and biases[l] is (n_out,). final_loss is the mean binary
+    cross-entropy of the last epoch's forward pass, before its update.
     """
 
     weights: list
@@ -221,63 +227,82 @@ def _forward(weights, biases, x: np.ndarray):
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) that never overflows: exp(-|z|) / (1 + exp(-|z|)) for z < 0."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def _train(weights, biases, x: np.ndarray, y: np.ndarray, epochs: int,
+           learning_rate: float = 0.0, momentum: float = 0.0):
+    """Full-batch gradient descent with momentum on the mean BCE of (1, N) labels y.
+
+    Returns the final (weights, biases), the last epoch's (weights, biases)
+    gradients and the loss of its forward pass, before its update. The default
+    zero step leaves the parameters as given.
+    """
+    params = np.concatenate([np.column_stack([w.T, b]).ravel() for w, b in zip(weights, biases)])
+    grads, velocity = np.zeros_like(params), np.zeros_like(params)
+    cuts = np.cumsum([b.size * (w.shape[0] + 1) for w, b in zip(weights, biases)])[:-1]
+    blocks, grad_blocks = ([part.reshape(b.size, -1) for part, b in zip(np.split(flat, cuts), biases)]
+                           for flat in (params, grads))
+    acts = [np.ones((w.shape[0] + 1, x.shape[0])) for w in weights]
+    acts[0][:-1] = x.T
+    deltas = [np.empty((b.size, x.shape[0])) for b in biases]
+    for _ in range(epochs):
+        for block, a, h in zip(blocks, acts, acts[1:]):  # the hidden layers
+            np.tanh(np.dot(block, a, out=h[:-1]), out=h[:-1])
+        logits = np.dot(blocks[-1], acts[-1])
+        np.divide(_sigmoid(logits) - y, y.shape[1], out=deltas[-1])
+        for layer in range(len(blocks) - 1, -1, -1):
+            np.dot(deltas[layer], acts[layer].T, out=grad_blocks[layer])
+            if layer > 0:
+                below = np.dot(blocks[layer][:, :-1].T, deltas[layer], out=deltas[layer - 1])
+                below *= 1.0 - acts[layer][:-1] ** 2
+        velocity *= momentum
+        velocity -= learning_rate * grads
+        params += velocity
+
+    def unpack(layers):
+        return [b[:, :-1].T.copy() for b in layers], [b[:, -1].copy() for b in layers]
+    # stable BCE on logits: max(z,0) - z y + log(1 + exp(-|z|))
+    loss = float(np.mean(np.maximum(logits, 0.0) - logits * y + np.log1p(np.exp(-np.abs(logits)))))
+    return unpack(blocks), unpack(grad_blocks), loss
 
 
 def loss_and_gradients(weights, biases, features: np.ndarray, labels: np.ndarray):
     """Mean binary cross-entropy and its gradients for the calibrator net.
 
-    labels are 1.0 for correct decisions, 0.0 for errors.
+    labels are 1.0 for correct decisions, 0.0 for errors. This is one epoch of
+    fit_mlp's trainer with a zero step.
     """
-    x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
-    activations, logits = _forward(weights, biases, x)
-    # stable BCE on logits: max(z,0) - z y + log(1 + exp(-|z|))
-    loss = float(np.mean(np.maximum(logits, 0.0) - logits * y + np.log1p(np.exp(-np.abs(logits)))))
-    n = x.shape[0]
-    delta = (_sigmoid(logits) - y) / n
-    grad_w = [None] * len(weights)
-    grad_b = [None] * len(biases)
-    for layer in range(len(weights) - 1, -1, -1):
-        grad_w[layer] = activations[layer].T @ delta
-        grad_b[layer] = delta.sum(axis=0)
-        if layer > 0:
-            delta = (delta @ weights[layer].T) * (1.0 - activations[layer] ** 2)
+    y = np.asarray(labels, dtype=np.float64).reshape(1, -1)
+    _, (grad_w, grad_b), loss = _train(weights, biases, np.asarray(features, dtype=np.float64), y, 1)
     return loss, grad_w, grad_b
 
 
 def fit_mlp(features, labels, config: TrainingConfig = TrainingConfig(), seed: int = 0,
             stats: CalibrationStats | None = None) -> MlpCalibrator:
-    """Train the calibrator on normalized components; deterministic per seed."""
+    """Train the calibrator on normalized components; deterministic per seed.
+
+    Parameters live in one flat vector in which layer l is an (n_out, n_in + 1)
+    block [W^T | b]; gradients and momentum share that layout. Activations are
+    feature-major, (n_in + 1, N), with a trailing row of ones that folds each
+    bias into its layer's product; every buffer is allocated once per fit.
+    final_loss is the mean BCE of the last epoch's forward pass, before its update.
+    """
     x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64).reshape(-1)
+    y = np.asarray(labels, dtype=np.float64).reshape(1, -1)
     if x.ndim != 2 or x.shape[1] != 2:
         raise TrainingError(f"features must be (n, 2), got {x.shape}")
-    if y.shape[0] != x.shape[0]:
+    if y.shape[1] != x.shape[0]:
         raise TrainingError("features and labels disagree in length")
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise TrainingError("labels must be 0 (error) or 1 (correct)")
     if y.min() == y.max():
         raise TrainingError("need at least one correct and one error example")
 
-    sizes = [2, *config.hidden, 1]
-    rng = np.random.default_rng(seed)
-    weights, biases = _init_params(sizes, rng, config.init_scale)
-    vel_w = [np.zeros_like(w) for w in weights]
-    vel_b = [np.zeros_like(b) for b in biases]
-    loss = float("nan")
-    for _ in range(config.epochs):
-        loss, grad_w, grad_b = loss_and_gradients(weights, biases, x, y)
-        for i in range(len(weights)):
-            vel_w[i] = config.momentum * vel_w[i] - config.learning_rate * grad_w[i]
-            vel_b[i] = config.momentum * vel_b[i] - config.learning_rate * grad_b[i]
-            weights[i] = weights[i] + vel_w[i]
-            biases[i] = biases[i] + vel_b[i]
+    initial = _init_params([2, *config.hidden, 1], np.random.default_rng(seed), config.init_scale)
+    (weights, biases), _, loss = _train(*initial, x, y, config.epochs, config.learning_rate, config.momentum)
     return MlpCalibrator(weights=weights, biases=biases, config=config, seed=int(seed),
                          stats=stats, final_loss=loss)
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -257,3 +258,49 @@ def test_eval_failing_target_writes_nothing(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "curves"))
     assert not os.path.exists(os.path.join(out, "report.json"))
     assert "error: fpir=0.2: operating point: threshold " in capsys.readouterr().err
+
+
+def test_eval_holue_with_test_stats_split_names_the_cause(tmp_path, capsys):
+    bundle = make_bundle(tmp_path)
+    out = os.path.join(tmp_path, "eval")
+    code = cli.main(["eval", "--bundle", bundle, "--out", out, "--fpir", "0.2",
+                     "--methods", "HolUE,HolUE-sum", "--stats-split", "test"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: fpir=0.2: arguments: HolUE trains on validation labels" in err
+    assert "HolUE-sum only" in err
+    assert not os.path.exists(os.path.join(out, "report.json"))
+
+
+def readme_command_lines() -> dict:
+    """{subcommand: argv words} of the README's command-line block, brackets and '...' dropped."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = fh.read().split("## Command line", 1)[1].split("```", 2)[1]
+    commands = {}
+    for line in block.splitlines():
+        words = [w for w in line.replace("[", " ").replace("]", " ").split() if w != "..."]
+        if words[:1] == ["osruq"]:
+            command, words = words[1], words[2:]
+            commands[command] = [command]
+        if words:
+            commands[command].extend(words)
+    return commands
+
+
+def test_readme_command_line_matches_parser():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    commands = readme_command_lines()
+    assert sorted(commands) == sorted(subparsers.choices)
+    for command, words in commands.items():
+        # every a|b choice in the block, one at a time, the others at their first choice
+        base = [w.split("|")[0] for w in words]
+        for i, word in enumerate(words):
+            for choice in word.split("|"):
+                parser.parse_args(base[:i] + [choice] + base[i + 1:])  # exits 2 on a rejected word
+        documented = {w for w in words if w.startswith("--")}
+        options = {s for a in subparsers.choices[command]._actions for s in a.option_strings}
+        assert documented == options - {"-h", "--help"}, command
+        if command == "eval":
+            assert parser.parse_args(base).fpir == [0.05, 0.1]

@@ -174,3 +174,22 @@ def test_failures_name_their_stage():
     assert len(correct) >= 2
     assert stage_of(lambda: ev.run_evaluation(with_validation(proto, correct), 0.1,
                                               methods=("HolUE",), mlp_config=FAST_MLP)) == "training"
+
+
+def test_holue_with_test_stats_split_fails_in_arguments_stage(monkeypatch):
+    proto = small_protocol()
+
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("scoring ran before the arguments were checked")
+
+    monkeypatch.setattr(ev, "_score", no_scoring)
+    with pytest.raises(ValueError) as info:
+        ev.run_evaluation(proto, 0.1, methods=("HolUE",), stats_split="test")
+    assert not isinstance(info.value, ev.MissingValidationError)
+    assert info.value.stage == "arguments"
+    assert "HolUE-sum only" in str(info.value)
+    monkeypatch.undo()
+    # without a validation split the missing split stays the reported cause
+    with pytest.raises(ev.MissingValidationError):
+        ev.run_evaluation(small_protocol(val_fraction=0.0), 0.1, methods=("HolUE",),
+                          stats_split="test")

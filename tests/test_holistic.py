@@ -277,3 +277,70 @@ def test_calibrator_json_round_trip():
     # canonical form survives a second round trip byte for byte
     assert ho.calibrator_to_json(back) == text
     assert json.loads(text)["layer_sizes"] == [2, 16, 16, 1]
+
+
+def test_training_config_validates_every_field():
+    for bad in (dict(hidden=(0, 16)), dict(hidden=(2.5,)), dict(hidden=(-3,)), dict(epochs=2.5),
+                dict(learning_rate=float("nan")), dict(learning_rate=float("inf")),
+                dict(init_scale=float("nan")), dict(init_scale=0.0), dict(init_scale=-0.5),
+                dict(momentum=float("nan"))):
+        with pytest.raises(ValueError):
+            ho.TrainingConfig(**bad)
+    assert ho.TrainingConfig(hidden=()).hidden == ()  # logistic regression
+    assert ho.TrainingConfig(hidden=(np.int64(8), 4)).hidden == (8, 4)
+    from_list = ho.TrainingConfig(hidden=[8, 4])
+    assert from_list == ho.TrainingConfig(hidden=(8, 4))
+    assert hash(from_list) == hash(ho.TrainingConfig(hidden=(8, 4)))
+
+
+def reference_fit(x, y, config, seed):
+    """Referee: a plain list-of-layers trainer with (N, n) activations and one bias add per layer."""
+    sizes = [2, *config.hidden, 1]
+    weights, biases = ho._init_params(sizes, np.random.default_rng(seed), config.init_scale)
+    vel_w = [np.zeros_like(w) for w in weights]
+    vel_b = [np.zeros_like(b) for b in biases]
+    y = y.reshape(-1, 1)
+    for _ in range(config.epochs):
+        activations = [x]
+        for w, b in zip(weights[:-1], biases[:-1]):
+            activations.append(np.tanh(activations[-1] @ w + b))
+        logits = activations[-1] @ weights[-1] + biases[-1]
+        loss = float(np.mean(np.maximum(logits, 0.0) - logits * y + np.log1p(np.exp(-np.abs(logits)))))
+        probs = np.empty_like(logits)
+        pos = logits >= 0
+        probs[pos] = 1.0 / (1.0 + np.exp(-logits[pos]))
+        probs[~pos] = np.exp(logits[~pos]) / (1.0 + np.exp(logits[~pos]))
+        delta = (probs - y) / x.shape[0]
+        grad_w, grad_b = [None] * len(weights), [None] * len(biases)
+        for layer in range(len(weights) - 1, -1, -1):
+            grad_w[layer] = activations[layer].T @ delta
+            grad_b[layer] = delta.sum(axis=0)
+            if layer > 0:
+                delta = (delta @ weights[layer].T) * (1.0 - activations[layer] ** 2)
+        for i in range(len(weights)):
+            vel_w[i] = config.momentum * vel_w[i] - config.learning_rate * grad_w[i]
+            vel_b[i] = config.momentum * vel_b[i] - config.learning_rate * grad_b[i]
+            weights[i] = weights[i] + vel_w[i]
+            biases[i] = biases[i] + vel_b[i]
+    return weights, biases, loss
+
+
+@pytest.mark.parametrize("n", [66, 500])
+@pytest.mark.parametrize("hidden", [(16, 16), (8, 4), ()], ids=["16-16", "8-4", "none"])
+def test_fit_mlp_matches_reference_trainer(n, hidden):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, 2))
+    y = (x.sum(axis=1) + 0.5 * rng.standard_normal(n) > 0).astype(float)
+    config = ho.TrainingConfig(hidden=hidden)
+    calib = ho.fit_mlp(x, y, config=config, seed=3)
+    weights, biases, loss = reference_fit(x, y, config, seed=3)
+    assert calib.layer_sizes() == [2, *hidden, 1]
+    for got, want in zip(calib.weights + calib.biases, weights + biases):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+    assert calib.final_loss == pytest.approx(loss, rel=1e-12)
+
+    again = ho.fit_mlp(x, y, config=config, seed=3)
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(calib.weights + calib.biases, again.weights + again.biases))
+    assert again.final_loss == calib.final_loss
