@@ -10,7 +10,7 @@ closed form.
 
 import numpy as np
 
-from osruq import (Gallery, GalleryModel, VmfParams, decide, equivalent_threshold,
+from osruq import (Gallery, GalleryModel, VmfParams, decision_index, equivalent_threshold,
                    galue_score, kappa_for_threshold, posterior, sample_vmf)
 
 rng = np.random.default_rng(11)
@@ -21,25 +21,28 @@ means /= np.linalg.norm(means, axis=1, keepdims=True)
 gallery = Gallery(class_ids=tuple(f"id{i}" for i in range(k)), means=means)
 model = GalleryModel(gallery=gallery, kappa=80.0, beta=0.3)
 
+
+def describe(probs):
+    """The decision a K+1 posterior (out-of-gallery last) leads to."""
+    best = decision_index(probs)  # class index, or -1 to reject
+    cls = gallery.class_ids[best] if best >= 0 else None
+    print(f"  p(out of gallery) = {probs[-1]:.3f}")
+    print(f"  decision: accepted={best >= 0} class={cls}")
+    print(f"  confidence (max of K+1) = {galue_score(probs):.3f}")
+
+
 # A probe drawn near class 2 should be claimed by it.
 mated = sample_vmf(VmfParams(mean=means[2], kappa=200.0), rng, 1)[0]
-post = posterior(model, mated)
-dec = decide(post, gallery)
+probs = posterior(model, mated)   # K class probabilities, then out-of-gallery
 print("mated probe:")
-print(f"  class probs  {np.array2string(post.gallery_probs, precision=3)}")
-print(f"  p(out of gallery) = {post.oog_prob:.3f}")
-print(f"  decision: accepted={dec.accepted} class={dec.class_id}")
-print(f"  confidence (max of K+1) = {galue_score(post):.3f}")
+print(f"  class probs  {np.array2string(probs[:-1], precision=3)}")
+describe(probs)
 
 # A uniform random direction should land in the reject bucket.
 stray = rng.standard_normal(d)
 stray /= np.linalg.norm(stray)
-post = posterior(model, stray)
-dec = decide(post, gallery)
 print("\nstray probe:")
-print(f"  p(out of gallery) = {post.oog_prob:.3f}")
-print(f"  decision: accepted={dec.accepted} class={dec.class_id}")
-print(f"  confidence (max of K+1) = {galue_score(post):.3f}")
+describe(posterior(model, stray))
 
 # The posterior rule is a cosine threshold in disguise.
 tau = equivalent_threshold(model)
@@ -47,14 +50,12 @@ print(f"\nequivalent cosine threshold tau = {tau:.4f}")
 print(f"  best cosine, mated  {float(np.max(means @ mated)):+.4f}")
 print(f"  best cosine, stray  {float(np.max(means @ stray)):+.4f}")
 
-agree = 0
-for _ in range(2000):
-    z = rng.standard_normal(d)
-    z /= np.linalg.norm(z)
-    by_posterior = decide(posterior(model, z), gallery).accepted
-    by_threshold = float(np.max(means @ z)) >= tau
-    agree += by_posterior == by_threshold
-print(f"  agreement over 2000 random probes: {agree}/2000")
+# Every function above also takes a stack of probes, one per row.
+Z = rng.standard_normal((2000, d))
+Z /= np.linalg.norm(Z, axis=1, keepdims=True)
+by_posterior = decision_index(posterior(model, Z)) >= 0
+by_threshold = np.max(Z @ means.T, axis=1) >= tau
+print(f"  agreement over 2000 random probes: {np.sum(by_posterior == by_threshold)}/2000")
 
 # And the map inverts: given an operating threshold, recover the
 # concentration that realizes it.

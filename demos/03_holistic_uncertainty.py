@@ -12,9 +12,9 @@ MLP calibrated to predict decision correctness.
 
 import numpy as np
 
-from osruq import (Gallery, GalleryModel, ProbabilisticEmbedding, VmfParams, decide,
-                   fit_mlp, fit_stats, holue_sum, kl_components, mlp_predict, normalize,
-                   posterior, sample_vmf, scaled_gallery_posterior)
+from osruq import (Gallery, GalleryModel, VmfParams, decision_index, fit_mlp, fit_stats,
+                   holue_sum, kl_components, mlp_predict, normalize, posterior, sample_vmf,
+                   scaled_gallery_posterior)
 
 rng = np.random.default_rng(23)
 
@@ -25,51 +25,48 @@ model = GalleryModel(
     gallery=Gallery(class_ids=tuple(f"id{i}" for i in range(k)), means=means),
     kappa=60.0, beta=0.3)
 
-def probe_near(mean, spread, quality):
-    z = sample_vmf(VmfParams(mean=mean, kappa=spread), rng, 1)[0]
-    return ProbabilisticEmbedding(mean=z, kappa=quality)
+def probe_near(mean, spread):
+    return sample_vmf(VmfParams(mean=mean, kappa=spread), rng, 1)[0]
 
 # Tempering flattens the class posterior; T=1 is the plain posterior.
-emb = probe_near(means[0], 300.0, quality=120.0)
+z = probe_near(means[0], 300.0)
 for t in (1.0, 5.0, 20.0):
-    post = scaled_gallery_posterior(model, emb, temperature=t)
-    print(f"T={t:<4g} class posterior {np.array2string(post.gallery_probs, precision=3)}"
-          f"  oog={post.oog_prob:.3f}")
+    probs = scaled_gallery_posterior(model, z, temperature=t)
+    print(f"T={t:<4g} class posterior {np.array2string(probs[:-1], precision=3)}"
+          f"  oog={probs[-1]:.3f}")
 
-# Clean on-class probe vs a low-quality blur vs an off-gallery direction.
+# Clean on-class probe vs a low-quality blur vs an off-gallery direction; each
+# probe is a unit mean plus its own quality concentration kappa.
 z = rng.standard_normal(d)
 cases = {
-    "clean mated   ": probe_near(means[0], 300.0, quality=150.0),
-    "blurry mated  ": probe_near(means[0], 40.0, quality=8.0),
-    "clean stray   ": ProbabilisticEmbedding(mean=z / np.linalg.norm(z), kappa=150.0),
+    "clean mated   ": (probe_near(means[0], 300.0), 150.0),
+    "blurry mated  ": (probe_near(means[0], 40.0), 8.0),
+    "clean stray   ": (z / np.linalg.norm(z), 150.0),
 }
+names = list(cases)
+raw = kl_components(model, np.array([m for m, _ in cases.values()]),
+                    np.array([q for _, q in cases.values()]))
 
 print("\nraw components (higher = more confident):")
-raw = {}
-for name, emb in cases.items():
-    comp = kl_components(model, emb)
-    raw[name] = comp
-    print(f"  {name} kl1={comp.kl1:+.4f}  kl2={comp.kl2:+.4f}")
+for i, name in enumerate(names):
+    print(f"  {name} kl1={raw.kl1[i]:+.4f}  kl2={raw.kl2[i]:+.4f}")
 
 # Build a validation split mixing mated probes of varying sharpness with
 # strays, and label each one by whether the gallery decision was correct.
-val_embs, truths = [], []
+val_means, val_kappas, truths = [], [], []
 for i in range(400):
-    quality = float(rng.uniform(5, 150))
+    val_kappas.append(float(rng.uniform(5, 150)))
     if i % 8 < 5:
         cls = int(rng.integers(k))
-        val_embs.append(probe_near(means[cls], float(rng.uniform(8, 300)), quality))
-        truths.append(f"id{cls}")
+        val_means.append(probe_near(means[cls], float(rng.uniform(8, 300))))
+        truths.append(cls)
     else:
         z = rng.standard_normal(d)
-        val_embs.append(ProbabilisticEmbedding(mean=z / np.linalg.norm(z), kappa=quality))
-        truths.append(None)
-val_comps = [kl_components(model, e) for e in val_embs]
-labels = []
-for e, true_id in zip(val_embs, truths):
-    dec = decide(posterior(model, e.mean), model.gallery)
-    correct = dec.class_id == true_id if dec.accepted else true_id is None
-    labels.append(1.0 if correct else 0.0)
+        val_means.append(z / np.linalg.norm(z))
+        truths.append(-1)  # the right decision for a stray is reject, -1
+val_means = np.array(val_means)
+val_comps = kl_components(model, val_means, np.array(val_kappas))
+labels = (decision_index(posterior(model, val_means)) == np.array(truths)).astype(np.float64)
 
 # Normalization puts the two components on a common scale before combining.
 stats = fit_stats(val_comps)
@@ -77,16 +74,14 @@ print(f"\nvalidation stats: kl1 mean={stats.mean1:+.3f} std={stats.std1:.3f}"
       f"  kl2 mean={stats.mean2:+.3f} std={stats.std2:.3f}")
 print(f"decision accuracy on validation: {np.mean(labels):.3f}")
 
+k1n, k2n = normalize(raw, stats)
 print("\nsummed score (higher = decision more trustworthy):")
-for name, comp in raw.items():
-    k1n, k2n = normalize(comp, stats)
-    print(f"  {name} {holue_sum(k1n, k2n):+.4f}")
+for name, score in zip(names, holue_sum(k1n, k2n)):
+    print(f"  {name} {score:+.4f}")
 
 # The MLP maps the same two numbers to a calibrated p(decision correct).
-features = [normalize(c, stats) for c in val_comps]
-calib = fit_mlp(np.array(features), np.array(labels), seed=0, stats=stats)
+calib = fit_mlp(np.column_stack(normalize(val_comps, stats)), labels, seed=0, stats=stats)
 
 print("\ncalibrated p(correct):")
-for name, comp in raw.items():
-    k1n, k2n = normalize(comp, stats)
-    print(f"  {name} {mlp_predict(calib, k1n, k2n):.3f}")
+for name, p in zip(names, mlp_predict(calib, k1n, k2n)):
+    print(f"  {name} {p:.3f}")

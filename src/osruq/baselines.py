@@ -22,27 +22,27 @@ def q_accscr(score, tau: float):
     return float(out) if out.ndim == 0 else out
 
 
-def q_scf(kappa: float) -> float:
-    """Probe concentration used directly as confidence."""
-    kappa = float(kappa)
-    if not np.isfinite(kappa) or kappa <= 0.0:
-        raise ValueError(f"kappa must be finite and > 0, got {kappa!r}")
+def q_scf(kappa) -> np.ndarray:
+    """Probe concentrations (N,) used directly as confidence."""
+    kappa = np.asarray(kappa, dtype=np.float64)
+    if not np.all(np.isfinite(kappa)) or np.any(kappa <= 0.0):
+        raise ValueError("kappa must be finite and > 0")
     return kappa
 
 
-def q_pfe(sigma_sq) -> float:
-    """Negative harmonic mean of per-dimension variances."""
+def q_pfe(sigma_sq) -> np.ndarray:
+    """Negative harmonic mean of each probe's per-dimension variances, (N, d) -> (N,)."""
     s = np.asarray(sigma_sq, dtype=np.float64)
-    if s.ndim != 1 or s.shape[0] < 1:
-        raise ValueError(f"expected a 1-d variance vector, got shape {s.shape}")
+    if s.ndim != 2 or s.shape[1] < 1:
+        raise ValueError(f"expected (N, d) variance vectors, got shape {s.shape}")
     if not np.all(np.isfinite(s)) or np.any(s <= 0.0):
         raise ValueError("variances must be finite and > 0")
-    return float(-s.shape[0] / np.sum(1.0 / s))
+    return -s.shape[1] / np.sum(1.0 / s, axis=1)
 
 
-def q_sf(scale: float) -> float:
-    """Scale feature passed through as confidence."""
-    scale = float(scale)
-    if not np.isfinite(scale):
-        raise ValueError(f"scale must be finite, got {scale!r}")
+def q_sf(scale) -> np.ndarray:
+    """Scale features (N,) passed through as confidence."""
+    scale = np.asarray(scale, dtype=np.float64)
+    if not np.all(np.isfinite(scale)):
+        raise ValueError("scale must be finite")
     return scale

@@ -104,21 +104,19 @@ def _write_curves(out_dir: str, tag: str, report) -> dict:
     """Write per-method and reference curve CSVs; return their relative paths."""
     base = os.path.join("curves", tag)
     os.makedirs(os.path.join(out_dir, base), exist_ok=True)
+    # (group, file label, metric, curve); a method file is <method>_<metric>.csv
+    # keyed [method][metric], a reference file <kind>_<metric>.csv keyed [metric][kind]
+    curves = [("methods", name, metric, curve) for name, mrep in report.methods.items()
+              for metric, curve in mrep.curves.items()]
+    curves += [("reference", kind, metric, curve) for metric, pair in report.reference_curves.items()
+               for kind, curve in pair.items()]
     paths = {"methods": {}, "reference": {}}
-    for name, mrep in report.methods.items():
-        paths["methods"][name] = {}
-        for metric, curve in mrep.curves.items():
-            rel = os.path.join(base, f"{name}_{metric}.csv")
-            with open(os.path.join(out_dir, rel), "w", encoding="ascii") as fh:
-                fh.write(_curve_rows(curve))
-            paths["methods"][name][metric] = rel
-    for metric, pair in report.reference_curves.items():
-        paths["reference"][metric] = {}
-        for kind, curve in pair.items():
-            rel = os.path.join(base, f"{kind}_{metric}.csv")
-            with open(os.path.join(out_dir, rel), "w", encoding="ascii") as fh:
-                fh.write(_curve_rows(curve))
-            paths["reference"][metric][kind] = rel
+    for group, label, metric, curve in curves:
+        rel = os.path.join(base, f"{label}_{metric}.csv")
+        with open(os.path.join(out_dir, rel), "w", encoding="ascii") as fh:
+            fh.write(_curve_rows(curve))
+        outer, inner = (label, metric) if group == "methods" else (metric, label)
+        paths[group].setdefault(outer, {})[inner] = rel
     return paths
 
 

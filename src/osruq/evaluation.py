@@ -15,8 +15,8 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import baselines, holistic, metrics
-from .gallery import (GalleryModel, cosines, decision_index, kappa_for_threshold, row_blocks,
-                      softmax, terms_from_cosines)
+from .gallery import (GalleryModel, cosines, decision_index, galue_score, kappa_for_threshold,
+                      row_blocks, softmax, terms_from_cosines)
 from .holistic import (KlComponents, TrainingConfig, fit_mlp, fit_stats, kl_from_terms,
                        normalize, self_log_density)
 from .metrics import EvalReport, MethodReport, UndefinedPrrError
@@ -51,13 +51,13 @@ def _split(probes, split: str):
     return [p for p in probes if p.split == split]
 
 
-def _quality(probes, field: str, method: str) -> list:
-    """One quality field of every probe, for a method that needs it."""
+def _quality(probes, field: str, method: str) -> np.ndarray:
+    """One quality field of every probe as a float array, for a method that needs it."""
     values = [getattr(p, field) for p in probes]
     for probe, value in zip(probes, values):
         _require(value is not None, MissingQualityError,
                  f"probe {probe.probe_id} has no {field} for {method}")
-    return values
+    return np.array(values, dtype=np.float64)
 
 
 def _score(model: GalleryModel, probes, temperature: float, components: bool):
@@ -67,15 +67,14 @@ def _score(model: GalleryModel, probes, temperature: float, components: bool):
     best, galue, kl1, kl2 = (np.empty(n) for _ in range(4))
     decided = np.empty(n, dtype=np.intp)
     if components:
-        kappas = np.array(_quality(probes, "kappa", "HolUE methods"), dtype=np.float64)
-        log_self = self_log_density(model.gallery.d, kappas)
+        log_self = self_log_density(model.gallery.d, _quality(probes, "kappa", "HolUE methods"))
     for rows in row_blocks(n, model.gallery.k):
         cos = cosines(model.gallery, [p.mean for p in probes[rows]])
         terms = terms_from_cosines(model, cos)
         probs = softmax(terms)
         best[rows] = cos.max(axis=1)
-        decided[rows] = decision_index(probs[:, :-1], probs[:, -1])
-        galue[rows] = probs.max(axis=1)  # top of the K+1 posterior
+        decided[rows] = decision_index(probs)
+        galue[rows] = galue_score(probs)
         if components:
             kl1[rows], kl2[rows] = kl_from_terms(model, terms, log_self[rows], temperature)
     return best, decided, galue, (KlComponents(kl1, kl2, temperature) if components else None)
@@ -149,7 +148,7 @@ def run_evaluation(
                                      ("PFE", "pfe_sigma2", baselines.q_pfe),
                                      ("SF", "sf_scale", baselines.q_sf)):
             if name in methods:
-                scores[name] = np.array([quality(v) for v in _quality(test, field, name)])
+                scores[name] = quality(_quality(test, field, name))
 
     if needs_components:
         with _stage("calibration"):

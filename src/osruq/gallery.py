@@ -93,31 +93,6 @@ class GalleryModel:
                 np.log(self.beta) + vmf.log_alpha(gal.d, self.kappa) + log_c)
 
 
-@dataclass(frozen=True)
-class Posterior:
-    """Class membership probabilities and the out-of-gallery probability."""
-
-    gallery_probs: np.ndarray
-    oog_prob: float
-
-    def __post_init__(self):
-        probs = np.asarray(self.gallery_probs, dtype=np.float64)
-        object.__setattr__(self, "gallery_probs", probs)
-        object.__setattr__(self, "oog_prob", float(self.oog_prob))
-
-
-@dataclass(frozen=True)
-class Decision:
-    accepted: bool
-    class_id: str | None
-
-    def __post_init__(self):
-        if self.accepted and self.class_id is None:
-            raise ValueError("accept decisions must carry a class id")
-        if not self.accepted and self.class_id is not None:
-            raise ValueError("reject decisions must not carry a class id")
-
-
 def aggregate_template(samples) -> np.ndarray:
     """Average unit-vector samples and renormalize to a template direction."""
     arr = np.asarray(samples, dtype=np.float64)
@@ -189,32 +164,23 @@ def softmax(terms: np.ndarray) -> np.ndarray:
     return probs
 
 
-def posterior(model: GalleryModel, z) -> Posterior:
-    """Posterior over the K classes and the out-of-gallery event."""
-    probs = softmax(log_joint_terms(model, z))
-    return Posterior(gallery_probs=probs[:-1], oog_prob=float(probs[-1]))
+def posterior(model: GalleryModel, z) -> np.ndarray:
+    """Posterior over the K classes then the out-of-gallery event: (K+1,) for (d,), (N, K+1) for (N, d)."""
+    return softmax(log_joint_terms(model, z))
 
 
-def decision_index(gallery_probs: np.ndarray, oog_prob) -> np.ndarray:
-    """Accepted class index per posterior row, or -1 to reject: out-of-gallery must
-    strictly exceed every class probability; argmax ties go to the lowest index."""
+def decision_index(probs: np.ndarray):
+    """Accepted class index per posterior row (last column out-of-gallery), or -1 to
+    reject: out-of-gallery must strictly exceed every class probability; argmax ties
+    go to the lowest index."""
+    gallery_probs = probs[..., :-1]
     best = gallery_probs.argmax(axis=-1)
-    return best - (best + 1) * (oog_prob > gallery_probs.max(axis=-1))  # -1 where rejected
+    return best - (best + 1) * (probs[..., -1] > gallery_probs.max(axis=-1))  # -1 where rejected
 
 
-def decide(post: Posterior, gallery: Gallery) -> Decision:
-    """Accept the most probable class unless out-of-gallery dominates (see decision_index)."""
-    if post.gallery_probs.shape[0] != gallery.k:
-        raise ValueError("posterior and gallery sizes disagree")
-    best = int(decision_index(post.gallery_probs, post.oog_prob))
-    if best < 0:
-        return Decision(accepted=False, class_id=None)
-    return Decision(accepted=True, class_id=gallery.class_ids[best])
-
-
-def galue_score(post: Posterior) -> float:
-    """Confidence of the maximum-posterior decision (classes and reject alike)."""
-    return float(max(float(np.max(post.gallery_probs)), post.oog_prob))
+def galue_score(probs: np.ndarray):
+    """Confidence of the maximum-posterior decision (classes and reject alike), per row."""
+    return probs.max(axis=-1)
 
 
 def _threshold_from_params(kappa: float, beta: float, k: int, d: int) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import vmf
-from .gallery import GalleryModel, Posterior, log_joint_terms, softmax
+from .gallery import GalleryModel, log_joint_terms, softmax
 
 DEFAULT_TEMPERATURE = 20.0
 
@@ -30,25 +30,6 @@ class CalibrationError(ValueError):
 
 class TrainingError(ValueError):
     """Calibrator training preconditions are not met."""
-
-
-@dataclass(frozen=True)
-class ProbabilisticEmbedding:
-    """Unit mean direction plus a per-probe concentration estimate."""
-
-    mean: np.ndarray
-    kappa: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", vmf.as_unit_vector(self.mean))
-        kappa = float(self.kappa)
-        if not np.isfinite(kappa) or kappa <= 0.0:
-            raise ValueError(f"kappa must be finite and > 0, got {self.kappa!r}")
-        object.__setattr__(self, "kappa", kappa)
-
-    @property
-    def d(self) -> int:
-        return self.mean.shape[0]
 
 
 @dataclass(frozen=True)
@@ -83,16 +64,15 @@ class CalibrationStats:
             raise ValueError("stds must be > 0")
 
 
-def scaled_gallery_posterior(model: GalleryModel, emb: ProbabilisticEmbedding, temperature: float) -> Posterior:
-    """Posterior at the probe mean with every joint term tempered by 1/T.
+def scaled_gallery_posterior(model: GalleryModel, z, temperature: float) -> np.ndarray:
+    """Posterior at the probe mean z, (d,) or (N, d), with every joint term tempered by 1/T.
 
     temperature == 1 reproduces the unscaled posterior; T -> infinity flattens
     to the uniform distribution over the K+1 outcomes.
     """
     if not temperature > 0.0:
         raise ValueError(f"temperature must be > 0, got {temperature!r}")
-    probs = softmax(log_joint_terms(model, emb.mean) / float(temperature))
-    return Posterior(gallery_probs=probs[:-1], oog_prob=float(probs[-1]))
+    return softmax(log_joint_terms(model, z) / float(temperature))
 
 
 def self_log_density(d: int, kappa):
@@ -131,23 +111,29 @@ def kl_from_terms(model: GalleryModel, terms: np.ndarray, log_self, temperature:
     return kl1, kl2
 
 
-def kl_components(model: GalleryModel, emb: ProbabilisticEmbedding, temperature: float = DEFAULT_TEMPERATURE) -> KlComponents:
-    """The two confidence components at the probe mean (see kl_from_terms)."""
-    if emb.d != model.gallery.d:
-        raise ValueError(f"dimension mismatch: gallery d={model.gallery.d}, probe d={emb.d}")
-    terms = log_joint_terms(model, emb.mean[None, :])
-    kl1, kl2 = kl_from_terms(model, terms, self_log_density(emb.d, emb.kappa), temperature)
-    return KlComponents(kl1=float(kl1[0]), kl2=float(kl2[0]), temperature=float(temperature))
+def kl_components(model: GalleryModel, z, kappa, temperature: float = DEFAULT_TEMPERATURE) -> KlComponents:
+    """The two confidence components at the probe mean (see kl_from_terms).
+
+    z is one unit mean (d,) with a float kappa, giving float components, or a
+    stack (N, d) with (N,) kappas, giving (N,) arrays; every kappa must be
+    finite and > 0.
+    """
+    z = vmf.as_unit_rows(z)
+    kappa = np.asarray(kappa, dtype=np.float64)
+    if kappa.shape != z.shape[:-1]:
+        raise ValueError(f"need one kappa per probe mean, got shape {kappa.shape} for means {z.shape}")
+    if not np.all(np.isfinite(kappa)) or np.any(kappa <= 0.0):
+        raise ValueError("every kappa must be finite and > 0")
+    log_self = self_log_density(model.gallery.d, np.atleast_1d(kappa))
+    kl1, kl2 = kl_from_terms(model, log_joint_terms(model, np.atleast_2d(z)), log_self, temperature)
+    if z.ndim == 1:
+        kl1, kl2 = float(kl1[0]), float(kl2[0])
+    return KlComponents(kl1=kl1, kl2=kl2, temperature=float(temperature))
 
 
-def fit_stats(components) -> CalibrationStats:
-    """Mean/std (ddof=1) of a batch KlComponents, or of per-probe ones, over a calibration split."""
-    if isinstance(components, KlComponents):
-        kl1, kl2 = np.atleast_1d(components.kl1), np.atleast_1d(components.kl2)
-    else:
-        comps = list(components)
-        kl1 = np.array([c.kl1 for c in comps])
-        kl2 = np.array([c.kl2 for c in comps])
+def fit_stats(components: KlComponents) -> CalibrationStats:
+    """Mean/std (ddof=1) of each component over a calibration split."""
+    kl1, kl2 = np.atleast_1d(components.kl1), np.atleast_1d(components.kl2)
     if kl1.shape[0] < 2:
         raise CalibrationError(f"need at least 2 components to fit stats, got {kl1.shape[0]}")
     std1 = float(np.std(kl1, ddof=1))
@@ -216,14 +202,11 @@ def _init_params(sizes, rng: np.random.Generator, scale: float):
     return weights, biases
 
 
-def _forward(weights, biases, x: np.ndarray):
-    activations = [x]
+def _forward(weights, biases, x: np.ndarray) -> np.ndarray:
     a = x
     for w, b in zip(weights[:-1], biases[:-1]):
         a = np.tanh(a @ w + b)
-        activations.append(a)
-    logits = a @ weights[-1] + biases[-1]
-    return activations, logits
+    return a @ weights[-1] + biases[-1]
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -315,7 +298,7 @@ def mlp_predict(calibrator: MlpCalibrator, kl1n, kl2n) -> float | np.ndarray:
     """
     x = np.column_stack([np.atleast_1d(np.asarray(kl1n, dtype=np.float64)),
                          np.atleast_1d(np.asarray(kl2n, dtype=np.float64))])
-    _, logits = _forward(calibrator.weights, calibrator.biases, x[:, None, :])
+    logits = _forward(calibrator.weights, calibrator.biases, x[:, None, :])
     probs = np.clip(_sigmoid(logits[:, 0, 0]), 1e-12, 1.0 - 1e-12)
     if np.ndim(kl1n) == 0:
         return float(probs[0])

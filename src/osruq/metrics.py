@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gallery import Decision
-
 METRIC_NAMES = ("F1", "FPIR", "FNIR")
 
 
@@ -46,39 +44,10 @@ def decision_correct(classes) -> np.ndarray:
     return np.isin(classes, (TP, TN))
 
 
-@dataclass(frozen=True)
-class ProbeOutcome:
-    """One scored probe: ground truth, fixed decision, per-method confidences."""
-
-    probe_id: str
-    true_class: str | None  # None marks a non-mated probe
-    decision: Decision
-    scores: dict
-
-    @property
-    def mated(self) -> bool:
-        return self.true_class is not None
-
-    @property
-    def error(self) -> bool:
-        return not decision_correct(classify([self]))[0]
-
-
-def classify(outcomes) -> np.ndarray:
-    """Outcome classes of a sequence of ProbeOutcome."""
-    return outcome_classes([o.mated for o in outcomes], [o.decision.accepted for o in outcomes],
-                           [o.decision.class_id == o.true_class for o in outcomes])
-
-
 def class_counts(classes: np.ndarray) -> tuple[int, int, int, int]:
     """(TP, FN, FP, non-mated) counts of an array of outcome classes."""
     tp, fn, fp, tn = (int(c) for c in np.bincount(classes, minlength=4))
     return tp, fn, fp, fp + tn
-
-
-def confusion_counts(outcomes) -> tuple[int, int, int]:
-    """(TP, FN, FP) over a collection of probe outcomes."""
-    return class_counts(classify(list(outcomes)))[:3]
 
 
 def _rates(tp, fn, fp, n_nonmated):
@@ -206,34 +175,6 @@ def reference_curve_sets(classes, probe_ids, max_fraction: float = 0.5, n_points
 
 def _curves(fractions: np.ndarray, values: dict) -> dict:
     return {m: RejectionCurve(fractions=fractions, values=values[m], metric=m) for m in METRIC_NAMES}
-
-
-def _check_metric(metric: str):
-    if metric not in METRIC_NAMES:
-        raise ValueError(f"unknown metric {metric!r}")
-
-
-def rejection_curve(outcomes, method: str, metric: str = "F1",
-                    max_fraction: float = 0.5, n_points: int = 101) -> RejectionCurve:
-    """One metric's rejection_curves for a list of ProbeOutcome scored by method."""
-    outcomes = list(outcomes)
-    _check_metric(metric)
-    for out in outcomes:
-        if method not in out.scores:
-            raise ValueError(f"probe {out.probe_id} has no score for method {method!r}")
-    return rejection_curves(classify(outcomes), [o.scores[method] for o in outcomes],
-                            [o.probe_id for o in outcomes], max_fraction, n_points)[metric]
-
-
-def reference_curves(outcomes, metric: str = "F1", max_fraction: float = 0.5,
-                     n_points: int = 101, n_shuffles: int = 100,
-                     seed: int = 0) -> tuple[RejectionCurve, RejectionCurve]:
-    """One metric's (oracle, random) reference_curve_sets for a list of ProbeOutcome."""
-    outcomes = list(outcomes)
-    _check_metric(metric)
-    oracle, random_curves = reference_curve_sets(
-        classify(outcomes), [o.probe_id for o in outcomes], max_fraction, n_points, n_shuffles, seed)
-    return oracle[metric], random_curves[metric]
 
 
 def curve_auc(curve: RejectionCurve) -> float:

@@ -18,7 +18,7 @@ from scipy.special import iv
 from . import vmf
 from . import gallery as gallery_mod
 from . import holistic as holistic_mod
-from .gallery import Gallery, GalleryModel, Posterior
+from .gallery import Gallery, GalleryModel
 
 # Linear-domain oracles are only trustworthy where nothing can overflow.
 ENVELOPE = {"d_max": 8, "kappa_max": 50.0, "k_max": 20}
@@ -66,33 +66,36 @@ def _linear_c(d: int, kappa: float) -> float:
     return kappa ** (n - 1.0) / ((2.0 * math.pi) ** n * float(iv(n - 1.0, kappa)))
 
 
-def independent_posterior(model: GalleryModel, z) -> Posterior:
-    """Linear-domain twin of the gallery posterior (restricted envelope)."""
+def _linear_posterior(model: GalleryModel, z: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(K,) class posteriors, the out-of-gallery posterior and the marginal density at z,
+    from direct exponentials."""
     gal = model.gallery
-    _check_envelope(gal.d, model.kappa, gal.k)
-    z = np.asarray(z, dtype=np.float64)
     c = _linear_c(gal.d, model.kappa)
     s = _surface_area(gal.d)
     prior = (1.0 - model.beta) / gal.k
     lik = np.array([c * math.exp(model.kappa * float(mu @ z)) for mu in gal.means])
     marginal = prior * float(np.sum(lik)) + model.beta / s
-    probs = prior * lik / marginal
-    return Posterior(gallery_probs=probs, oog_prob=(model.beta / s) / marginal)
+    return prior * lik / marginal, (model.beta / s) / marginal, marginal
 
 
-def independent_kl_components(model: GalleryModel, emb) -> tuple[float, float]:
-    """Unscaled (T=1) KL components recomputed in linear arithmetic."""
+def independent_posterior(model: GalleryModel, z) -> np.ndarray:
+    """Linear-domain twin of the gallery posterior (restricted envelope): (K+1,), out-of-gallery last."""
     gal = model.gallery
-    _check_envelope(gal.d, max(model.kappa, emb.kappa), gal.k)
-    c = _linear_c(gal.d, model.kappa)
-    s = _surface_area(gal.d)
+    _check_envelope(gal.d, model.kappa, gal.k)
+    post, oog, _ = _linear_posterior(model, np.asarray(z, dtype=np.float64))
+    return np.append(post, oog)
+
+
+def independent_kl_components(model: GalleryModel, z, kappa: float) -> tuple[float, float]:
+    """Unscaled (T=1) KL components of a probe (mean z, concentration kappa) in linear arithmetic."""
+    gal = model.gallery
+    kappa = float(kappa)
+    _check_envelope(gal.d, max(model.kappa, kappa), gal.k)
+    post, oog, marginal = _linear_posterior(model, np.asarray(z, dtype=np.float64))
     prior = (1.0 - model.beta) / gal.k
-    lik = np.array([c * math.exp(model.kappa * float(mu @ emb.mean)) for mu in gal.means])
-    marginal = prior * float(np.sum(lik)) + model.beta / s
-    post = prior * lik / marginal
     kl1 = float(sum(p * math.log(p / prior) for p in post if p > 0.0))
-    self_density = _linear_c(gal.d, emb.kappa) * math.exp(emb.kappa)
-    kl2 = (model.beta / s) / marginal * math.log(self_density / marginal)
+    self_density = _linear_c(gal.d, kappa) * math.exp(kappa)
+    kl2 = oog * math.log(self_density / marginal)
     return kl1, float(kl2)
 
 
@@ -242,10 +245,8 @@ def _check_posterior_linear(seed: int, cases: int = 1000) -> dict:
         k = int(rng.integers(1, ENVELOPE["k_max"] + 1))
         model = _random_model(rng, d, k, kappa_max=ENVELOPE["kappa_max"])
         z = _random_unit(rng, d)
-        ours = gallery_mod.posterior(model, z)
-        ref = independent_posterior(model, z)
-        dev = max(dev, float(np.max(np.abs(ours.gallery_probs - ref.gallery_probs))),
-                  abs(ours.oog_prob - ref.oog_prob))
+        ours, ref = gallery_mod.posterior(model, z), independent_posterior(model, z)
+        dev = max(dev, float(np.max(np.abs(ours - ref))))
     return {"name": "posterior_linear", "max_deviation": dev, "tolerance": 1e-9}
 
 
@@ -256,12 +257,10 @@ def _check_kl_t1_linear(seed: int, cases: int = 200) -> dict:
         d = int(rng.choice([2, 3, 5, 8]))
         k = int(rng.integers(1, ENVELOPE["k_max"] + 1))
         model = _random_model(rng, d, k, kappa_max=ENVELOPE["kappa_max"])
-        emb = holistic_mod.ProbabilisticEmbedding(
-            mean=_random_unit(rng, d),
-            kappa=float(np.exp(rng.uniform(np.log(1e-2), np.log(ENVELOPE["kappa_max"])))),
-        )
-        comp = holistic_mod.kl_components(model, emb, temperature=1.0)
-        ref1, ref2 = independent_kl_components(model, emb)
+        z = _random_unit(rng, d)
+        kappa = float(np.exp(rng.uniform(np.log(1e-2), np.log(ENVELOPE["kappa_max"]))))
+        comp = holistic_mod.kl_components(model, z, kappa, temperature=1.0)
+        ref1, ref2 = independent_kl_components(model, z, kappa)
         dev = max(dev, abs(comp.kl1 - ref1), abs(comp.kl2 - ref2))
     return {"name": "kl_t1_linear", "max_deviation": dev, "tolerance": 1e-10}
 
@@ -274,15 +273,11 @@ def _check_decision_equivalence(seed: int, cases: int = 2000) -> dict:
         k = int(rng.choice([1, 10, 100]))
         model = _random_model(rng, d, k, kappa_max=1e3)
         z = _random_unit(rng, d)
-        post = gallery_mod.posterior(model, z)
-        decision = gallery_mod.decide(post, model.gallery)
+        decided = int(gallery_mod.decision_index(gallery_mod.posterior(model, z)))
         tau = gallery_mod.equivalent_threshold(model)
         best = int(np.argmax(model.gallery.means @ z))
-        baseline_accept = float(model.gallery.means[best] @ z) >= tau
-        same = decision.accepted == baseline_accept
-        if decision.accepted and baseline_accept:
-            same = decision.class_id == model.gallery.class_ids[best]
-        disagreements += not same
+        # the threshold rule accepts the best-cosine class or rejects (-1)
+        disagreements += decided != (best if float(model.gallery.means[best] @ z) >= tau else -1)
     return {"name": "decision_equivalence", "max_deviation": float(disagreements), "tolerance": 0.0}
 
 

@@ -45,9 +45,9 @@ def test_criterion_1_decision_equivalence():
                         z = vmf.sample_vmf(vmf.VmfParams(center, 50.0), rng, 1)[0]
                     else:
                         z = random_unit(rng, d)
-                    decision = ga.decide(ga.posterior(model, z), gal)
+                    accepted = ga.decision_index(ga.posterior(model, z)) >= 0
                     threshold_accepts = float(np.max(gal.means @ z)) >= tau
-                    assert decision.accepted == threshold_accepts
+                    assert accepted == threshold_accepts
                     cases += 1
     elapsed = time.perf_counter() - start
     assert cases >= 10_000
@@ -79,15 +79,15 @@ def test_criterion_3_posterior_matches_oracle():
         z = random_unit(rng, d)
         ours = ga.posterior(model, z)
         ref = orc.independent_posterior(model, z)
-        assert float(np.max(np.abs(ours.gallery_probs - ref.gallery_probs))) <= 1e-9
-        assert abs(ours.oog_prob - ref.oog_prob) <= 1e-9
+        assert float(np.max(np.abs(ours[:-1] - ref[:-1]))) <= 1e-9
+        assert abs(ours[-1] - ref[-1]) <= 1e-9
 
     mean = np.array([1.0, 0.0, 0.0])
     model = ga.GalleryModel(
         gallery=ga.Gallery(class_ids=("c000",), means=mean[None, :]), kappa=1.0, beta=0.5)
     post = ga.posterior(model, mean)
-    assert abs(post.gallery_probs[0] - 0.69817) < 1e-5
-    assert abs(post.oog_prob - 0.30183) < 1e-5
+    assert abs(post[0] - 0.69817) < 1e-5
+    assert abs(post[-1] - 0.30183) < 1e-5
 
 
 def test_criterion_4_tempered_components_reduce_at_t1():
@@ -96,41 +96,30 @@ def test_criterion_4_tempered_components_reduce_at_t1():
         k = int(rng.integers(1, 12))
         d = int(rng.integers(2, 8))
         model = _fuzz_model(rng, k, d, kappa_range=(0.1, 40.0))
-        emb = ho.ProbabilisticEmbedding(mean=random_unit(rng, d),
-                                        kappa=float(rng.uniform(0.5, 40.0)))
-        ours = ho.kl_components(model, emb, temperature=1.0)
-        kl1_ref, kl2_ref = orc.independent_kl_components(model, emb)
+        z, kappa = random_unit(rng, d), float(rng.uniform(0.5, 40.0))
+        ours = ho.kl_components(model, z, kappa, temperature=1.0)
+        kl1_ref, kl2_ref = orc.independent_kl_components(model, z, kappa)
         assert abs(ours.kl1 - kl1_ref) <= 1e-10
         assert abs(ours.kl2 - kl2_ref) <= 1e-10
 
     mean = np.array([1.0, 0.0, 0.0])
     model = ga.GalleryModel(
         gallery=ga.Gallery(class_ids=("c000",), means=mean[None, :]), kappa=1.0, beta=0.5)
-    comps = ho.kl_components(model, ho.ProbabilisticEmbedding(mean=mean, kappa=5.0),
-                             temperature=1.0)
+    comps = ho.kl_components(model, mean, 5.0, temperature=1.0)
     assert abs(comps.kl1 - 0.2331) < 1e-3
     assert abs(comps.kl2 - 0.5426) < 1e-3
 
 
 def _synthetic_outcomes(n=2000, seed=555):
+    """Outcome classes and probe ids of n synthetic decisions."""
     rng = np.random.default_rng(seed)
-    outcomes = []
+    mated, accepted, correct = np.zeros((3, n), dtype=bool)
     for i in range(n):
-        mated = rng.random() < 0.6
-        accepted = rng.random() < 0.75
-        if mated:
-            true = "a"
-            cid = ("a" if rng.random() < 0.9 else "b") if accepted else None
-        else:
-            true = None
-            cid = "a" if accepted else None
-        decision = ga.Decision(accepted=accepted, class_id=cid)
-        out = mt.ProbeOutcome(probe_id=f"p{i:05d}", true_class=true, decision=decision,
-                              scores={})
-        outcomes.append(mt.ProbeOutcome(probe_id=out.probe_id, true_class=true,
-                                        decision=decision,
-                                        scores={"oracle_like": 0.0 if out.error else 1.0}))
-    return outcomes
+        mated[i] = rng.random() < 0.6
+        accepted[i] = rng.random() < 0.75
+        if mated[i] and accepted[i]:
+            correct[i] = rng.random() < 0.9
+    return mt.outcome_classes(mated, accepted, correct), [f"p{i:05d}" for i in range(n)]
 
 
 def test_criterion_5_metric_definitions_and_reference_ratios():
@@ -139,24 +128,22 @@ def test_criterion_5_metric_definitions_and_reference_ratios():
     assert fnir == pytest.approx(0.3, abs=1e-15)
     assert f1 == pytest.approx(0.777778, abs=1e-6)
 
-    outcomes = _synthetic_outcomes()
-    oracle_curve, random_curve = mt.reference_curves(outcomes, metric="F1", seed=0)
+    classes, ids = _synthetic_outcomes()
+    oracle, rand = mt.reference_curve_sets(classes, ids, seed=0)
+    oracle_curve, random_curve = oracle["F1"], rand["F1"]
 
     # a score that sorts errors first reproduces the oracle ordering exactly
-    oracle_like = mt.rejection_curve(outcomes, "oracle_like", metric="F1")
+    oracle_like = mt.rejection_curves(classes, mt.decision_correct(classes).astype(float), ids)["F1"]
     assert abs(mt.prr(oracle_like, random_curve, oracle_curve) - 1.0) <= 1e-9
 
     # fresh shuffled orderings (disjoint seed stream) score near zero on average
     ratios = []
-    n = len(outcomes)
+    n = len(ids)
     for s in range(100):
         perm = np.random.default_rng([777, s]).permutation(n)
         ranks = np.empty(n)
         ranks[perm] = np.arange(n)
-        shuffled = [mt.ProbeOutcome(probe_id=o.probe_id, true_class=o.true_class,
-                                    decision=o.decision, scores={"r": float(ranks[j])})
-                    for j, o in enumerate(outcomes)]
-        curve = mt.rejection_curve(shuffled, "r", metric="F1")
+        curve = mt.rejection_curves(classes, ranks, ids)["F1"]
         ratios.append(mt.prr(curve, random_curve, oracle_curve))
     assert -0.05 <= float(np.mean(ratios)) <= 0.05
 

@@ -25,30 +25,36 @@ def test_q_accscr_distance_from_threshold():
 
 
 def test_q_scf_passthrough_and_validation():
-    assert bl.q_scf(17.5) == 17.5
+    assert bl.q_scf(np.array([17.5, 2.0])).tolist() == [17.5, 2.0]
     with pytest.raises(ValueError):
-        bl.q_scf(0.0)
+        bl.q_scf(np.array([17.5, 0.0]))
     with pytest.raises(ValueError):
-        bl.q_scf(float("inf"))
+        bl.q_scf(np.array([float("inf")]))
 
 
 def test_q_pfe_harmonic_mean():
     # harmonic mean of (1, 1/3) is 1/2
-    assert bl.q_pfe(np.array([1.0, 1.0 / 3.0])) == pytest.approx(-0.5)
-    assert bl.q_pfe(np.array([2.0, 2.0, 2.0])) == pytest.approx(-2.0)
+    np.testing.assert_allclose(bl.q_pfe(np.array([[1.0, 1.0 / 3.0], [1.0, 1.0 / 3.0]])), [-0.5, -0.5])
+    assert bl.q_pfe(np.array([[2.0, 2.0, 2.0]]))[0] == pytest.approx(-2.0)
     with pytest.raises(ValueError):
-        bl.q_pfe(np.array([1.0, 0.0]))
+        bl.q_pfe(np.array([[1.0, 0.0]]))
     with pytest.raises(ValueError):
-        bl.q_pfe(np.array([[1.0, 2.0]]))
+        bl.q_pfe(np.array([1.0, 2.0]))  # one probe's variances must be a row
+
+
+def test_q_pfe_rows_match_one_probe_at_a_time():
+    rng = np.random.default_rng(5)
+    for d in (16, 128, 512):
+        s = rng.uniform(0.01, 2.0, size=(300, d))
+        assert bl.q_pfe(s).tolist() == [float(-d / np.sum(1.0 / row)) for row in s]
 
 
 def test_q_pfe_orders_by_uncertainty():
-    tight = bl.q_pfe(np.full(8, 0.01))
-    loose = bl.q_pfe(np.full(8, 0.5))
+    tight, loose = bl.q_pfe(np.array([np.full(8, 0.01), np.full(8, 0.5)]))
     assert tight > loose
 
 
 def test_q_sf_passthrough():
-    assert bl.q_sf(-1.25) == -1.25
+    assert bl.q_sf(np.array([-1.25, 3.0])).tolist() == [-1.25, 3.0]
     with pytest.raises(ValueError):
-        bl.q_sf(float("nan"))
+        bl.q_sf(np.array([0.5, float("nan")]))

@@ -11,7 +11,6 @@ from osruq import gallery as ga
 from osruq import holistic as ho
 from osruq import metrics as mt
 from osruq import protocol as pr
-from osruq.gallery import Decision
 
 
 def preset_probes(d: int, n_identities: int = 60):
@@ -31,9 +30,12 @@ def test_batch_rows_equal_scalar_calls(d, kappa):
     terms = ga.log_joint_terms(model, z_all)
     log_marg = ga.log_marginal(model, z_all)
     probs = ga.softmax(terms)
-    decided = ga.decision_index(probs[:, :-1], probs[:, -1])
+    decided = ga.decision_index(probs)
     kl1, kl2 = ho.kl_from_terms(model, terms, ho.self_log_density(d, kappas), 20.0)
     assert terms.shape == (len(probes), gal.k + 1)
+    assert np.array_equal(ga.posterior(model, z_all), probs)
+    stacked = ho.kl_components(model, z_all, kappas, temperature=20.0)
+    assert np.array_equal(stacked.kl1, kl1) and np.array_equal(stacked.kl2, kl2)
 
     for i, p in enumerate(probes):
         assert np.array_equal(cos[i], gal.means @ p.mean)
@@ -41,14 +43,10 @@ def test_batch_rows_equal_scalar_calls(d, kappa):
         assert np.array_equal(terms[i], ga.log_joint_terms(model, p.mean))
         assert log_marg[i] == ga.log_marginal(model, p.mean)
         post = ga.posterior(model, p.mean)
-        assert np.array_equal(probs[i, :-1], post.gallery_probs)
-        assert probs[i, -1] == post.oog_prob
-        decision = ga.decide(post, gal)
-        assert decision.accepted == (decided[i] >= 0)
-        if decision.accepted:
-            assert decision.class_id == gal.class_ids[decided[i]]
-        comps = ho.kl_components(model, ho.ProbabilisticEmbedding(mean=p.mean, kappa=p.kappa),
-                                 temperature=20.0)
+        assert np.array_equal(probs[i], post)
+        assert ga.decision_index(post) == decided[i]
+        assert ga.galue_score(post) == probs[i].max()
+        comps = ho.kl_components(model, p.mean, p.kappa, temperature=20.0)
         assert (kl1[i], kl2[i]) == (comps.kl1, comps.kl2)
 
 
@@ -77,8 +75,7 @@ def test_kl1_with_underflowed_posterior_entries_matches_scalar():
     underflowed = ~np.all(ga.softmax(terms)[:, :-1] > 0.0, axis=1)
     assert 0 < underflowed.sum() < len(probes)
     for i, p in enumerate(probes):
-        comps = ho.kl_components(model, ho.ProbabilisticEmbedding(mean=p.mean, kappa=p.kappa),
-                                 temperature=1.0)
+        comps = ho.kl_components(model, p.mean, p.kappa, temperature=1.0)
         assert (kl1[i], kl2[i]) == (comps.kl1, comps.kl2)
         # the same entries, summed apart from the batch
         log_post = terms[i, :-1] - logsumexp(terms[i])
@@ -89,25 +86,28 @@ def test_kl1_with_underflowed_posterior_entries_matches_scalar():
 
 
 def random_outcomes(n=60, seed=13):
+    """(probe_id, true class or None, accepted class or None) rows."""
     rng = np.random.default_rng(seed)
     outs = []
     for i in range(n):
         mated = rng.random() < 0.6
         accepted = rng.random() < 0.7
         true = ("a" if rng.random() < 0.8 else "b") if mated else None
-        outs.append(mt.ProbeOutcome(
-            probe_id=f"p{(7 * i) % n:03d}", true_class=true,
-            decision=Decision(accepted=accepted, class_id="a" if accepted else None),
-            scores={}))
+        outs.append((f"p{(7 * i) % n:03d}", true, "a" if accepted else None))
     return outs
+
+
+def classes_of(outs):
+    return mt.outcome_classes([t is not None for _, t, _ in outs], [a is not None for _, _, a in outs],
+                              [a == t for _, t, a in outs])
 
 
 def plain_values(kept):
     """(F1, FPIR, FNIR) of the kept outcomes in plain Python arithmetic."""
-    tp = sum(o.true_class is not None and o.decision.class_id == o.true_class for o in kept)
-    fn = sum(o.true_class is not None for o in kept) - tp
-    fp = sum(o.true_class is None and o.decision.accepted for o in kept)
-    nm = sum(o.true_class is None for o in kept)
+    tp = sum(t is not None and a == t for _, t, a in kept)
+    fn = sum(t is not None for _, t, _ in kept) - tp
+    fp = sum(t is None and a is not None for _, t, a in kept)
+    nm = sum(t is None for _, t, _ in kept)
     fpir = fp / nm if nm else 0.0
     fnir = fn / (fn + tp) if fn + tp else 0.0
     if tp == 0:
@@ -125,15 +125,16 @@ def brute_curve(ordered, fractions):
 def test_reference_curves_match_brute_force():
     outs = random_outcomes()
     n, n_shuffles, seed = len(outs), 7, 3
-    oracle, rand = mt.reference_curve_sets(mt.classify(outs), [o.probe_id for o in outs],
+    oracle, rand = mt.reference_curve_sets(classes_of(outs), [pid for pid, _, _ in outs],
                                            max_fraction=0.5, n_points=11,
                                            n_shuffles=n_shuffles, seed=seed)
     fractions = oracle["F1"].fractions
 
     def error(o):
-        return o.decision.accepted if o.true_class is None else o.decision.class_id != o.true_class
+        _, true, accepted = o
+        return accepted is not None if true is None else accepted != true
 
-    errors_first = sorted(outs, key=lambda o: (not error(o), o.probe_id))
+    errors_first = sorted(outs, key=lambda o: (not error(o), o[0]))
     expected_oracle = brute_curve(errors_first, fractions)
     expected_random = {m: np.zeros(len(fractions)) for m in mt.METRIC_NAMES}
     for s in range(n_shuffles):
@@ -145,20 +146,15 @@ def test_reference_curves_match_brute_force():
     for m in mt.METRIC_NAMES:
         assert oracle[m].values.tolist() == [v[m] for v in expected_oracle]
         assert rand[m].values.tolist() == (expected_random[m] / n_shuffles).tolist()
-        # the single-metric wrapper returns the same curves
-        one_oracle, one_rand = mt.reference_curves(outs, metric=m, max_fraction=0.5, n_points=11,
-                                                   n_shuffles=n_shuffles, seed=seed)
-        assert np.array_equal(one_oracle.values, oracle[m].values)
-        assert np.array_equal(one_rand.values, rand[m].values)
 
 
 def test_rejection_curves_give_every_metric_of_one_order():
     outs = random_outcomes()
     rng = np.random.default_rng(2)
     scores = rng.integers(0, 5, size=len(outs)).astype(float)  # many ties
-    curves = mt.rejection_curves(mt.classify(outs), scores, [o.probe_id for o in outs],
+    curves = mt.rejection_curves(classes_of(outs), scores, [pid for pid, _, _ in outs],
                                  max_fraction=0.5, n_points=11)
-    order = sorted(range(len(outs)), key=lambda i: (scores[i], outs[i].probe_id))
+    order = sorted(range(len(outs)), key=lambda i: (scores[i], outs[i][0]))
     expected = brute_curve([outs[i] for i in order], curves["F1"].fractions)
     assert list(curves) == list(mt.METRIC_NAMES)
     for m in mt.METRIC_NAMES:

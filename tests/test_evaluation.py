@@ -169,8 +169,8 @@ def test_failures_name_their_stage():
 
     report = ev.run_evaluation(proto, 0.1, methods=("AccScr",))
     model = GalleryModel(gallery=proto.gallery, kappa=report.kappa, beta=report.beta)
-    correct = [p for p in mated_val if ga.decide(ga.posterior(model, p.mean), proto.gallery)
-               .class_id == p.class_id]
+    decided = ga.decision_index(ga.posterior(model, np.array([p.mean for p in mated_val])))
+    correct = [p for p, i in zip(mated_val, decided) if i >= 0 and proto.gallery.class_ids[i] == p.class_id]
     assert len(correct) >= 2
     assert stage_of(lambda: ev.run_evaluation(with_validation(proto, correct), 0.1,
                                               methods=("HolUE",), mlp_config=FAST_MLP)) == "training"

@@ -44,27 +44,27 @@ def test_model_validation():
 def test_posterior_hand_values():
     model = single_class_model()
     post = ga.posterior(model, np.array([1.0, 0.0, 0.0]))
-    assert post.gallery_probs[0] == pytest.approx(HAND_P1, abs=1e-12)
-    assert post.oog_prob == pytest.approx(HAND_P0, abs=1e-12)
+    assert post[0] == pytest.approx(HAND_P1, abs=1e-12)
+    assert post[-1] == pytest.approx(HAND_P0, abs=1e-12)
     anti = ga.posterior(model, np.array([-1.0, 0.0, 0.0]))
-    assert anti.gallery_probs[0] == pytest.approx(HAND_P1_ANTIPODE, abs=1e-12)
+    assert anti[0] == pytest.approx(HAND_P1_ANTIPODE, abs=1e-12)
 
 
 def test_posterior_sums_to_one(rng):
     for _ in range(20):
         model = random_model(rng, k=int(rng.integers(1, 12)), d=5)
         post = ga.posterior(model, random_unit(rng, 5))
-        assert float(np.sum(post.gallery_probs)) + post.oog_prob == pytest.approx(1.0, abs=1e-12)
-        assert np.all(post.gallery_probs >= 0.0)
-        assert post.oog_prob >= 0.0
+        assert post.shape == (model.gallery.k + 1,)
+        assert float(np.sum(post[:-1])) + post[-1] == pytest.approx(1.0, abs=1e-12)
+        assert np.all(post >= 0.0)
 
 
 def test_posterior_kappa_zero_is_prior():
     g = random_gallery(np.random.default_rng(0), 4, 6)
     model = ga.GalleryModel(gallery=g, kappa=0.0, beta=0.3)
     post = ga.posterior(model, random_unit(np.random.default_rng(1), 6))
-    np.testing.assert_allclose(post.gallery_probs, 0.7 / 4, atol=1e-12)
-    assert post.oog_prob == pytest.approx(0.3, abs=1e-12)
+    np.testing.assert_allclose(post[:-1], 0.7 / 4, atol=1e-12)
+    assert post[-1] == pytest.approx(0.3, abs=1e-12)
 
 
 def test_posterior_permutation_equivariant(rng):
@@ -81,8 +81,8 @@ def test_posterior_permutation_equivariant(rng):
         beta=model.beta,
     )
     post2 = ga.posterior(shuffled, z)
-    np.testing.assert_allclose(post2.gallery_probs, post.gallery_probs[perm], atol=1e-14)
-    assert post2.oog_prob == pytest.approx(post.oog_prob, abs=1e-14)
+    np.testing.assert_allclose(post2[:-1], post[:-1][perm], atol=1e-14)
+    assert post2[-1] == pytest.approx(post[-1], abs=1e-14)
 
 
 def test_posterior_rotation_invariant(rng):
@@ -96,33 +96,25 @@ def test_posterior_rotation_invariant(rng):
     )
     post = ga.posterior(model, z)
     post2 = ga.posterior(rotated, q @ z)
-    np.testing.assert_allclose(post2.gallery_probs, post.gallery_probs, atol=1e-10)
+    np.testing.assert_allclose(post2[:-1], post[:-1], atol=1e-10)
 
 
 def test_decide_strict_reject_rule():
-    g = ga.Gallery(class_ids=("a",), means=np.array([[1.0, 0.0]]))
-    # exact tie goes to accept
-    tie = ga.Posterior(gallery_probs=np.array([0.5]), oog_prob=0.5)
-    decision = ga.decide(tie, g)
-    assert decision.accepted
-    assert decision.class_id == "a"
-    reject = ga.Posterior(gallery_probs=np.array([0.4]), oog_prob=0.6)
-    decision = ga.decide(reject, g)
-    assert not decision.accepted
-    assert decision.class_id is None
+    # the last column is out-of-gallery; an exact tie goes to accept
+    assert ga.decision_index(np.array([0.5, 0.5])) == 0
+    assert ga.decision_index(np.array([0.4, 0.6])) == -1
+    rows = np.array([[0.5, 0.5], [0.4, 0.6]])
+    assert ga.decision_index(rows).tolist() == [0, -1]
 
 
 def test_decide_argmax_tie_lowest_index():
-    g = ga.Gallery(class_ids=("a", "b"), means=np.eye(2))
-    post = ga.Posterior(gallery_probs=np.array([0.4, 0.4]), oog_prob=0.2)
-    assert ga.decide(post, g).class_id == "a"
+    assert ga.decision_index(np.array([0.4, 0.4, 0.2])) == 0
 
 
 def test_galue_score_is_top_probability():
-    post = ga.Posterior(gallery_probs=np.array([0.1, 0.3]), oog_prob=0.6)
-    assert ga.galue_score(post) == pytest.approx(0.6)
-    post = ga.Posterior(gallery_probs=np.array([0.7, 0.1]), oog_prob=0.2)
-    assert ga.galue_score(post) == pytest.approx(0.7)
+    assert ga.galue_score(np.array([0.1, 0.3, 0.6])) == pytest.approx(0.6)
+    assert ga.galue_score(np.array([0.7, 0.1, 0.2])) == pytest.approx(0.7)
+    assert ga.galue_score(np.array([[0.1, 0.3, 0.6], [0.7, 0.1, 0.2]])).tolist() == [0.6, 0.7]
 
 
 def test_aggregate_template_mean_direction():
@@ -157,10 +149,9 @@ def test_threshold_decision_agreement(rng):
         model = random_model(rng, k=k, d=6)
         z = random_unit(rng, 6)
         tau = ga.equivalent_threshold(model)
-        post = ga.posterior(model, z)
-        decision = ga.decide(post, model.gallery)
+        accepted = ga.decision_index(ga.posterior(model, z)) >= 0
         cos_max = float(np.max(model.gallery.means @ z))
-        assert decision.accepted == (cos_max >= tau)
+        assert accepted == (cos_max >= tau)
 
 
 def test_kappa_round_trip():
@@ -212,7 +203,6 @@ def test_decision_equivalence_property(seed):
     d = int(rng.integers(2, 20))
     model = random_model(rng, k=k, d=d)
     z = random_unit(rng, d)
-    post = ga.posterior(model, z)
-    accepted = ga.decide(post, model.gallery).accepted
+    accepted = ga.decision_index(ga.posterior(model, z)) >= 0
     tau = ga.equivalent_threshold(model)
     assert accepted == (float(np.max(model.gallery.means @ z)) >= tau)

@@ -25,32 +25,37 @@ def hand_model() -> ga.GalleryModel:
     return ga.GalleryModel(gallery=g, kappa=1.0, beta=0.5)
 
 
-def hand_probe(kappa: float = 5.0) -> ho.ProbabilisticEmbedding:
-    return ho.ProbabilisticEmbedding(mean=np.array([1.0, 0.0, 0.0]), kappa=kappa)
+HAND_MEAN = np.array([1.0, 0.0, 0.0])
 
 
 def test_embedding_validation():
+    # a probe's embedding is its unit mean plus a finite kappa > 0, checked
+    # where kl_components takes it
+    model = hand_model()
+    for kappa in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="kappa"):
+            ho.kl_components(model, HAND_MEAN, kappa)
     with pytest.raises(ValueError):
-        ho.ProbabilisticEmbedding(mean=np.array([1.0, 0.0]), kappa=0.0)
+        ho.kl_components(model, np.array([2.0, 0.0, 0.0]), 1.0)
     with pytest.raises(ValueError):
-        ho.ProbabilisticEmbedding(mean=np.array([2.0, 0.0]), kappa=1.0)
-    emb = ho.ProbabilisticEmbedding(mean=np.array([0.0, 1.0]), kappa=3.0)
-    assert emb.d == 2
+        ho.kl_components(model, np.stack([HAND_MEAN, 2.0 * HAND_MEAN]), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="one kappa per probe"):
+        ho.kl_components(model, np.stack([HAND_MEAN, HAND_MEAN]), 1.0)
+    comps = ho.kl_components(model, np.stack([HAND_MEAN, -HAND_MEAN]), np.array([3.0, 3.0]))
+    assert comps.kl1.shape == comps.kl2.shape == (2,)
 
 
 def test_scaled_posterior_t1_matches_unscaled(rng):
     for _ in range(10):
         model = random_model(rng, k=int(rng.integers(1, 8)), d=5)
-        emb = ho.ProbabilisticEmbedding(mean=random_unit(rng, 5), kappa=4.0)
-        scaled = ho.scaled_gallery_posterior(model, emb, temperature=1.0)
-        base = ga.posterior(model, emb.mean)
-        np.testing.assert_allclose(scaled.gallery_probs, base.gallery_probs, atol=1e-13)
-        assert scaled.oog_prob == pytest.approx(base.oog_prob, abs=1e-13)
+        z = random_unit(rng, 5)
+        scaled = ho.scaled_gallery_posterior(model, z, temperature=1.0)
+        np.testing.assert_allclose(scaled, ga.posterior(model, z), atol=1e-13)
 
 
 def test_scaled_posterior_hand_value_t2():
-    post = ho.scaled_gallery_posterior(hand_model(), hand_probe(), temperature=2.0)
-    assert post.gallery_probs[0] == pytest.approx(HAND_P1_T2, abs=1e-12)
+    post = ho.scaled_gallery_posterior(hand_model(), HAND_MEAN, temperature=2.0)
+    assert post[0] == pytest.approx(HAND_P1_T2, abs=1e-12)
 
 
 @given(log_t=st.floats(min_value=-1.0, max_value=2.0), seed=st.integers(0, 2**31 - 1))
@@ -58,20 +63,19 @@ def test_scaled_posterior_hand_value_t2():
 def test_scaled_posterior_sums_to_one(log_t, seed):
     rng = np.random.default_rng(seed)
     model = random_model(rng, k=int(rng.integers(1, 10)), d=4)
-    emb = ho.ProbabilisticEmbedding(mean=random_unit(rng, 4), kappa=2.0)
-    post = ho.scaled_gallery_posterior(model, emb, temperature=10.0 ** log_t)
-    assert float(np.sum(post.gallery_probs)) + post.oog_prob == pytest.approx(1.0, abs=1e-12)
+    post = ho.scaled_gallery_posterior(model, random_unit(rng, 4), temperature=10.0 ** log_t)
+    assert float(np.sum(post[:-1])) + post[-1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_scaled_posterior_flattens_at_high_temperature():
     model = hand_model()
-    post = ho.scaled_gallery_posterior(model, hand_probe(), temperature=1e6)
-    assert post.gallery_probs[0] == pytest.approx(0.5, abs=1e-5)
-    assert post.oog_prob == pytest.approx(0.5, abs=1e-5)
+    post = ho.scaled_gallery_posterior(model, HAND_MEAN, temperature=1e6)
+    assert post[0] == pytest.approx(0.5, abs=1e-5)
+    assert post[-1] == pytest.approx(0.5, abs=1e-5)
 
 
 def test_kl_components_hand_values():
-    comps = ho.kl_components(hand_model(), hand_probe(), temperature=1.0)
+    comps = ho.kl_components(hand_model(), HAND_MEAN, 5.0, temperature=1.0)
     assert comps.kl1 == pytest.approx(HAND_KL1, abs=1e-12)
     assert comps.kl2 == pytest.approx(HAND_KL2, abs=1e-12)
     # the pieces the hand derivation runs through
@@ -81,7 +85,7 @@ def test_kl_components_hand_values():
 
 
 def test_kl_components_default_temperature():
-    comps = ho.kl_components(hand_model(), hand_probe())
+    comps = ho.kl_components(hand_model(), HAND_MEAN, 5.0)
     assert comps.temperature == 20.0
 
 
@@ -90,8 +94,7 @@ def test_kl1_zero_for_uninformative_gallery():
     # to logsumexp round-off
     g = ga.Gallery(class_ids=("a", "b"), means=np.eye(2))
     model = ga.GalleryModel(gallery=g, kappa=0.0, beta=0.4)
-    emb = ho.ProbabilisticEmbedding(mean=random_unit(np.random.default_rng(0), 2), kappa=3.0)
-    comps = ho.kl_components(model, emb, temperature=1.0)
+    comps = ho.kl_components(model, random_unit(np.random.default_rng(0), 2), 3.0, temperature=1.0)
     assert abs(comps.kl1) < 1e-13
 
 
@@ -103,27 +106,25 @@ def test_kl1_nonnegative_as_beta_vanishes(rng):
         k = int(rng.integers(2, 8))
         base = random_model(rng, k=k, d=5, kappa_max=5.0)
         model = ga.GalleryModel(gallery=base.gallery, kappa=base.kappa, beta=1e-30)
-        emb = ho.ProbabilisticEmbedding(mean=random_unit(rng, 5), kappa=2.0)
-        comps = ho.kl_components(model, emb, temperature=1.0)
+        comps = ho.kl_components(model, random_unit(rng, 5), 2.0, temperature=1.0)
         assert comps.kl1 >= -1e-12
 
 
 def test_kl2_increases_with_probe_concentration():
     model = hand_model()
-    values = [ho.kl_components(model, hand_probe(kappa=k)).kl2 for k in (1.0, 2.0, 5.0, 10.0, 50.0)]
+    values = ho.kl_components(model, np.tile(HAND_MEAN, (5, 1)), np.array([1.0, 2.0, 5.0, 10.0, 50.0])).kl2
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
 def test_kl_components_validation():
     with pytest.raises(ValueError):
-        ho.kl_components(hand_model(), hand_probe(), temperature=0.0)
-    bad = ho.ProbabilisticEmbedding(mean=np.array([0.0, 1.0]), kappa=1.0)
-    with pytest.raises(ValueError):
-        ho.kl_components(hand_model(), bad)
+        ho.kl_components(hand_model(), HAND_MEAN, 5.0, temperature=0.0)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        ho.kl_components(hand_model(), np.array([0.0, 1.0]), 1.0)
 
 
 def comps_from(values1, values2):
-    return [ho.KlComponents(kl1=a, kl2=b, temperature=20.0) for a, b in zip(values1, values2)]
+    return ho.KlComponents(kl1=np.array(values1), kl2=np.array(values2), temperature=20.0)
 
 
 def test_fit_stats_values():

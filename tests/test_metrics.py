@@ -5,40 +5,31 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from osruq import metrics as mt
-from osruq.gallery import Decision
-
-ACCEPT_A = Decision(accepted=True, class_id="a")
-REJECT = Decision(accepted=False, class_id=None)
 
 
-def outcome(pid, true_class, decision, score=0.0):
-    return mt.ProbeOutcome(probe_id=pid, true_class=true_class, decision=decision,
-                           scores={"m": float(score)})
+def classes_of(rows):
+    """Outcome classes of (true class or None, accepted class or None) rows."""
+    return mt.outcome_classes([t is not None for t, _ in rows], [a is not None for _, a in rows],
+                              [a == t for t, a in rows])
 
 
 def hand_outcomes():
-    """7 TP, 3 FN (reject / wrong class / reject), 1 FP among 4 non-mated."""
-    outs = [outcome(f"tp{i}", "a", ACCEPT_A) for i in range(7)]
-    outs.append(outcome("fn0", "a", REJECT))
-    outs.append(outcome("fn1", "b", ACCEPT_A))
-    outs.append(outcome("fn2", "a", REJECT))
-    outs.append(outcome("fp0", None, ACCEPT_A))
-    outs.extend(outcome(f"tn{i}", None, REJECT) for i in range(3))
-    return outs
+    """7 TP, 3 FN (reject / wrong class / reject), 1 FP among 4 non-mated: (classes, probe ids)."""
+    rows = [(f"tp{i}", "a", "a") for i in range(7)]
+    rows += [("fn0", "a", None), ("fn1", "b", "a"), ("fn2", "a", None), ("fp0", None, "a")]
+    rows += [(f"tn{i}", None, None) for i in range(3)]
+    return classes_of([r[1:] for r in rows]), [r[0] for r in rows]
 
 
 def test_outcome_error_semantics():
-    assert not outcome("p", "a", ACCEPT_A).error
-    assert outcome("p", "b", ACCEPT_A).error
-    assert outcome("p", "a", REJECT).error
-    assert outcome("p", None, ACCEPT_A).error
-    assert not outcome("p", None, REJECT).error
-    assert outcome("p", "a", REJECT).mated
-    assert not outcome("p", None, REJECT).mated
+    classes = classes_of([("a", "a"), ("b", "a"), ("a", None), (None, "a"), (None, None)])
+    assert classes.tolist() == [mt.TP, mt.FN, mt.FN, mt.FP, mt.TN]
+    assert mt.decision_correct(classes).tolist() == [True, False, False, False, True]
 
 
 def test_confusion_counts_hand_case():
-    assert mt.confusion_counts(hand_outcomes()) == (7, 3, 1)
+    classes, _ = hand_outcomes()
+    assert mt.class_counts(classes) == (7, 3, 1, 4)
 
 
 def test_osr_metrics_hand_case():
@@ -93,17 +84,12 @@ def test_rejection_curve_validation():
     with pytest.raises(ValueError):
         mt.RejectionCurve(fractions=np.zeros(2), values=np.zeros(2), metric="accuracy")
     with pytest.raises(ValueError):
-        mt.rejection_curve(hand_outcomes(), "m", metric="precision")
-    with pytest.raises(ValueError):
-        mt.rejection_curve(hand_outcomes(), "missing")
-    with pytest.raises(ValueError):
-        mt.rejection_curve([], "m")
+        mt.rejection_curves([], [], [])
 
 
-def brute_force_value(outs, drop, metric):
-    kept = outs[drop:]
-    tp, fn, fp = mt.confusion_counts(kept)
-    n_nonmated = sum(1 for o in kept if not o.mated)
+def brute_force_value(kept, drop, metric):
+    """metric of the (true class, accepted class) rows left after dropping the first drop."""
+    tp, fn, fp, n_nonmated = mt.class_counts(classes_of(kept[drop:]))
     fpir, fnir, f1 = mt.osr_metrics(tp, fn, fp, n_nonmated)
     return {"FPIR": fpir, "FNIR": fnir, "F1": f1}[metric]
 
@@ -111,24 +97,24 @@ def brute_force_value(outs, drop, metric):
 @pytest.mark.parametrize("metric", ["F1", "FPIR", "FNIR"])
 def test_rejection_curve_matches_brute_force(metric):
     rng = np.random.default_rng(13)
-    outs = []
+    rows, ids, scores = [], [], []
     for i in range(60):
         mated = rng.random() < 0.6
         accepted = rng.random() < 0.7
         cid = "a" if accepted else None
         true = ("a" if rng.random() < 0.8 else "b") if mated else None
-        outs.append(mt.ProbeOutcome(
-            probe_id=f"p{i:03d}", true_class=true,
-            decision=Decision(accepted=accepted, class_id=cid),
-            scores={"m": float(rng.standard_normal())}))
-    curve = mt.rejection_curve(outs, "m", metric=metric, max_fraction=0.5, n_points=11)
-    ordered = sorted(outs, key=lambda o: (o.scores["m"], o.probe_id))
+        rows.append((true, cid))
+        ids.append(f"p{i:03d}")
+        scores.append(float(rng.standard_normal()))
+    curve = mt.rejection_curves(classes_of(rows), scores, ids, max_fraction=0.5, n_points=11)[metric]
+    ordered = [rows[j] for j in sorted(range(60), key=lambda j: (scores[j], ids[j]))]
     for r, v in zip(curve.fractions, curve.values):
         assert v == pytest.approx(brute_force_value(ordered, math.floor(r * 60), metric), abs=1e-12)
 
 
 def test_rejection_curve_grid():
-    curve = mt.rejection_curve(hand_outcomes(), "m", max_fraction=0.5, n_points=101)
+    classes, ids = hand_outcomes()
+    curve = mt.rejection_curves(classes, np.zeros(len(ids)), ids, max_fraction=0.5, n_points=101)["F1"]
     assert curve.fractions.shape == (101,)
     assert curve.fractions[0] == 0.0
     assert curve.fractions[-1] == 0.5
@@ -136,41 +122,37 @@ def test_rejection_curve_grid():
 
 
 def test_rejection_curve_ties_break_by_probe_id():
-    outs = [
-        outcome("b", "a", ACCEPT_A, score=1.0),
-        outcome("a", None, ACCEPT_A, score=1.0),  # the false positive drops first
-        outcome("c", None, REJECT, score=1.0),
-        outcome("d", None, REJECT, score=1.0),
-    ]
-    curve = mt.rejection_curve(outs, "m", metric="FPIR", max_fraction=0.5, n_points=3)
+    # b is a TP, a the false positive, c and d true rejections; all tie on score
+    classes = classes_of([("a", "a"), (None, "a"), (None, None), (None, None)])
+    curves = mt.rejection_curves(classes, np.ones(4), ["b", "a", "c", "d"], max_fraction=0.5, n_points=3)
     # at 25% the probe with the lexicographically smallest id is removed
-    assert curve.values[0] == pytest.approx(1.0 / 3.0)
-    assert curve.values[1] == pytest.approx(0.0)
+    assert curves["FPIR"].values[0] == pytest.approx(1.0 / 3.0)
+    assert curves["FPIR"].values[1] == pytest.approx(0.0)
 
 
 def test_curve_truncation_error():
-    outs = hand_outcomes()[:2]
+    classes, ids = hand_outcomes()
     with pytest.raises(mt.CurveTruncationError):
-        mt.rejection_curve(outs, "m", max_fraction=1.0, n_points=3)
+        mt.rejection_curves(classes[:2], np.zeros(2), ids[:2], max_fraction=1.0, n_points=3)
 
 
 def test_reference_curves_oracle_removes_errors_first():
-    outs = hand_outcomes()
-    n_errors = sum(1 for o in outs if o.error)
-    oracle, _ = mt.reference_curves(outs, metric="F1", max_fraction=0.5, n_points=101)
+    classes, ids = hand_outcomes()
+    n_errors = int(np.sum(~mt.decision_correct(classes)))
+    oracle = mt.reference_curve_sets(classes, ids, max_fraction=0.5, n_points=101)[0]["F1"]
     # once every error is rejected the F1 of the remainder is exactly 1
     for r, v in zip(oracle.fractions, oracle.values):
-        if math.floor(r * len(outs)) >= n_errors:
+        if math.floor(r * len(ids)) >= n_errors:
             assert v == pytest.approx(1.0)
     assert oracle.values[0] == pytest.approx(7.0 / 9.0, abs=1e-15)
 
 
 def test_reference_curves_random_is_deterministic():
-    outs = hand_outcomes()
-    _, rand_a = mt.reference_curves(outs, n_shuffles=10, seed=4)
-    _, rand_b = mt.reference_curves(outs, n_shuffles=10, seed=4)
+    classes, ids = hand_outcomes()
+    rand_a = mt.reference_curve_sets(classes, ids, n_shuffles=10, seed=4)[1]["F1"]
+    rand_b = mt.reference_curve_sets(classes, ids, n_shuffles=10, seed=4)[1]["F1"]
     np.testing.assert_array_equal(rand_a.values, rand_b.values)
-    _, rand_c = mt.reference_curves(outs, n_shuffles=10, seed=5)
+    rand_c = mt.reference_curve_sets(classes, ids, n_shuffles=10, seed=5)[1]["F1"]
     assert not np.array_equal(rand_a.values, rand_c.values)
 
 
@@ -180,9 +162,13 @@ def test_curve_auc_trapezoid():
     assert mt.curve_auc(curve) == pytest.approx(0.25)
 
 
+def f1_references(classes, ids):
+    oracle, rand = mt.reference_curve_sets(classes, ids)
+    return oracle["F1"], rand["F1"]
+
+
 def test_prr_endpoints():
-    outs = hand_outcomes()
-    oracle, rand = mt.reference_curves(outs, metric="F1")
+    oracle, rand = f1_references(*hand_outcomes())
     assert mt.prr(oracle, rand, oracle) == pytest.approx(1.0)
     assert mt.prr(rand, rand, oracle) == pytest.approx(0.0)
 
@@ -198,8 +184,7 @@ def test_prr_grid_mismatch():
 
 
 def test_prr_undefined_when_no_errors():
-    outs = [outcome(f"p{i}", "a", ACCEPT_A) for i in range(6)]
-    outs.extend(outcome(f"n{i}", None, REJECT) for i in range(4))
-    oracle, rand = mt.reference_curves(outs, metric="F1")
+    classes = classes_of([("a", "a")] * 6 + [(None, None)] * 4)
+    oracle, rand = f1_references(classes, [f"p{i}" for i in range(6)] + [f"n{i}" for i in range(4)])
     with pytest.raises(mt.UndefinedPrrError):
         mt.prr(oracle, rand, oracle)
