@@ -5,10 +5,15 @@ with 17 significant digits (and -0 normalized to 0) so write -> read -> write
 is byte-identical and every vector survives bit-exactly. The manifest carries
 the schema version, the embedding dimension, record counts, the seeds that
 produced the protocol, and the gallery template membership map.
+
+The writer checks every value before it opens a file, formats the stacked
+vectors and pfe_sigma2 rows in blocks of 256 rows (one % call per block), and
+streams each record line to the file from a fixed template.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -76,66 +81,75 @@ def dumps_canonical(value) -> str:
     raise ValueError(f"cannot serialize value of type {type(value).__name__}")
 
 
-def _record_dict(template_id: str, subject_id: str | None, role: str, split: str | None,
-                 vector: np.ndarray, kappa: float | None, pfe_sigma2, sf_scale) -> dict:
-    return {
-        "template_id": template_id,
-        "subject_id": subject_id,
-        "role": role,
-        "split": split,
-        "vector": np.asarray(vector, dtype=np.float64).tolist(),
-        "kappa": None if kappa is None else float(kappa),
-        "pfe_sigma2": None if pfe_sigma2 is None else np.asarray(pfe_sigma2, dtype=np.float64).tolist(),
-        "sf_scale": None if sf_scale is None else float(sf_scale),
-    }
+# one record line; the keys are in sorted order, as dumps_canonical writes them
+_RECORD_LINE = ('{"kappa":%s,"pfe_sigma2":%s,"role":%s,"sf_scale":%s,"split":%s,'
+                '"subject_id":%s,"template_id":%s,"vector":%s}\n')
+
+
+def _row_texts(rows: list, d: int, what: str):
+    """Check every entry now; return the rows' texts, formatted 256 rows per % call as read."""
+    matrix = np.vstack(rows, dtype=np.float64) if rows else np.empty((0, d))
+    if not np.isfinite(matrix).all():
+        raise ValueError(f"cannot serialize non-finite float in a {what}")
+    row = "[" + ",".join(["%.17g"] * matrix.shape[1]) + "]"
+    blocks = (matrix[i:i + 256] + 0.0 for i in range(0, len(matrix), 256))  # + 0.0 folds -0 to 0
+    return itertools.chain.from_iterable(
+        ("\n".join([row] * len(block)) % tuple(block.ravel().tolist())).split("\n") for block in blocks)
 
 
 def write_bundle(protocol: OsrProtocol, path: str) -> None:
-    """Write a protocol to ``path`` (a directory, created if needed)."""
-    os.makedirs(path, exist_ok=True)
+    """Write a protocol to ``path`` (a directory, created if needed); a failed write writes no file."""
     gal = protocol.gallery
-    records = []
-    for class_id, mean in sorted(zip(gal.class_ids, gal.means), key=lambda t: t[0]):
-        records.append(_record_dict(class_id, class_id, "gallery", None, mean, None, None, None))
+    order = sorted(range(gal.k), key=gal.class_ids.__getitem__)
     probes = sorted(list(protocol.mated_probes) + list(protocol.nonmated_probes),
                     key=lambda p: p.probe_id)
-    n_val = n_test = 0
-    for probe in probes:
-        n_val += probe.split == "validation"
-        n_test += probe.split == "test"
-        records.append(_record_dict(probe.probe_id, probe.class_id, "probe", probe.split,
-                                    probe.mean, probe.kappa, probe.pfe_sigma2, probe.sf_scale))
-    manifest = {
+    scalars = [tuple(dumps_canonical(None if v is None else float(v)) for v in (p.kappa, p.sf_scale))
+               for p in probes]
+    vectors = _row_texts([gal.means[order]] + [p.mean for p in probes], gal.d, "vector")
+    sigma2 = _row_texts([p.pfe_sigma2 for p in probes if p.pfe_sigma2 is not None], gal.d, "pfe_sigma2")
+    manifest = dumps_canonical({
         "schema_version": SCHEMA_VERSION,
         "d": int(gal.d),
         "counts": {
             "gallery": gal.k,
             "mated_probes": len(protocol.mated_probes),
             "nonmated_probes": len(protocol.nonmated_probes),
-            "validation_probes": n_val,
-            "test_probes": n_test,
+            "validation_probes": sum(p.split == "validation" for p in probes),
+            "test_probes": sum(p.split == "test" for p in probes),
         },
         "seeds": {k: v for k, v in protocol.meta.items()},
         "gallery_members": {k: list(v) for k, v in sorted(protocol.gallery_members.items())},
-    }
+    }) + "\n"
+    os.makedirs(path, exist_ok=True)
     with open(os.path.join(path, MANIFEST_NAME), "w", encoding="ascii") as fh:
-        fh.write(dumps_canonical(manifest) + "\n")
+        fh.write(manifest)
     with open(os.path.join(path, RECORDS_NAME), "w", encoding="ascii") as fh:
-        for record in records:
-            fh.write(dumps_canonical(record) + "\n")
+        for i in order:
+            c = dumps_canonical(gal.class_ids[i])
+            fh.write(_RECORD_LINE % ("null", "null", '"gallery"', "null", "null", c, c, next(vectors)))
+        for p, (kappa, sf_scale) in zip(probes, scalars):
+            fh.write(_RECORD_LINE % (
+                kappa, "null" if p.pfe_sigma2 is None else next(sigma2), '"probe"', sf_scale,
+                dumps_canonical(p.split), dumps_canonical(p.class_id), dumps_canonical(p.probe_id),
+                next(vectors)))
 
 
-_REQUIRED_KEYS = ("template_id", "subject_id", "role", "split", "vector", "kappa", "pfe_sigma2", "sf_scale")
+_REQUIRED_KEYS = frozenset(("template_id", "subject_id", "role", "split", "vector", "kappa", "pfe_sigma2", "sf_scale"))
+
+
+def _is_number_list(raw) -> bool:
+    # json.loads yields exact types, so this rejects bools, strings and nested lists
+    return isinstance(raw, list) and set(map(type, raw)) <= {int, float}
 
 
 def _parse_vector(raw, d: int, line_no: int, template_id: str) -> np.ndarray:
-    if not isinstance(raw, list) or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw):
+    if not _is_number_list(raw):
         raise BundleError("schema", f"line {line_no}: vector must be an array of numbers")
     vec = np.asarray(raw, dtype=np.float64)
     if vec.shape[0] != d:
         raise BundleError("dimension_mismatch",
                           f"line {line_no}: vector has dimension {vec.shape[0]}, manifest says {d}")
-    if not np.all(np.isfinite(vec)):
+    if not np.isfinite(vec).all():
         raise BundleError("schema", f"line {line_no}: vector has non-finite entries")
     norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) <= NORM_ACCEPT:
@@ -189,7 +203,7 @@ def read_bundle(path: str) -> OsrProtocol:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise BundleError("schema", f"line {line_no}: not valid JSON") from exc
-            if not isinstance(rec, dict) or set(rec) != set(_REQUIRED_KEYS):
+            if not isinstance(rec, dict) or rec.keys() != _REQUIRED_KEYS:
                 raise BundleError("schema",
                                   f"line {line_no}: expected exactly keys {sorted(_REQUIRED_KEYS)}")
             template_id = rec["template_id"]
@@ -210,8 +224,10 @@ def read_bundle(path: str) -> OsrProtocol:
                 if not isinstance(sigma2, list) or len(sigma2) != d:
                     raise BundleError("dimension_mismatch",
                                       f"line {line_no}: pfe_sigma2 must be an array of length {d}")
+                if not _is_number_list(sigma2):
+                    raise BundleError("schema", f"line {line_no}: pfe_sigma2 must be an array of numbers")
                 sigma2 = np.asarray(sigma2, dtype=np.float64)
-                if not np.all(np.isfinite(sigma2)) or np.any(sigma2 <= 0.0):
+                if not np.isfinite(sigma2).all() or (sigma2 <= 0.0).any():
                     raise BundleError("schema", f"line {line_no}: pfe_sigma2 must be > 0")
             if role == "gallery":
                 if subject_id is None:

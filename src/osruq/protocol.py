@@ -121,17 +121,17 @@ def gen_synthetic(config: SynthConfig) -> SampleStore:
     identity_ids = tuple(f"id{i:04d}" for i in range(n))
     lo, hi = config.samples_per_identity
     qlo, qhi = config.quality_kappa_range
+    class_kappa = float(config.class_kappa)
     samples = {}
     for i, identity in enumerate(identity_ids):
         n_samples = int(rng.integers(lo, hi + 1))
+        mean = vmf.as_unit_vector(means[i])
         records = []
         for j in range(n_samples):
             kappa_x = float(np.exp(rng.uniform(np.log(qlo), np.log(qhi))))
-            if np.isfinite(config.class_kappa):
-                latent = vmf.sample_vmf(vmf.VmfParams(means[i], config.class_kappa), rng, 1)[0]
-            else:
-                latent = means[i]
-            observed = vmf.sample_vmf(vmf.VmfParams(latent, kappa_x), rng, 1)[0]
+            # one-draw path: the means are unit and both concentrations are > 0
+            latent = vmf._draw_one(rng, mean, class_kappa) if np.isfinite(class_kappa) else mean
+            observed = vmf._draw_one(rng, latent, kappa_x)
             sigma2 = (1.0 / kappa_x) * (1.0 + rng.uniform(-0.1, 0.1, size=d))
             records.append(SyntheticSample(
                 sample_id=f"{identity}_s{j:02d}",

@@ -221,6 +221,20 @@ def _sample_radial(rng: np.random.Generator, kappa: float, d: int, n: int) -> np
     return out
 
 
+def _draw_one(rng: np.random.Generator, mean: np.ndarray, kappa: float) -> np.ndarray:
+    # sample_vmf(VmfParams(mean, kappa), rng, 1)[0] without the checks, for a unit
+    # float64 mean and kappa > 0: the same RNG calls and numpy float operations in
+    # the same order, so the draw is bit-equal. Norms are np.add.reduce sums, as in
+    # linalg.norm(axis=1); a 1-d linalg.norm (a dot product) would change last bits.
+    w = _sample_radial(rng, kappa, mean.shape[0], 1)[0]
+    g = rng.standard_normal((1, mean.shape[0]))
+    g -= (g @ mean)[:, None] * mean
+    norm = np.sqrt(np.add.reduce(g * g, axis=1))[0]  # _unit_rows' row norm
+    v = g[0] / norm if norm >= 1e-12 else _unit_rows(g, rng, orthogonal_to=mean)[0]
+    out = w * mean + np.sqrt(max(1.0 - w * w, 0.0)) * v
+    return out / np.sqrt(np.add.reduce(out * out))
+
+
 def sample_vmf(params: VmfParams, seed, n: int) -> np.ndarray:
     """Draw n unit vectors from the vMF distribution; deterministic per seed."""
     if int(n) != n or n < 1:

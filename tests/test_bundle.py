@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from osruq import bundle as bd
+from osruq import cli
 from osruq import protocol as pr
+from osruq.gallery import Gallery
 
 
 def test_dumps_canonical_scalars():
@@ -85,6 +88,74 @@ def test_write_is_byte_deterministic(tmp_path):
         with open(os.path.join(second, name), "rb") as fh:
             blob_b = fh.read()
         assert blob_a == blob_b
+
+
+def reference_records(proto):
+    """records.jsonl as one dumps_canonical(record) per line."""
+    def record(template_id, subject_id, role, split, vector, kappa, pfe_sigma2, sf_scale):
+        return bd.dumps_canonical({
+            "template_id": template_id, "subject_id": subject_id, "role": role, "split": split,
+            "vector": np.asarray(vector, dtype=np.float64).tolist(),
+            "kappa": None if kappa is None else float(kappa),
+            "pfe_sigma2": None if pfe_sigma2 is None else np.asarray(pfe_sigma2, dtype=np.float64).tolist(),
+            "sf_scale": None if sf_scale is None else float(sf_scale),
+        }) + "\n"
+
+    gal = proto.gallery
+    lines = [record(c, c, "gallery", None, m, None, None, None)
+             for c, m in sorted(zip(gal.class_ids, gal.means), key=lambda t: t[0])]
+    probes = sorted(proto.mated_probes + proto.nonmated_probes, key=lambda p: p.probe_id)
+    lines += [record(p.probe_id, p.class_id, "probe", p.split, p.mean, p.kappa, p.pfe_sigma2,
+                     p.sf_scale) for p in probes]
+    return "".join(lines)
+
+
+EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0, 2.0**-1074 * 3,
+               0.30000000000000004, 123456789.12345679, 1e-7, 2.0, -1.5e-300]
+
+
+def test_write_matches_canonical_records(tmp_path):
+    # more probes than one row block, edge-case floats, None optionals, and
+    # ids that need JSON escapes
+    rng = np.random.default_rng(4)
+    d = len(EDGE_FLOATS)
+    means = rng.standard_normal((3, d))
+    means /= np.linalg.norm(means, axis=1, keepdims=True)
+    gallery = Gallery(class_ids=('q"uote', "é", "z\\back"), means=means)
+    probes = []
+    for i in range(600):
+        vector = np.array(EDGE_FLOATS) if i % 7 == 0 else rng.standard_normal(d) * 10.0 ** rng.integers(-300, 300)
+        sigma2 = None if i % 3 == 0 else np.roll(EDGE_FLOATS, i)
+        probes.append(pr.ProbeRecord(
+            probe_id=f"p{i:04d}" + ('"' if i % 11 == 0 else "") + ("ü" if i % 13 == 0 else ""),
+            class_id=gallery.class_ids[i % 3] if i % 2 else None, mean=vector,
+            kappa=None if i % 5 == 0 else EDGE_FLOATS[i % d] + (0.0 if i % 4 else 1.0),
+            pfe_sigma2=sigma2, sf_scale=None if i % 6 == 0 else EDGE_FLOATS[(i + 3) % d],
+            split="validation" if i % 4 else "test"))
+    proto = pr.OsrProtocol(gallery=gallery,
+                           mated_probes=tuple(p for p in probes if p.class_id is not None),
+                           nonmated_probes=tuple(p for p in probes if p.class_id is None))
+    path = os.path.join(tmp_path, "bundle")
+    bd.write_bundle(proto, path)
+    with open(os.path.join(path, bd.RECORDS_NAME), encoding="ascii") as fh:
+        assert fh.read() == reference_records(proto)
+
+
+@pytest.mark.parametrize("field", ["vector", "pfe_sigma2", "kappa", "sf_scale"])
+def test_failed_write_leaves_no_bundle_files(tmp_path, field):
+    proto = small_protocol()
+    last = proto.mated_probes[-1]
+    bad = {"vector": {"mean": np.where(np.arange(last.mean.size) == 2, np.nan, last.mean)},
+           "pfe_sigma2": {"pfe_sigma2": np.full(last.mean.size, np.inf)},
+           "kappa": {"kappa": float("nan")},
+           "sf_scale": {"sf_scale": float("nan")}}[field]
+    proto = dataclasses.replace(proto, mated_probes=proto.mated_probes[:-1]
+                                + (dataclasses.replace(last, **bad),))
+    path = os.path.join(tmp_path, "bundle")
+    with pytest.raises(ValueError):
+        bd.write_bundle(proto, path)
+    for name in (bd.MANIFEST_NAME, bd.RECORDS_NAME):
+        assert not os.path.exists(os.path.join(path, name))
 
 
 def gallery_row(template_id="g0", subject_id="g0", vector=(1.0, 0.0)):
@@ -216,6 +287,21 @@ def test_optional_field_validation(tmp_path):
                 records=[gallery_row(), probe_row(pfe_sigma2=[0.1, -0.2]), probe_row("n0", None)])
     expect_code(tmp_path, "schema",
                 records=[gallery_row(), probe_row(sf_scale=float("nan")), probe_row("n0", None)])
+
+
+@pytest.mark.parametrize("sigma2", [["0.2", "0.2"], [True, True], [[0.2], [0.2]]],
+                         ids=["strings", "bools", "nested"])
+def test_pfe_sigma2_entries_must_be_numbers(tmp_path, sigma2):
+    expect_code(tmp_path, "schema",
+                records=[gallery_row(), probe_row(pfe_sigma2=sigma2), probe_row("n0", None)])
+
+
+def test_eval_reports_bad_pfe_sigma2_as_schema_error(tmp_path, capsys):
+    path = os.path.join(tmp_path, "bundle")
+    write_raw(path, base_manifest(),
+              [gallery_row(), probe_row(pfe_sigma2=["0.2", "0.2"]), probe_row("n0", None)])
+    assert cli.main(["eval", "--bundle", path, "--out", os.path.join(tmp_path, "out")]) == 2
+    assert "error [schema]: line 2: pfe_sigma2" in capsys.readouterr().err
 
 
 def test_role_specific_rules(tmp_path):

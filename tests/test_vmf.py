@@ -180,3 +180,42 @@ def random_mean(d: int) -> np.ndarray:
     rng = np.random.default_rng(d)
     v = rng.standard_normal(d)
     return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("d", [2, 3, 16, 128, 512])
+@pytest.mark.parametrize("kappa", [1e-3, 1.0, 150.0, 1e5])
+def test_one_draw_path_matches_sample_vmf(d, kappa):
+    # the generator's one-draw path must give the same bits and leave the
+    # stream in the same state as the public sampler
+    mean = random_mean(d)
+    a = np.random.default_rng(d + 7)
+    b = np.random.default_rng(d + 7)
+    for _ in range(25):
+        expected = vmf.sample_vmf(vmf.VmfParams(mean, kappa), a, 1)[0]
+        got = vmf._draw_one(b, mean, kappa)
+        assert got.tobytes() == expected.tobytes()
+        assert b.bit_generator.state == a.bit_generator.state
+        mean = got  # chain draws, as the generator does with its latent means
+
+
+class _FirstNormalIsMean(np.random.Generator):
+    """A Generator whose first standard_normal draw is the mean direction,
+    so the tangent row projects to zero and the resampling branch runs."""
+
+    def __init__(self, seed, mean):
+        super().__init__(np.random.PCG64(seed))
+        self.first = mean
+
+    def standard_normal(self, size=None):
+        if self.first is not None:
+            first, self.first = self.first, None
+            return 3.0 * first.reshape(size)
+        return super().standard_normal(size)
+
+
+def test_one_draw_path_resamples_a_degenerate_tangent_like_sample_vmf():
+    mean = np.array([0.6, 0.8, 0.0])
+    expected = vmf.sample_vmf(vmf.VmfParams(mean, 5.0), _FirstNormalIsMean(3, mean), 1)[0]
+    got = vmf._draw_one(_FirstNormalIsMean(3, mean), mean, 5.0)
+    assert got.tobytes() == expected.tobytes()
+    assert abs(float(np.linalg.norm(got)) - 1.0) < 1e-12
