@@ -261,7 +261,9 @@ def read_bundle(path: str) -> OsrProtocol:
     counts = manifest.get("counts", {})
     mated = tuple(p for _, p in sorted(probe_rows.items()) if p.class_id is not None)
     nonmated = tuple(p for _, p in sorted(probe_rows.items()) if p.class_id is None)
-    expected = {"gallery": gallery.k, "mated_probes": len(mated), "nonmated_probes": len(nonmated)}
+    splits = [p.split for p in probe_rows.values()]
+    expected = {"gallery": gallery.k, "mated_probes": len(mated), "nonmated_probes": len(nonmated),
+                "validation_probes": splits.count("validation"), "test_probes": splits.count("test")}
     for key, value in expected.items():
         if key in counts and counts[key] != value:
             raise BundleError("schema",

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import vmf
 
@@ -153,13 +152,13 @@ def log_joint_terms(model: GalleryModel, z) -> np.ndarray:
 
 def log_marginal(model: GalleryModel, z) -> float | np.ndarray:
     """Log marginal density under the gallery mixture: a float for (d,), an (N,) array for (N, d)."""
-    out = logsumexp(log_joint_terms(model, z), axis=-1)
+    out = vmf.logsumexp(log_joint_terms(model, z))
     return float(out) if out.ndim == 0 else out
 
 
 def softmax(terms: np.ndarray) -> np.ndarray:
     """Normalize log terms over the last axis into probabilities that sum to one."""
-    probs = np.exp(terms - logsumexp(terms, axis=-1, keepdims=True))
+    probs = np.exp(terms - vmf.logsumexp(terms, keepdims=True))
     probs /= probs.sum(axis=-1, keepdims=True)
     return probs
 

@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import vmf
 from .gallery import GalleryModel, log_joint_terms, softmax
@@ -86,14 +85,17 @@ def kl_from_terms(model: GalleryModel, terms: np.ndarray, log_self, temperature:
     kl1 sums P_T(c|x) log(P_T(c|x) / prior(c)) over gallery classes only; it
     can be negative because the gallery block of the posterior is a
     sub-simplex. kl2 compares the probe's self-density at its mean against
-    the gallery marginal, weighted by the tempered out-of-gallery mass.
+    the gallery marginal, weighted by P(oog|z) = exp(log_oog - log_marg). The
+    tempered weight exp(log_oog/T - log_marg) underflows at large d (log_oog is
+    about +866 at d=512); at T != 1 kl2 carries their ratio exp((1 - 1/T) log_oog),
+    one constant per model, which z-normalization cancels; at T=1 it is 1.
     """
     if not temperature > 0.0:
         raise ValueError(f"temperature must be > 0, got {temperature!r}")
     t_inv = 1.0 / float(temperature)
-    log_marg = logsumexp(terms, axis=1)
+    log_marg = vmf.logsumexp(terms)
     scaled = terms * t_inv
-    log_post_t = scaled[:, :-1] - logsumexp(scaled, axis=1, keepdims=True)
+    log_post_t = scaled[:, :-1] - vmf.logsumexp(scaled, keepdims=True)
 
     log_prior = np.log((1.0 - model.beta) / model.gallery.k)
     post_t = np.exp(log_post_t)
@@ -107,7 +109,7 @@ def kl_from_terms(model: GalleryModel, terms: np.ndarray, log_self, temperature:
 
     log_oog = terms[:, -1]  # log(beta / surface_area)
     bracket = (t_inv - 1.0) * log_oog + log_self - log_marg
-    kl2 = np.exp(t_inv * log_oog - log_marg) * bracket
+    kl2 = np.exp(log_oog - log_marg) * bracket
     return kl1, kl2
 
 
@@ -116,7 +118,8 @@ def kl_components(model: GalleryModel, z, kappa, temperature: float = DEFAULT_TE
 
     z is one unit mean (d,) with a float kappa, giving float components, or a
     stack (N, d) with (N,) kappas, giving (N,) arrays; every kappa must be
-    finite and > 0.
+    finite and > 0. At T != 1, kl2 carries the per-model scale
+    exp((1 - 1/T) log_oog) of kl_from_terms, which z-normalization cancels.
     """
     z = vmf.as_unit_rows(z)
     kappa = np.asarray(kappa, dtype=np.float64)

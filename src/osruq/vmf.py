@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ive, logsumexp
+from scipy.special import gammaln, ive
 
 # Tolerance for vectors that claim to be unit norm already; matches the
 # bundle reader's accept tier so loaded vectors pass downstream validation.
@@ -78,17 +78,45 @@ def log_surface_area(d: int) -> float:
     return float(np.log(2.0) + 0.5 * d * np.log(np.pi) - gammaln(0.5 * d))
 
 
+def logsumexp(a, axis: int = -1, keepdims: bool = False):
+    """log(sum(exp(a))) over one axis, bit-equal to scipy.special.logsumexp (1.17) on float64.
+
+    scipy's shifted algorithm (Blanchard, Higham and Higham, 2021), step for step;
+    scipy's direct fallback for non-finite results is computed only where needed.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    a_max = np.max(a, axis=axis, keepdims=True)
+    mask = a == a_max
+    m = np.sum(mask, axis=axis, keepdims=True, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e = np.exp(a - a_max)
+        e[mask] = 0.0
+        s = np.sum(e, axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out).all():  # inf or NaN input, or all -inf
+            out = np.where(np.isfinite(out), out, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)))
+    out = out if keepdims else np.squeeze(out, axis=axis)
+    return out[()] if out.ndim == 0 else out
+
+
 def _log_bessel_series(order: float, x: np.ndarray) -> np.ndarray:
     # sum_m (x/2)^(2m + order) / (m! Gamma(m + order + 1)), evaluated as a
     # logsumexp so huge orders cannot underflow. Only reached for x small
     # relative to order, where the series converges in a few hundred terms.
     m = np.arange(_SERIES_TERMS, dtype=np.float64)
-    log_half_x = np.log(0.5 * x)[..., None]
+    with np.errstate(divide="ignore"):  # x/2 underflows to 0 only for the least subnormal x
+        log_half_x = np.log(0.5 * x)[..., None]
     terms = (2.0 * m + order) * log_half_x - gammaln(m + 1.0) - gammaln(m + order + 1.0)
     tail_slack = terms[..., -1] - np.max(terms, axis=-1)
     if np.any(tail_slack > -46.0):
         raise RuntimeError("Bessel power series did not converge; x too large for this branch")
-    return logsumexp(terms, axis=-1)
+    return logsumexp(terms)
+
+
+def _log_from_scaled(scaled, x):
+    # log I_order(x) from the exponentially scaled ive(order, x) = I_order(x) exp(-x)
+    return np.log(scaled) + x
 
 
 def log_bessel_i(order: float, x) -> float | np.ndarray:
@@ -96,10 +124,15 @@ def log_bessel_i(order: float, x) -> float | np.ndarray:
 
     Uses the exponentially scaled Bessel from scipy where it is nonzero and a
     log-domain power series where scaling underflows (large order, small x).
+    A finite float x >= 0 on the scaled branch skips the array machinery.
     """
     order = float(order)
     if not np.isfinite(order) or order < 0.0:
         raise ValueError(f"order must be finite and >= 0, got {order!r}")
+    if isinstance(x, float) and 0.0 <= x < np.inf:
+        scaled = ive(order, x)
+        if 0.0 < scaled < np.inf:
+            return float(_log_from_scaled(scaled, x))
     x_in = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x_in)) or np.any(x_in < 0.0):
         raise ValueError("x must be finite and >= 0")
@@ -108,7 +141,7 @@ def log_bessel_i(order: float, x) -> float | np.ndarray:
 
     scaled = ive(order, x_arr)
     direct = np.isfinite(scaled) & (scaled > 0.0)
-    out[direct] = np.log(scaled[direct]) + x_arr[direct]
+    out[direct] = _log_from_scaled(scaled[direct], x_arr[direct])
 
     rest = ~direct
     if np.any(rest):
@@ -120,56 +153,56 @@ def log_bessel_i(order: float, x) -> float | np.ndarray:
         # x == 0: I_order(0) = 0 for order > 0 (order == 0 took the direct path)
         out[rest] = vals
 
-    if x_in.ndim == 0:
-        return float(out[0])
-    return out.reshape(x_in.shape)
+    return float(out[0]) if x_in.ndim == 0 else out.reshape(x_in.shape)
+
+
+def _over_kappa(formula, kappa, at_zero: float) -> float | np.ndarray:
+    # formula(kappa) directly for a finite float kappa > 0; any other input is
+    # validated as an array, kappa == 0 gets the analytic limit at_zero
+    if isinstance(kappa, float) and 0.0 < kappa < np.inf:
+        return float(formula(kappa))
+    kappa_in = np.asarray(kappa, dtype=np.float64)
+    if not np.all(np.isfinite(kappa_in)) or np.any(kappa_in < 0.0):
+        raise ValueError("kappa must be finite and >= 0")
+    k = np.atleast_1d(kappa_in).astype(np.float64)
+    out = np.full(k.shape, at_zero)
+    pos = k > 0.0
+    if np.any(pos):
+        out[pos] = formula(k[pos])
+    return float(out[0]) if kappa_in.ndim == 0 else out.reshape(kappa_in.shape)
 
 
 def log_c_d(d: int, kappa) -> float | np.ndarray:
     """log normalizing constant of the vMF density in R^d.
 
-    kappa == 0 returns the analytic uniform limit -log_surface_area(d).
+    kappa == 0 returns the analytic uniform limit -log_surface_area(d). A
+    finite float kappa > 0 is evaluated directly; other inputs run on arrays.
     """
     d = _check_dimension(d)
-    kappa_in = np.asarray(kappa, dtype=np.float64)
-    if not np.all(np.isfinite(kappa_in)) or np.any(kappa_in < 0.0):
-        raise ValueError("kappa must be finite and >= 0")
-    k = np.atleast_1d(kappa_in).astype(np.float64)
-    out = np.full(k.shape, -log_surface_area(d))
-    pos = k > 0.0
-    if np.any(pos):
-        kp = k[pos]
-        order = 0.5 * d - 1.0
-        with np.errstate(divide="ignore"):
-            out[pos] = order * np.log(kp) - 0.5 * d * LOG_2PI - log_bessel_i(order, kp)
-    if kappa_in.ndim == 0:
-        return float(out[0])
-    return out.reshape(kappa_in.shape)
+    order = 0.5 * d - 1.0
+
+    def formula(k):
+        return order * np.log(k) - 0.5 * d * LOG_2PI - log_bessel_i(order, k)
+
+    return _over_kappa(formula, kappa, -log_surface_area(d))
 
 
 def log_alpha(d: int, kappa) -> float | np.ndarray:
     """log of the uniform-to-vMF density ratio at the mode.
 
     alpha(kappa) = 1 / (surface_area * C_d(kappa)); equals Gamma(d/2) times
-    (2/kappa)^(d/2-1) I_{d/2-1}(kappa), and 1 at kappa == 0.
+    (2/kappa)^(d/2-1) I_{d/2-1}(kappa), and 1 at kappa == 0 (paths as log_c_d).
     """
     d = _check_dimension(d)
-    kappa_in = np.asarray(kappa, dtype=np.float64)
-    if not np.all(np.isfinite(kappa_in)) or np.any(kappa_in < 0.0):
-        raise ValueError("kappa must be finite and >= 0")
-    k = np.atleast_1d(kappa_in).astype(np.float64)
-    out = np.zeros(k.shape)
-    pos = k > 0.0
-    if np.any(pos):
-        kp = k[pos]
-        n = 0.5 * d
-        order = n - 1.0
+    n = 0.5 * d
+    order = n - 1.0
+
+    def formula(k):
         # keep the (order * log kappa) product identical to log_c_d's so the
         # identity log_alpha + log_surface_area + log_c_d == 0 cancels cleanly
-        out[pos] = gammaln(n) + order * np.log(2.0) - order * np.log(kp) + log_bessel_i(order, kp)
-    if kappa_in.ndim == 0:
-        return float(out[0])
-    return out.reshape(kappa_in.shape)
+        return gammaln(n) + order * np.log(2.0) - order * np.log(k) + log_bessel_i(order, k)
+
+    return _over_kappa(formula, kappa, 0.0)
 
 
 def vmf_log_pdf(params: VmfParams, z) -> float:

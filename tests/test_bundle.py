@@ -334,6 +334,13 @@ def test_count_mismatch_is_schema_error(tmp_path):
     expect_code(tmp_path, "schema", manifest=manifest)
 
 
+@pytest.mark.parametrize("key", ["validation_probes", "test_probes"])
+def test_split_count_mismatch_is_schema_error(tmp_path, key):
+    manifest = base_manifest()
+    manifest["counts"] = {key: 999}
+    expect_code(tmp_path, "schema", manifest=manifest)
+
+
 def test_probes_come_back_sorted(tmp_path):
     records = [gallery_row(),
                probe_row("p9"), probe_row("p1"),

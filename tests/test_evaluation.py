@@ -193,3 +193,11 @@ def test_holue_with_test_stats_split_fails_in_arguments_stage(monkeypatch):
     with pytest.raises(ev.MissingValidationError):
         ev.run_evaluation(small_protocol(val_fraction=0.0), 0.1, methods=("HolUE",),
                           stats_split="test")
+
+
+def test_degraded_preset_at_d512_evaluates():
+    # kl2 once underflowed to 0 for every probe at d=512, and calibration
+    # failed with "component variance is zero"
+    report = ev.run_evaluation(pr.generate_protocol(pr.preset_config("degraded", d=512)), 0.1)
+    assert set(report.methods) == set(baselines.METHOD_NAMES)
+    assert all(m.prr is not None and math.isfinite(m.prr) for m in report.methods.values())

@@ -2,8 +2,11 @@
 
 Same-process determinism tests cannot catch a byte change that is stable from
 run to run; these hashes can. The report hashes equal the table in
-``perfbench/README.md``. They depend on the last bits of numpy's ``log`` and
-row sums as well as on this code, so CI pins the numpy and scipy versions.
+``perfbench/README.md``; ``verify.json`` is pinned too. They no longer depend
+on scipy's ``logsumexp`` (``vmf.logsumexp`` repeats its arithmetic), but they
+still depend on the last bits of numpy's ``log`` and row sums and of scipy's
+``ive`` and ``gammaln``, as well as on this code, so CI pins the numpy and
+scipy versions.
 """
 
 import hashlib
@@ -32,6 +35,8 @@ GOLDEN = {
         "report.json": "047960da180a134c1b489f01c525be9a94ed55c3bd4eaa3f51087fba06b8d99d",
     },
 }
+# verify.json of `osruq verify --scope all --seed 0`
+VERIFY_GOLDEN = "570c6f2f7e2dbb2c5fbd27be836c490dc0ba2175f3013c863e149eb8795032fd"
 
 
 def sha256(path):
@@ -51,3 +56,8 @@ def test_preset_bundle_and_report_bytes(tmp_path, preset):
     got = {name: sha256(os.path.join(bundle, name)) for name in (MANIFEST_NAME, RECORDS_NAME)}
     got["report.json"] = sha256(os.path.join(out, "report.json"))
     assert got == GOLDEN[preset]
+
+
+def test_verify_bytes(tmp_path):
+    assert cli.main(["verify", "--scope", "all", "--seed", "0", "--out", str(tmp_path)]) == 0
+    assert sha256(os.path.join(tmp_path, "verify.json")) == VERIFY_GOLDEN

@@ -116,6 +116,20 @@ def test_kl2_increases_with_probe_concentration():
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), d=st.sampled_from([16, 128, 512]),
+       temperature=st.sampled_from([1.0, ho.DEFAULT_TEMPERATURE]))
+@settings(max_examples=30, deadline=None)
+def test_kl2_finite_and_not_constant_up_to_d512(seed, d, temperature):
+    # log_oog = log(beta / surface_area) is about +866 at d=512, where a weight
+    # of exp(log_oog / T - log_marg) underflowed to 0 for every probe
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, k=10, d=d, kappa_max=8.0 * d)
+    z = np.array([random_unit(rng, d) for _ in range(20)])
+    kl2 = ho.kl_components(model, z, rng.uniform(d, 50.0 * d, 20), temperature).kl2
+    assert np.all(np.isfinite(kl2))
+    assert np.ptp(kl2) > 0.0
+
+
 def test_kl_components_validation():
     with pytest.raises(ValueError):
         ho.kl_components(hand_model(), HAND_MEAN, 5.0, temperature=0.0)

@@ -1,8 +1,11 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import ive, logsumexp as scipy_logsumexp
 
 from osruq import vmf
 
@@ -219,3 +222,98 @@ def test_one_draw_path_resamples_a_degenerate_tangent_like_sample_vmf():
     got = vmf._draw_one(_FirstNormalIsMean(3, mean), mean, 5.0)
     assert got.tobytes() == expected.tobytes()
     assert abs(float(np.linalg.norm(got)) - 1.0) < 1e-12
+
+
+# --- vmf.logsumexp repeats scipy.special.logsumexp's arithmetic bit for bit ---
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def lse_cases():
+    rng = np.random.default_rng(7)
+    cases = [np.array([3.0]), np.array([-np.inf]), np.array([np.inf, 1.0]),
+             np.array([-np.inf, -np.inf, -np.inf]), np.array([np.nan, 1.0, 2.0]),
+             np.array([1.0, -np.inf, 1.0]), np.array([np.inf, np.inf]), np.array([-np.inf, 2.0, np.inf]),
+             np.array([[1.0, 1.0, 0.5], [-np.inf, -np.inf, -np.inf], [np.inf, 0.0, 1.0]])]
+    for i in range(600):
+        k = int(rng.integers(1, 30))
+        shape = (k,) if i % 2 else (int(rng.integers(1, 5)), k)
+        a = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), shape)
+        if i % 3 == 0:  # tied maxima
+            a = np.round(a)
+            a.flat[rng.integers(0, a.size, size=2)] = a.max()
+        cases.append(a)
+    return cases
+
+
+@pytest.mark.parametrize("keepdims", [False, True])
+def test_logsumexp_is_bit_equal_to_scipy(keepdims):
+    with np.errstate(all="ignore"):
+        for a in lse_cases():
+            want = scipy_logsumexp(a, axis=-1, keepdims=keepdims)
+            got = vmf.logsumexp(a, keepdims=keepdims)
+            assert type(got) is type(want)
+            assert same_bits(got, want), a
+
+
+def test_logsumexp_is_bit_equal_to_scipy_on_a_scoring_block():
+    terms = np.random.default_rng(3).normal(0.0, 30.0, (300, 211))
+    assert same_bits(vmf.logsumexp(terms, axis=1), scipy_logsumexp(terms, axis=1))
+    assert same_bits(vmf.logsumexp(terms, keepdims=True), scipy_logsumexp(terms, axis=-1, keepdims=True))
+
+
+def test_no_module_imports_scipy_logsumexp():
+    for path in pathlib.Path(vmf.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
+                assert "logsumexp" not in [alias.name for alias in node.names], path.name
+            if isinstance(node, ast.Attribute) and node.attr == "logsumexp":
+                assert ast.unparse(node.value).split(".")[-1] != "special", path.name
+
+
+# --- a float takes the scalar path of the normalizers and gets the array path's bits ---
+
+NORMALIZER_DS = (2, 3, 16, 128, 512)
+NORMALIZER_KAPPAS = (1e-3, 1.0, 37.5, 1e3, 1e5)
+
+
+@pytest.mark.parametrize("d", NORMALIZER_DS)
+def test_normalizers_float_path_matches_array_path(d):
+    order = 0.5 * d - 1.0
+    for kappa in NORMALIZER_KAPPAS:
+        one = np.array([kappa])
+        for f in (vmf.log_c_d, vmf.log_alpha):
+            got = f(d, kappa)
+            assert type(got) is float
+            assert same_bits(got, f(d, one)[0]) and same_bits(got, f(d, np.asarray(kappa)))
+        got = vmf.log_bessel_i(order, kappa)
+        assert type(got) is float
+        assert same_bits(got, vmf.log_bessel_i(order, one)[0])
+
+
+@pytest.mark.parametrize("order,x", [(200.0, 0.5), (100.0, 1e-3), (512.0, 1.0), (255.0, 1e-3)])
+def test_power_series_branch_float_matches_array(order, x):
+    assert ive(order, x) == 0.0  # the scaled Bessel underflows: series branch
+    assert same_bits(vmf.log_bessel_i(order, x), vmf.log_bessel_i(order, np.array([x]))[0])
+    d = int(2 * order + 2)
+    for f in (vmf.log_c_d, vmf.log_alpha):
+        assert same_bits(f(d, x), f(d, np.array([x]))[0])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_invalid_float_inputs_raise_as_arrays_do(bad):
+    for f in (vmf.log_c_d, vmf.log_alpha):
+        with pytest.raises(ValueError, match=r"^kappa must be finite and >= 0$"):
+            f(16, bad)
+    with pytest.raises(ValueError, match=r"^x must be finite and >= 0$"):
+        vmf.log_bessel_i(7.0, bad)
+
+
+def test_zero_float_inputs_return_the_limits():
+    for d in NORMALIZER_DS:
+        assert vmf.log_c_d(d, 0.0) == -vmf.log_surface_area(d)
+        assert vmf.log_alpha(d, 0.0) == 0.0
+    assert vmf.log_bessel_i(7.0, 0.0) == -np.inf
+    assert vmf.log_bessel_i(0.0, 0.0) == 0.0
