@@ -191,6 +191,12 @@ def read_bundle(path: str) -> OsrProtocol:
     d = manifest.get("d")
     if not isinstance(d, int) or d < 2:
         raise BundleError("schema", f"manifest d must be an integer >= 2, got {d!r}")
+    sections = {key: manifest.get(key, {}) for key in ("counts", "gallery_members", "seeds")}
+    for key, value in sections.items():
+        if not isinstance(value, dict):
+            raise BundleError("schema", f"manifest {key} must be a JSON object, got {value!r}")
+    if not all(isinstance(v, list) and set(map(type, v)) <= {str} for v in sections["gallery_members"].values()):
+        raise BundleError("schema", "manifest gallery_members values must be lists of strings")
 
     gallery_rows = {}
     probe_rows = {}
@@ -258,7 +264,7 @@ def read_bundle(path: str) -> OsrProtocol:
     gallery = Gallery(class_ids=tuple(subjects),
                       means=np.vstack([gallery_rows[t][1] for t in ordered]))
 
-    counts = manifest.get("counts", {})
+    counts = sections["counts"]
     mated = tuple(p for _, p in sorted(probe_rows.items()) if p.class_id is not None)
     nonmated = tuple(p for _, p in sorted(probe_rows.items()) if p.class_id is None)
     splits = [p.split for p in probe_rows.values()]
@@ -269,11 +275,10 @@ def read_bundle(path: str) -> OsrProtocol:
             raise BundleError("schema",
                               f"manifest counts[{key!r}]={counts[key]} but records contain {value}")
 
-    members = manifest.get("gallery_members", {})
     return OsrProtocol(
         gallery=gallery,
         mated_probes=mated,
         nonmated_probes=nonmated,
-        gallery_members={k: tuple(v) for k, v in members.items()},
-        meta=dict(manifest.get("seeds", {})),
+        gallery_members={k: tuple(v) for k, v in sections["gallery_members"].items()},
+        meta=dict(sections["seeds"]),
     )

@@ -8,6 +8,7 @@ the K+1 posterior entries always sum to one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,7 +37,7 @@ class Gallery:
     means: np.ndarray
 
     def __post_init__(self):
-        ids = tuple(str(c) for c in self.class_ids)
+        ids = tuple(map(str, self.class_ids))
         if len(ids) < 1:
             raise ValueError("gallery must contain at least one class")
         if len(set(ids)) != len(ids):
@@ -46,8 +47,7 @@ class Gallery:
             raise ValueError(f"means must be (K, d) with K={len(ids)}, got {means.shape}")
         if means.shape[1] < 2:
             raise ValueError("dimension must be >= 2")
-        norms = np.linalg.norm(means, axis=1)
-        if np.any(np.abs(norms - 1.0) > vmf.UNIT_NORM_ATOL):
+        if not (np.abs(vmf.row_norms(means) - 1.0) <= vmf.UNIT_NORM_ATOL).all():  # a NaN norm fails too
             raise ValueError("gallery means must be unit norm")
         object.__setattr__(self, "class_ids", ids)
         object.__setattr__(self, "means", means)
@@ -66,7 +66,8 @@ class GalleryModel:
     """Gallery plus the shared concentration and out-of-gallery prior.
 
     kappa == 0 is allowed as the exact uniform limit (posterior equals the
-    prior for every probe).
+    prior for every probe). The normalizers log C_d(kappa) and log alpha(kappa)
+    come from one Bessel evaluation per model, cached on first use.
     """
 
     gallery: Gallery
@@ -76,7 +77,7 @@ class GalleryModel:
     def __post_init__(self):
         kappa = float(self.kappa)
         beta = float(self.beta)
-        if not np.isfinite(kappa) or kappa < 0.0:
+        if not math.isfinite(kappa) or kappa < 0.0:
             raise ValueError(f"kappa must be finite and >= 0, got {self.kappa!r}")
         if not 0.0 < beta < 1.0:
             raise ValueError(f"beta must be in (0, 1), got {self.beta!r}")
@@ -84,12 +85,18 @@ class GalleryModel:
         object.__setattr__(self, "beta", beta)
 
     @cached_property
+    def _log_normalizers(self) -> tuple[float, float]:
+        """(log C_d, log alpha) at this model's kappa and d, from one Bessel evaluation."""
+        if self.kappa == 0.0:  # the analytic uniform limits
+            return vmf.log_c_d(self.gallery.d, 0.0), vmf.log_alpha(self.gallery.d, 0.0)
+        return vmf._log_normalizers(self.gallery.d, self.kappa)
+
+    @cached_property
     def _term_offsets(self) -> tuple[float, float]:
-        """(class offset, out-of-gallery term) of log_joint_terms; normalizers run once per model."""
-        gal = self.gallery
-        log_c = vmf.log_c_d(gal.d, self.kappa)
-        return (np.log((1.0 - self.beta) / gal.k) + log_c,
-                np.log(self.beta) + vmf.log_alpha(gal.d, self.kappa) + log_c)
+        """(class offset, out-of-gallery term) of log_joint_terms, from one Bessel evaluation per model."""
+        log_c, log_a = self._log_normalizers
+        return (np.log((1.0 - self.beta) / self.gallery.k) + log_c,
+                np.log(self.beta) + log_a + log_c)
 
 
 def aggregate_template(samples) -> np.ndarray:
@@ -182,8 +189,12 @@ def galue_score(probs: np.ndarray):
     return probs.max(axis=-1)
 
 
+def _threshold(kappa, beta: float, k: int, log_alpha):
+    return (np.log(beta / (1.0 - beta)) + np.log(k) + log_alpha) / kappa
+
+
 def _threshold_from_params(kappa: float, beta: float, k: int, d: int) -> float:
-    return (np.log(beta / (1.0 - beta)) + np.log(k) + vmf.log_alpha(d, kappa)) / kappa
+    return _threshold(kappa, beta, k, vmf.log_alpha(d, kappa))
 
 
 def equivalent_threshold(model: GalleryModel) -> float:
@@ -194,7 +205,7 @@ def equivalent_threshold(model: GalleryModel) -> float:
     """
     if model.kappa <= 0.0:
         raise ValueError("threshold is undefined for kappa == 0")
-    return float(_threshold_from_params(model.kappa, model.beta, model.gallery.k, model.gallery.d))
+    return float(_threshold(model.kappa, model.beta, model.gallery.k, model._log_normalizers[1]))
 
 
 def kappa_for_threshold(

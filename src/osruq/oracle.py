@@ -9,6 +9,7 @@ report feeds the verify CLI command.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -216,19 +217,26 @@ def _random_unit(rng: np.random.Generator, d: int) -> np.ndarray:
     return vmf._unit_rows(rng.standard_normal((1, d)), rng)[0]
 
 
-def _random_model(rng: np.random.Generator, d: int, k: int, kappa_max: float) -> GalleryModel:
+@functools.cache
+def _class_ids(k: int) -> tuple:
+    return tuple(f"c{i}" for i in range(k))
+
+
+_LOG_KAPPA_MIN = np.log(1e-2)  # concentrations are drawn log-uniform on [1e-2, kappa_max]
+
+
+def _random_model(rng: np.random.Generator, d: int, k: int, log_kappa_max: float) -> GalleryModel:
     means = vmf._unit_rows(rng.standard_normal((k, d)), rng)
-    gal = Gallery(class_ids=tuple(f"c{i}" for i in range(k)), means=means)
-    kappa = float(np.exp(rng.uniform(np.log(1e-2), np.log(kappa_max))))
+    kappa = float(np.exp(rng.uniform(_LOG_KAPPA_MIN, log_kappa_max)))
     beta = float(rng.uniform(0.05, 0.95))
-    return GalleryModel(gallery=gal, kappa=kappa, beta=beta)
+    return GalleryModel(gallery=Gallery(class_ids=_class_ids(k), means=means), kappa=kappa, beta=beta)
 
 
 def _check_marginal_mc(seed: int) -> dict:
     worst = None
     for i, (d, k, kappa) in enumerate([(3, 5, 20.0), (8, 3, 5.0)]):
         rng = np.random.default_rng([seed, 101, i])
-        model = _random_model(rng, d, k, kappa_max=kappa)
+        model = _random_model(rng, d, k, np.log(kappa))
         res = mc_marginal_check(model, n=20000, seed=int(rng.integers(2**31)))
         dev = abs(res["estimate"] - 1.0) / (3.0 * res["stderr"])
         if worst is None or dev > worst["max_deviation"]:
@@ -239,11 +247,12 @@ def _check_marginal_mc(seed: int) -> dict:
 
 def _check_posterior_linear(seed: int, cases: int = 1000) -> dict:
     rng = np.random.default_rng([seed, 202])
+    log_kappa_max = np.log(ENVELOPE["kappa_max"])
     dev = 0.0
     for _ in range(cases):
-        d = int(rng.choice([2, 3, 5, 8]))
+        d = (2, 3, 5, 8)[rng.integers(4)]  # the draws of rng.choice([2, 3, 5, 8])
         k = int(rng.integers(1, ENVELOPE["k_max"] + 1))
-        model = _random_model(rng, d, k, kappa_max=ENVELOPE["kappa_max"])
+        model = _random_model(rng, d, k, log_kappa_max)
         z = _random_unit(rng, d)
         ours, ref = gallery_mod.posterior(model, z), independent_posterior(model, z)
         dev = max(dev, float(np.max(np.abs(ours - ref))))
@@ -252,13 +261,14 @@ def _check_posterior_linear(seed: int, cases: int = 1000) -> dict:
 
 def _check_kl_t1_linear(seed: int, cases: int = 200) -> dict:
     rng = np.random.default_rng([seed, 303])
+    log_kappa_max = np.log(ENVELOPE["kappa_max"])
     dev = 0.0
     for _ in range(cases):
-        d = int(rng.choice([2, 3, 5, 8]))
+        d = (2, 3, 5, 8)[rng.integers(4)]
         k = int(rng.integers(1, ENVELOPE["k_max"] + 1))
-        model = _random_model(rng, d, k, kappa_max=ENVELOPE["kappa_max"])
+        model = _random_model(rng, d, k, log_kappa_max)
         z = _random_unit(rng, d)
-        kappa = float(np.exp(rng.uniform(np.log(1e-2), np.log(ENVELOPE["kappa_max"]))))
+        kappa = float(np.exp(rng.uniform(_LOG_KAPPA_MIN, log_kappa_max)))
         comp = holistic_mod.kl_components(model, z, kappa, temperature=1.0)
         ref1, ref2 = independent_kl_components(model, z, kappa)
         dev = max(dev, abs(comp.kl1 - ref1), abs(comp.kl2 - ref2))
@@ -267,11 +277,12 @@ def _check_kl_t1_linear(seed: int, cases: int = 200) -> dict:
 
 def _check_decision_equivalence(seed: int, cases: int = 2000) -> dict:
     rng = np.random.default_rng([seed, 404])
+    log_kappa_max = np.log(1e3)
     disagreements = 0
     for _ in range(cases):
-        d = int(rng.choice([2, 16, 128]))
-        k = int(rng.choice([1, 10, 100]))
-        model = _random_model(rng, d, k, kappa_max=1e3)
+        d = (2, 16, 128)[rng.integers(3)]
+        k = (1, 10, 100)[rng.integers(3)]
+        model = _random_model(rng, d, k, log_kappa_max)
         z = _random_unit(rng, d)
         decided = int(gallery_mod.decision_index(gallery_mod.posterior(model, z)))
         tau = gallery_mod.equivalent_threshold(model)

@@ -30,7 +30,7 @@ def as_unit_vector(v, atol: float = UNIT_NORM_ATOL) -> np.ndarray:
         raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
     if v.shape[0] < 2:
         raise ValueError(f"dimension must be >= 2, got {v.shape[0]}")
-    norm = float(np.linalg.norm(v))
+    norm = float(np.sqrt(np.dot(v, v)))  # the 1-d linalg.norm formula
     if not np.isfinite(norm) or abs(norm - 1.0) > atol:
         raise ValueError(f"vector norm {norm!r} is not 1 within {atol}")
     return v
@@ -41,10 +41,15 @@ def as_unit_rows(v, atol: float = UNIT_NORM_ATOL) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 2:
         return as_unit_vector(v, atol)
-    bad = ~(np.abs(np.linalg.norm(v, axis=1) - 1.0) <= atol)
+    bad = ~(np.abs(row_norms(v) - 1.0) <= atol)
     if np.any(bad):
         raise ValueError(f"rows {np.flatnonzero(bad)[:5].tolist()} of {v.shape} are not unit vectors")
     return v
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of (N, d): linalg.norm(axis=1)'s own formula, without its wrapper."""
+    return np.sqrt(np.add.reduce(rows * rows, axis=1))
 
 
 @dataclass(frozen=True)
@@ -85,17 +90,17 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False):
     scipy's direct fallback for non-finite results is computed only where needed.
     """
     a = np.asarray(a, dtype=np.float64)
-    a_max = np.max(a, axis=axis, keepdims=True)
+    a_max = a.max(axis=axis, keepdims=True)
     mask = a == a_max
-    m = np.sum(mask, axis=axis, keepdims=True, dtype=np.float64)
+    m = mask.sum(axis=axis, keepdims=True, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         e = np.exp(a - a_max)
         e[mask] = 0.0
-        s = np.sum(e, axis=axis, keepdims=True)
+        s = e.sum(axis=axis, keepdims=True)
         s = np.where(s == 0, s, s / m)
         out = np.log1p(s) + np.log(m) + a_max
         if not np.isfinite(out).all():  # inf or NaN input, or all -inf
-            out = np.where(np.isfinite(out), out, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)))
+            out = np.where(np.isfinite(out), out, np.log(np.exp(a).sum(axis=axis, keepdims=True)))
     out = out if keepdims else np.squeeze(out, axis=axis)
     return out[()] if out.ndim == 0 else out
 
@@ -172,6 +177,17 @@ def _over_kappa(formula, kappa, at_zero: float) -> float | np.ndarray:
     return float(out[0]) if kappa_in.ndim == 0 else out.reshape(kappa_in.shape)
 
 
+def _log_normalizers(d: int, k):
+    # (log_c_d(d, k), log_alpha(d, k)) unchecked, for k > 0 (float or array), from one Bessel evaluation;
+    # the shared (order * log k) product makes log_alpha + log_surface_area + log_c_d cancel cleanly
+    n = 0.5 * d
+    order = n - 1.0
+    order_log_k = order * np.log(k)
+    log_i = log_bessel_i(order, k)
+    return (order_log_k - n * LOG_2PI - log_i,
+            gammaln(n) + order * np.log(2.0) - order_log_k + log_i)
+
+
 def log_c_d(d: int, kappa) -> float | np.ndarray:
     """log normalizing constant of the vMF density in R^d.
 
@@ -179,12 +195,7 @@ def log_c_d(d: int, kappa) -> float | np.ndarray:
     finite float kappa > 0 is evaluated directly; other inputs run on arrays.
     """
     d = _check_dimension(d)
-    order = 0.5 * d - 1.0
-
-    def formula(k):
-        return order * np.log(k) - 0.5 * d * LOG_2PI - log_bessel_i(order, k)
-
-    return _over_kappa(formula, kappa, -log_surface_area(d))
+    return _over_kappa(lambda k: _log_normalizers(d, k)[0], kappa, -log_surface_area(d))
 
 
 def log_alpha(d: int, kappa) -> float | np.ndarray:
@@ -194,15 +205,7 @@ def log_alpha(d: int, kappa) -> float | np.ndarray:
     (2/kappa)^(d/2-1) I_{d/2-1}(kappa), and 1 at kappa == 0 (paths as log_c_d).
     """
     d = _check_dimension(d)
-    n = 0.5 * d
-    order = n - 1.0
-
-    def formula(k):
-        # keep the (order * log kappa) product identical to log_c_d's so the
-        # identity log_alpha + log_surface_area + log_c_d == 0 cancels cleanly
-        return gammaln(n) + order * np.log(2.0) - order * np.log(k) + log_bessel_i(order, k)
-
-    return _over_kappa(formula, kappa, 0.0)
+    return _over_kappa(lambda k: _log_normalizers(d, k)[1], kappa, 0.0)
 
 
 def vmf_log_pdf(params: VmfParams, z) -> float:
@@ -216,14 +219,14 @@ def vmf_log_pdf(params: VmfParams, z) -> float:
 def _unit_rows(rows: np.ndarray, rng: np.random.Generator, orthogonal_to: np.ndarray | None = None) -> np.ndarray:
     # Normalize rows, resampling the measure-zero degenerate ones; when a mean
     # direction is given the resampled rows are re-projected into its tangent.
-    norms = np.linalg.norm(rows, axis=1)
+    norms = row_norms(rows)
     bad = norms < 1e-12
-    while np.any(bad):
+    while bad.any():
         fresh = rng.standard_normal((int(bad.sum()), rows.shape[1]))
         if orthogonal_to is not None:
             fresh -= np.outer(fresh @ orthogonal_to, orthogonal_to)
         rows[bad] = fresh
-        norms = np.linalg.norm(rows, axis=1)
+        norms = row_norms(rows)
         bad = norms < 1e-12
     return rows / norms[:, None]
 
@@ -257,12 +260,12 @@ def _sample_radial(rng: np.random.Generator, kappa: float, d: int, n: int) -> np
 def _draw_one(rng: np.random.Generator, mean: np.ndarray, kappa: float) -> np.ndarray:
     # sample_vmf(VmfParams(mean, kappa), rng, 1)[0] without the checks, for a unit
     # float64 mean and kappa > 0: the same RNG calls and numpy float operations in
-    # the same order, so the draw is bit-equal. Norms are np.add.reduce sums, as in
-    # linalg.norm(axis=1); a 1-d linalg.norm (a dot product) would change last bits.
+    # the same order, so the draw is bit-equal. Norms are row_norms' np.add.reduce sums;
+    # a 1-d linalg.norm (a dot product) would change last bits.
     w = _sample_radial(rng, kappa, mean.shape[0], 1)[0]
     g = rng.standard_normal((1, mean.shape[0]))
     g -= (g @ mean)[:, None] * mean
-    norm = np.sqrt(np.add.reduce(g * g, axis=1))[0]  # _unit_rows' row norm
+    norm = row_norms(g)[0]
     v = g[0] / norm if norm >= 1e-12 else _unit_rows(g, rng, orthogonal_to=mean)[0]
     out = w * mean + np.sqrt(max(1.0 - w * w, 0.0)) * v
     return out / np.sqrt(np.add.reduce(out * out))

@@ -341,6 +341,27 @@ def test_split_count_mismatch_is_schema_error(tmp_path, key):
     expect_code(tmp_path, "schema", manifest=manifest)
 
 
+@pytest.mark.parametrize("key,value", [("counts", 5), ("counts", ["gallery"]), ("gallery_members", [1]),
+                                       ("seeds", 7), ("seeds", [["seed", 1]])])
+def test_manifest_sections_must_be_objects(tmp_path, key, value):
+    manifest = {**base_manifest(), key: value}
+    expect_code(tmp_path, "schema", manifest=manifest)
+    with pytest.raises(bd.BundleError, match=f"manifest {key} must be a JSON object"):
+        bd.read_bundle(os.path.join(tmp_path, "case"))
+
+
+@pytest.mark.parametrize("members", [{"g0": "abc"}, {"g0": [1]}, {"g0": ["t0", None]}, {"g0": [["t0"]]}])
+def test_gallery_members_must_be_string_lists(tmp_path, members):
+    expect_code(tmp_path, "schema", manifest={**base_manifest(), "gallery_members": members})
+
+
+def test_eval_reports_bad_manifest_section_as_schema_error(tmp_path, capsys):
+    path = os.path.join(tmp_path, "bundle")
+    write_raw(path, {**base_manifest(), "gallery_members": [1]}, base_records())
+    assert cli.main(["eval", "--bundle", path, "--out", os.path.join(tmp_path, "out")]) == 2
+    assert "error [schema]: manifest gallery_members must be a JSON object" in capsys.readouterr().err
+
+
 def test_probes_come_back_sorted(tmp_path):
     records = [gallery_row(),
                probe_row("p9"), probe_row("p1"),

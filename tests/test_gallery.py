@@ -31,6 +31,12 @@ def test_gallery_validation():
     assert g.d == 2
 
 
+def test_gallery_rejects_non_finite_means():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="gallery means must be unit norm"):
+            ga.Gallery(class_ids=("a", "b"), means=[[bad, 0.0], [0.0, 1.0]])
+
+
 def test_model_validation():
     g = ga.Gallery(class_ids=("a",), means=np.array([[0.0, 1.0]]))
     with pytest.raises(ValueError):
@@ -206,3 +212,25 @@ def test_decision_equivalence_property(seed):
     accepted = ga.decision_index(ga.posterior(model, z)) >= 0
     tau = ga.equivalent_threshold(model)
     assert accepted == (float(np.max(model.gallery.means @ z)) >= tau)
+
+
+def test_cached_normalizers_match_the_functions():
+    rng = np.random.default_rng(17)
+    for d in (2, 16, 128, 512):
+        gal = random_gallery(rng, 3, d)
+        for kappa in (0.0, 1e-3, 1.0, 150.0, 1e5):
+            model = ga.GalleryModel(gallery=gal, kappa=kappa, beta=0.3)
+            log_c, log_a = model._log_normalizers
+            assert log_c == vmf.log_c_d(d, kappa) and log_a == vmf.log_alpha(d, kappa)
+
+
+def test_equivalent_threshold_is_bit_equal_to_the_params_formula():
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        d = (2, 16, 128, 512)[rng.integers(4)]
+        k = (1, 10, 100)[rng.integers(3)]
+        kappa = float(np.exp(rng.uniform(np.log(1e-3), np.log(1e5))))
+        model = ga.GalleryModel(gallery=random_gallery(rng, k, d), kappa=kappa,
+                                beta=float(rng.uniform(0.05, 0.95)))
+        want = float(ga._threshold_from_params(kappa, model.beta, k, d))
+        assert ga.equivalent_threshold(model).hex() == want.hex(), (d, k, kappa)

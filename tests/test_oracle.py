@@ -124,3 +124,13 @@ def test_half_integer_bessel_helpers():
         assert orc._log_i_three_halves(np.array([x]))[0] == pytest.approx(expected, rel=1e-10)
     # the large-x branch must stay finite where cosh overflows
     assert np.isfinite(orc._log_i_three_halves(np.array([700.0]))[0])
+
+
+@pytest.mark.parametrize("options", [(2, 16, 128), (2, 3, 5, 8)])
+def test_tuple_index_draws_equal_rng_choice(options):
+    # the verification checks draw (...)[rng.integers(n)]; it must keep rng.choice's stream
+    ours, theirs = np.random.default_rng(99), np.random.default_rng(99)
+    for _ in range(10000):
+        got = options[ours.integers(len(options))]
+        assert type(got) is int and got == int(theirs.choice(list(options)))
+        assert ours.uniform() == theirs.uniform()

@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import ive, logsumexp as scipy_logsumexp
+from scipy.special import gammaln, ive, logsumexp as scipy_logsumexp
 
 from osruq import vmf
 
@@ -317,3 +317,38 @@ def test_zero_float_inputs_return_the_limits():
         assert vmf.log_alpha(d, 0.0) == 0.0
     assert vmf.log_bessel_i(7.0, 0.0) == -np.inf
     assert vmf.log_bessel_i(0.0, 0.0) == 0.0
+
+
+# --- one Bessel evaluation gives both normalizers with the bits of the two functions ---
+
+def pair_cases():
+    rng = np.random.default_rng(11)
+    for d in (2, 3, 5, 8, 16, 128, 512):
+        for kappa in np.exp(rng.uniform(np.log(1e-3), np.log(1e5), 300)):
+            yield d, float(kappa)
+    for kappa in (1e-2, 1e-3, 1e-6, 1e-12):  # d=512: the power-series Bessel branch
+        yield 512, kappa
+
+
+def test_normalizer_pair_is_bit_equal_to_the_two_functions():
+    for d, kappa in pair_cases():
+        log_c, log_a = vmf._log_normalizers(d, kappa)
+        assert same_bits(float(log_c), vmf.log_c_d(d, kappa)), (d, kappa)
+        assert same_bits(float(log_a), vmf.log_alpha(d, kappa)), (d, kappa)
+        # the formulas as the two functions first wrote them, each with its own Bessel call
+        n = 0.5 * d
+        order = n - 1.0
+        ref_c = order * np.log(kappa) - 0.5 * d * vmf.LOG_2PI - vmf.log_bessel_i(order, kappa)
+        ref_a = (gammaln(n) + order * np.log(2.0) - order * np.log(kappa)
+                 + vmf.log_bessel_i(order, kappa))
+        assert same_bits(log_c, ref_c) and same_bits(log_a, ref_a), (d, kappa)
+
+
+def test_row_norms_and_unit_rows_match_linalg_norm():
+    rng = np.random.default_rng(5)
+    for n, d in ((1, 2), (7, 3), (100, 16), (33, 128), (4, 512)):
+        rows = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+        want = rows / np.linalg.norm(rows, axis=1)[:, None]
+        assert same_bits(vmf.row_norms(rows), np.linalg.norm(rows, axis=1))
+        assert same_bits(vmf._unit_rows(rows.copy(), np.random.default_rng(0)), want)
+        assert same_bits(np.sqrt(np.dot(rows[0], rows[0])), np.linalg.norm(rows[0]))
