@@ -79,6 +79,11 @@ def _load_config(path: str) -> tuple[SynthConfig, float, int | None]:
     return config, float(val_fraction), protocol_seed
 
 
+def _out_error(path: str, reason) -> int:
+    print(f"error [io]: cannot write to {path}: {reason}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def cmd_gen(args) -> int:
     try:
         config, val_fraction, protocol_seed = _load_config(args.config)
@@ -86,7 +91,10 @@ def cmd_gen(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     protocol = generate_protocol(config, val_fraction=val_fraction, protocol_seed=protocol_seed)
-    write_bundle(protocol, args.out)
+    try:
+        write_bundle(protocol, args.out)
+    except OSError as exc:
+        return _out_error(args.out, exc)
     print(f"wrote bundle to {args.out}: d={protocol.gallery.d} "
           f"gallery={protocol.gallery.k} mated={len(protocol.mated_probes)} "
           f"nonmated={len(protocol.nonmated_probes)}")
@@ -122,11 +130,11 @@ def _write_curves(out_dir: str, tag: str, report) -> dict:
 
 def cmd_eval(args) -> int:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    for m in methods:
-        if m not in METHOD_NAMES:
-            print(f"error: unknown method {m!r}; available: {','.join(METHOD_NAMES)}",
-                  file=sys.stderr)
-            return EXIT_CONFIG
+    unknown = [m for m in methods if m not in METHOD_NAMES]
+    if unknown or not methods:
+        what = f"unknown method {unknown[0]!r}" if unknown else "no method given"
+        print(f"error: {what}; available: {','.join(METHOD_NAMES)}", file=sys.stderr)
+        return EXIT_CONFIG
     targets = tuple(args.fpir) if args.fpir else DEFAULT_FPIRS
     try:
         protocol = read_bundle(args.bundle)
@@ -148,12 +156,14 @@ def cmd_eval(args) -> int:
                   file=sys.stderr)
             return EXIT_NO_VALIDATION if isinstance(exc, MissingValidationError) else EXIT_CONFIG
 
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        curve_paths = [_write_curves(args.out, f"fpir_{t:g}", r) for t, r in zip(targets, reports)]
+    except OSError as exc:
+        return _out_error(args.out, exc)
     evaluations = []
     any_undefined = False
-    for target, report in zip(targets, reports):
-        tag = f"fpir_{target:g}"
-        curve_paths = _write_curves(args.out, tag, report)
+    for target, report, paths in zip(targets, reports, curve_paths):
         method_block = {}
         for name, mrep in report.methods.items():
             if mrep.prr is None:
@@ -161,7 +171,7 @@ def cmd_eval(args) -> int:
             method_block[name] = {
                 "prr": mrep.prr,
                 "auc": mrep.auc,
-                "curves": curve_paths["methods"][name],
+                "curves": paths["methods"][name],
             }
         evaluations.append({
             "target_fpir": report.target_fpir,
@@ -171,7 +181,7 @@ def cmd_eval(args) -> int:
             "counts": report.counts,
             "methods": method_block,
             "reference_auc": report.reference_auc,
-            "reference_curves": curve_paths["reference"],
+            "reference_curves": paths["reference"],
         })
         summary = " ".join(
             f"{name}={mrep.prr:.4f}" if mrep.prr is not None else f"{name}=undefined"
@@ -192,8 +202,11 @@ def cmd_eval(args) -> int:
         "evaluations": evaluations,
     }
     report_path = os.path.join(args.out, "report.json")
-    with open(report_path, "w", encoding="ascii") as fh:
-        fh.write(dumps_canonical(payload) + "\n")
+    try:
+        with open(report_path, "w", encoding="ascii") as fh:
+            fh.write(dumps_canonical(payload) + "\n")
+    except OSError as exc:
+        return _out_error(args.out, exc)
     print(f"wrote {report_path}")
     if any_undefined:
         print("error: prediction rejection ratio undefined (no errors to reject)",
@@ -204,10 +217,13 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     report = run_verification(scope=args.scope, seed=args.seed)
-    os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "verify.json")
-    with open(out_path, "w", encoding="ascii") as fh:
-        fh.write(dumps_canonical(report) + "\n")
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        with open(out_path, "w", encoding="ascii") as fh:
+            fh.write(dumps_canonical(report) + "\n")
+    except OSError as exc:
+        return _out_error(args.out, exc)
     for check in report["checks"]:
         print(f"{check['status']:4s} {check['name']}: max deviation "
               f"{check['max_deviation']:.3g} (tolerance {check['tolerance']:g})")
@@ -250,6 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if os.path.exists(args.out) and not os.path.isdir(args.out):  # fail before any work
+        return _out_error(args.out, "not a directory")
     return args.func(args)
 
 

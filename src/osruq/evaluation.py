@@ -107,13 +107,19 @@ def run_evaluation(
     or curves.
     """
     validation = _split(protocol.mated_probes, "validation") + _split(protocol.nonmated_probes, "validation")
-    with _stage("arguments"):
+    with _stage("arguments"):  # cheap checks first, so a bad argument fails before any work
         methods = tuple(methods)
         for m in methods:
             if m not in baselines.METHOD_NAMES:
                 raise ValueError(f"unknown method {m!r}; available: {baselines.METHOD_NAMES}")
+        _require(len(methods) > 0, ValueError, f"no method given; available: {baselines.METHOD_NAMES}")
         if not 0.0 < target_fpir < 1.0:
             raise ValueError(f"target_fpir must be in (0, 1), got {target_fpir!r}")
+        _require(temperature > 0.0, ValueError, f"temperature must be > 0, got {temperature!r}")
+        _require(0.0 < beta < 1.0, ValueError, f"beta must be in (0, 1), got {beta!r}")
+        _require(0.0 < max_reject_fraction <= 1.0, ValueError,
+                 f"max_fraction must be in (0, 1], got {max_reject_fraction!r}")
+        _require(seed >= 0, ValueError, f"seed must be a non-negative integer, got {seed!r}")
         if stats_split not in ("validation", "test"):
             raise ValueError(f"stats_split must be validation or test, got {stats_split!r}")
         if "HolUE" in methods and stats_split == "test" and validation:

@@ -13,7 +13,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.integrate import quad as _quad
 from scipy.special import iv
 
 from . import vmf
@@ -52,7 +51,9 @@ def quad_log_c_d(d: int, kappa: float) -> float:
     else:
         integrand = lambda t: math.exp(kappa * (math.cos(t) - 1.0)) * 2.0 * math.pi * math.sin(t)
     lo, hi = (0.0, 2.0 * math.pi) if d == 2 else (0.0, math.pi)
-    total, _ = _quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=400)
+    # a local import: scipy.integrate loads scipy.optimize and scipy.sparse, which gen and eval never use
+    from scipy.integrate import quad
+    total, _ = quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=400)
     return -(kappa + math.log(total))
 
 

@@ -304,3 +304,77 @@ def test_readme_command_line_matches_parser():
         assert documented == options - {"-h", "--help"}, command
         if command == "eval":
             assert parser.parse_args(base).fpir == [0.05, 0.1]
+
+
+def a_file(path):
+    with open(path, "w") as fh:
+        fh.write("not a directory\n")
+    return path
+
+
+def test_gen_unwritable_out_is_an_io_error(tmp_path, capsys, monkeypatch):
+    config = small_config(tmp_path)
+    taken = a_file(os.path.join(tmp_path, "taken"))
+    assert cli.main(["gen", "--config", config, "--out", taken]) == 2
+    assert f"error [io]: cannot write to {taken}: not a directory" in capsys.readouterr().err
+
+    def denied(path, exist_ok=False):
+        raise PermissionError(13, "Permission denied", path)
+
+    out = os.path.join(tmp_path, "bundle")
+    monkeypatch.setattr(os, "makedirs", denied)
+    assert cli.main(["gen", "--config", config, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"error [io]: cannot write to {out}: " in err and "Permission denied" in err
+    assert not os.path.exists(out)
+
+
+def test_eval_rejects_unwritable_out_before_reading_the_bundle(tmp_path, capsys, monkeypatch):
+    bundle = make_bundle(tmp_path)
+    taken = a_file(os.path.join(tmp_path, "taken"))
+    monkeypatch.setattr(cli, "read_bundle", lambda path: pytest.fail("read the bundle"))
+    assert cli.main(["eval", "--bundle", bundle, "--out", taken, "--fpir", "0.2"]) == 2
+    assert f"error [io]: cannot write to {taken}: not a directory" in capsys.readouterr().err
+
+
+def test_eval_unwritable_out_writes_nothing(tmp_path, capsys):
+    bundle = make_bundle(tmp_path)
+    out = os.path.join(tmp_path, "eval")
+    os.makedirs(os.path.join(out, "curves"))
+    a_file(os.path.join(out, "curves", "fpir_0.2"))  # --out is a directory, but not writable inside
+    assert cli.main(["eval", "--bundle", bundle, "--out", out, "--fpir", "0.2",
+                     "--methods", "AccScr"]) == 2
+    assert f"error [io]: cannot write to {out}: " in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "report.json"))
+
+
+def test_verify_unwritable_out_is_an_io_error(tmp_path, capsys):
+    taken = a_file(os.path.join(tmp_path, "taken"))
+    assert cli.main(["verify", "--scope", "bessel", "--out", taken]) == 2
+    assert f"error [io]: cannot write to {taken}: not a directory" in capsys.readouterr().err
+    below = os.path.join(taken, "verify")
+    assert cli.main(["verify", "--scope", "bessel", "--out", below]) == 2
+    assert f"error [io]: cannot write to {below}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--temperature", "0"],
+    ["--temperature", "0", "--methods", "AccScr"],
+    ["--beta", "1.5"],
+    ["--max-reject-fraction", "2"],
+    ["--seed", "-1"],
+], ids=["temperature", "temperature-AccScr", "beta", "max-reject-fraction", "seed"])
+def test_eval_flag_errors_fail_in_the_arguments_stage(tmp_path, capsys, flags):
+    bundle = make_bundle(tmp_path)
+    out = os.path.join(tmp_path, "eval")
+    assert cli.main(["eval", "--bundle", bundle, "--out", out, "--fpir", "0.2"] + flags) == 2
+    assert "error: fpir=0.2: arguments: " in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_eval_rejects_an_empty_method_list(tmp_path, capsys):
+    bundle = make_bundle(tmp_path)
+    out = os.path.join(tmp_path, "eval")
+    assert cli.main(["eval", "--bundle", bundle, "--out", out, "--fpir", "0.2", "--methods", ","]) == 2
+    assert "error: no method given; available: AccScr," in capsys.readouterr().err
+    assert not os.path.exists(out)
