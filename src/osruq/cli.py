@@ -84,6 +84,19 @@ def _out_error(path: str, reason) -> int:
     return EXIT_CONFIG
 
 
+def _unwritable(out: str) -> str | None:
+    """Why ``out`` cannot be written, judged from its nearest existing ancestor."""
+    path = os.path.abspath(out)
+    ancestor = path
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor):
+        return "not a directory" if ancestor == path else f"{ancestor} is not a directory"
+    if not os.access(ancestor, os.W_OK | os.X_OK):
+        return f"no write permission in {ancestor}"
+    return None
+
+
 def cmd_gen(args) -> int:
     try:
         config, val_fraction, protocol_seed = _load_config(args.config)
@@ -136,6 +149,13 @@ def cmd_eval(args) -> int:
         print(f"error: {what}; available: {','.join(METHOD_NAMES)}", file=sys.stderr)
         return EXIT_CONFIG
     targets = tuple(args.fpir) if args.fpir else DEFAULT_FPIRS
+    tags = [f"fpir_{t:g}" for t in targets]  # each target's curve directory
+    for i, tag in enumerate(tags):
+        first = tags.index(tag)
+        if first < i:
+            print(f"error: fpir={targets[i]:g}: arguments: targets {targets[first]!r} and "
+                  f"{targets[i]!r} share the curve directory curves/{tag}", file=sys.stderr)
+            return EXIT_CONFIG
     try:
         protocol = read_bundle(args.bundle)
     except BundleError as exc:
@@ -158,7 +178,7 @@ def cmd_eval(args) -> int:
 
     try:
         os.makedirs(args.out, exist_ok=True)
-        curve_paths = [_write_curves(args.out, f"fpir_{t:g}", r) for t, r in zip(targets, reports)]
+        curve_paths = [_write_curves(args.out, tag, r) for tag, r in zip(tags, reports)]
     except OSError as exc:
         return _out_error(args.out, exc)
     evaluations = []
@@ -266,8 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if os.path.exists(args.out) and not os.path.isdir(args.out):  # fail before any work
-        return _out_error(args.out, "not a directory")
+    reason = _unwritable(args.out)
+    if reason is not None:  # fail before any work
+        return _out_error(args.out, reason)
     return args.func(args)
 
 

@@ -7,6 +7,14 @@ from quality_kappa_range. Auxiliary per-sample qualities (a variance vector
 and a log-scale) are derived monotonically from kappa(x) with seeded noise so
 every baseline has something to read. All draws come from one seeded stream,
 so identical seeds give identical corpora.
+
+The generator works one block of identities at a time. It makes the block's
+RNG calls in stream order, then computes the block's vMF geometry (the radial
+acceptance test included) on stacked rows, bit-equal to drawing one sample at
+a time through ``vmf._draw_one``. Where that path would take more from the
+stream, after a round of radial candidates that accepts none or for a
+degenerate tangent, the block replays from its saved stream state one draw at
+a time.
 """
 
 from __future__ import annotations
@@ -99,8 +107,84 @@ def _planted_pair_count(ambiguity: float, n_identities: int) -> int:
     return math.floor(ambiguity * n_identities / 2.0)
 
 
+# Identities are drawn a block at a time. A block's (samples, d) arrays hold
+# about this many float64 elements (256 KB), so the blocked temporaries stay
+# small whatever the corpus size.
+_BLOCK_ELEMENTS = 1 << 15
+
+
+def _draw_block(rng: np.random.Generator, means: np.ndarray, config: SynthConfig, replay: bool = False):
+    """Draw the samples of the identities whose unit means are the rows of ``means``.
+
+    Returns (samples per identity, kappa(x) per sample, observed rows, sigma2
+    rows), or None when a draw would take more from the stream than one round
+    of radial candidates and one normal row. The RNG calls go in stream order,
+    per identity then per sample: n_samples, kappa(x), the latent draw (radial
+    candidates then normal row; only for a finite class_kappa), the observed
+    draw, the sigma2 noise. The vMF geometry then runs on the block's stacked
+    rows, latents first, and is bit-equal to ``vmf._draw_one`` per draw. With
+    ``replay`` every draw goes through ``vmf._draw_one`` instead, which draws
+    again where a candidate round accepts nothing or a tangent is degenerate.
+    """
+    d = config.d
+    lo, hi = config.samples_per_identity
+    log_qlo, log_qhi = (np.log(q) for q in config.quality_kappa_range)
+    class_kappa = float(config.class_kappa)
+    drift = math.isfinite(class_kappa)
+    rows = len(means) * hi
+    m = vmf._RADIAL_CANDIDATES
+    counts, kappas = [], []
+    # index 0 holds the latent draws, index 1 the observed ones
+    z, u, g = np.empty((2, rows, m)), np.empty((2, rows, m)), np.empty((2, rows, d))
+    envelope = np.empty((3, rows, 1))  # each observed draw's (b, x0, c)
+    observed = np.empty((rows, d)) if replay else None
+    noise = np.empty((rows, d))
+    r = 0
+    for mean in means:
+        n_samples = int(rng.integers(lo, hi + 1))
+        counts.append(n_samples)
+        for _ in range(n_samples):
+            kappa_x = float(np.exp(rng.uniform(log_qlo, log_qhi)))
+            kappas.append(kappa_x)
+            if replay:
+                latent = vmf._draw_one(rng, mean, class_kappa) if drift else mean
+                observed[r] = vmf._draw_one(rng, latent, kappa_x)
+            else:
+                if drift:
+                    z[0, r], u[0, r] = vmf._radial_proposals(rng, d, m)
+                    g[0, r] = rng.standard_normal(d)
+                z[1, r], u[1, r] = vmf._radial_proposals(rng, d, m)
+                g[1, r] = rng.standard_normal(d)
+                envelope[:, r, 0] = vmf._radial_envelope(kappa_x, d)
+            noise[r] = rng.uniform(-0.1, 0.1, size=d)
+            r += 1
+    kappa = np.array(kappas)
+    if replay:
+        observed = observed[:r]
+    else:
+        latents = np.repeat(means, counts, axis=0)
+        if drift:
+            latents = vmf._draw_rows(latents, z[0, :r], u[0, :r], class_kappa,
+                                     vmf._radial_envelope(class_kappa, d), g[0, :r])
+        observed = None if latents is None else vmf._draw_rows(
+            latents, z[1, :r], u[1, :r], kappa[:, None], envelope[:, :r], g[1, :r])
+        if observed is None:
+            return None
+    sigma2 = (1.0 / kappa)[:, None] * (1.0 + noise[:r])
+    return counts, kappas, observed, sigma2
+
+
 def gen_synthetic(config: SynthConfig) -> SampleStore:
-    """Draw an identity/sample corpus; deterministic per config.seed."""
+    """Draw an identity/sample corpus; deterministic per config.seed.
+
+    Samples are drawn one block of identities at a time (``_draw_block``):
+    the RNG calls go in stream order and the vMF geometry is computed on the
+    block's stacked rows, bit-equal to drawing one sample at a time through
+    ``vmf._draw_one``. A block where that path would take more from the stream
+    (a round of radial candidates that accepts none, or a degenerate tangent)
+    is replayed from its saved stream state one draw at a time, so the corpus
+    never depends on the block size.
+    """
     rng = np.random.default_rng(config.seed)
     d = config.d
     n = config.n_identities
@@ -119,29 +203,27 @@ def gen_synthetic(config: SynthConfig) -> SampleStore:
             means[b] = target_cos * means[a] + math.sqrt(1.0 - target_cos**2) * tangent
 
     identity_ids = tuple(f"id{i:04d}" for i in range(n))
-    lo, hi = config.samples_per_identity
-    qlo, qhi = config.quality_kappa_range
-    class_kappa = float(config.class_kappa)
+    step = max(1, _BLOCK_ELEMENTS // (d * config.samples_per_identity[1]))
     samples = {}
-    for i, identity in enumerate(identity_ids):
-        n_samples = int(rng.integers(lo, hi + 1))
-        mean = vmf.as_unit_vector(means[i])
-        records = []
-        for j in range(n_samples):
-            kappa_x = float(np.exp(rng.uniform(np.log(qlo), np.log(qhi))))
-            # one-draw path: the means are unit and both concentrations are > 0
-            latent = vmf._draw_one(rng, mean, class_kappa) if np.isfinite(class_kappa) else mean
-            observed = vmf._draw_one(rng, latent, kappa_x)
-            sigma2 = (1.0 / kappa_x) * (1.0 + rng.uniform(-0.1, 0.1, size=d))
-            records.append(SyntheticSample(
+    for start in range(0, n, step):
+        block = means[start:start + step]
+        state = rng.bit_generator.state
+        drawn = _draw_block(rng, block, config)
+        if drawn is None:  # a draw needs more of the stream: redo the block one draw at a time
+            rng.bit_generator.state = state
+            drawn = _draw_block(rng, block, config, replay=True)
+        counts, kappas, observed, sigma2 = drawn
+        r = 0
+        for identity, n_samples in zip(identity_ids[start:start + step], counts):
+            samples[identity] = tuple(SyntheticSample(
                 sample_id=f"{identity}_s{j:02d}",
                 identity_id=identity,
-                vector=observed,
-                kappa=kappa_x,
-                pfe_sigma2=sigma2,
-                sf_scale=float(np.log(kappa_x)),
-            ))
-        samples[identity] = tuple(records)
+                vector=observed[r + j],
+                kappa=kappas[r + j],
+                pfe_sigma2=sigma2[r + j],
+                sf_scale=float(np.log(kappas[r + j])),
+            ) for j in range(n_samples))
+            r += n_samples
     return SampleStore(config=config, identity_ids=identity_ids, identity_means=means, samples=samples)
 
 

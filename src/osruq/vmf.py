@@ -231,24 +231,46 @@ def _unit_rows(rows: np.ndarray, rng: np.random.Generator, orthogonal_to: np.nda
     return rows / norms[:, None]
 
 
-def _sample_radial(rng: np.random.Generator, kappa: float, d: int, n: int) -> np.ndarray:
-    # Rejection sampler for the cosine w between a draw and the mean direction
-    # (Ulrich's tangent-normal decomposition with Wood's envelope).
+# Candidates a one-draw call proposes at once; n draws propose max(2n, this).
+_RADIAL_CANDIDATES = 16
+
+
+def _radial_envelope(kappa: float, d: int):
+    # Wood's envelope for the cosine w between a draw and its mean: (b, x0, c).
     dim = d - 1.0
     b = dim / (np.sqrt(4.0 * kappa * kappa + dim * dim) + 2.0 * kappa)
     x0 = (1.0 - b) / (1.0 + b)
-    c = kappa * x0 + dim * np.log(1.0 - x0 * x0)
+    return b, x0, kappa * x0 + dim * np.log(1.0 - x0 * x0)
+
+
+def _radial_proposals(rng: np.random.Generator, d: int, m: int):
+    # The sampler's RNG calls for m candidates: m beta draws, then m uniforms.
+    half = 0.5 * (d - 1.0)
+    return rng.beta(half, half, size=m), rng.uniform(size=m)
+
+
+def _radial_accept(z, u, kappa, d: int, b, x0, c):
+    # Candidate cosines and Wood's acceptance test. Every operation is
+    # elementwise, so kappa, b, x0 and c may be scalars, or (N, 1) columns
+    # against N stacked rows of candidates, with the same bits per element.
+    dim = d - 1.0
+    w = (1.0 - (1.0 + b) * z) / (1.0 - (1.0 - b) * z)
+    return w, kappa * w + dim * np.log1p(-x0 * w) - c >= np.log(u)
+
+
+def _sample_radial(rng: np.random.Generator, kappa: float, d: int, n: int) -> np.ndarray:
+    # Rejection sampler for the cosine w between a draw and the mean direction
+    # (Ulrich's tangent-normal decomposition with Wood's envelope). The only one:
+    # _draw_rows runs the same envelope and test on one-draw rounds it stacks.
+    envelope = _radial_envelope(kappa, d)
     out = np.empty(n)
     filled = 0
     for _ in range(1000):
         if filled >= n:
             break
         want = n - filled
-        m = max(2 * want, 16)
-        z = rng.beta(0.5 * dim, 0.5 * dim, size=m)
-        w = (1.0 - (1.0 + b) * z) / (1.0 - (1.0 - b) * z)
-        u = rng.uniform(size=m)
-        accept = kappa * w + dim * np.log1p(-x0 * w) - c >= np.log(u)
+        z, u = _radial_proposals(rng, d, max(2 * want, _RADIAL_CANDIDATES))
+        w, accept = _radial_accept(z, u, kappa, d, *envelope)
         good = w[accept][:want]
         out[filled:filled + good.size] = good
         filled += good.size
@@ -261,7 +283,10 @@ def _draw_one(rng: np.random.Generator, mean: np.ndarray, kappa: float) -> np.nd
     # sample_vmf(VmfParams(mean, kappa), rng, 1)[0] without the checks, for a unit
     # float64 mean and kappa > 0: the same RNG calls and numpy float operations in
     # the same order, so the draw is bit-equal. Norms are row_norms' np.add.reduce sums;
-    # a 1-d linalg.norm (a dot product) would change last bits.
+    # a 1-d linalg.norm (a dot product) would change last bits. This is the reference
+    # that _draw_rows repeats on stacked draws, and the generator's replay path for a
+    # block where a draw takes more from the stream: a second round of radial
+    # candidates, or a resample of a degenerate tangent.
     w = _sample_radial(rng, kappa, mean.shape[0], 1)[0]
     g = rng.standard_normal((1, mean.shape[0]))
     g -= (g @ mean)[:, None] * mean
@@ -269,6 +294,29 @@ def _draw_one(rng: np.random.Generator, mean: np.ndarray, kappa: float) -> np.nd
     v = g[0] / norm if norm >= 1e-12 else _unit_rows(g, rng, orthogonal_to=mean)[0]
     out = w * mean + np.sqrt(max(1.0 - w * w, 0.0)) * v
     return out / np.sqrt(np.add.reduce(out * out))
+
+
+def _draw_rows(means: np.ndarray, z: np.ndarray, u: np.ndarray, kappa, envelope, g: np.ndarray):
+    # _draw_one's float operations on N stacked draws. Draw r took the radial
+    # candidates z[r], u[r] (one _radial_proposals call) and then the normal row
+    # g[r] from the stream; kappa and the envelope's (b, x0, c) are scalars or
+    # (N, 1) columns. Row r is then bit-equal to _draw_one(rng, means[r], kappa):
+    # the acceptance test is elementwise, np.vecdot is the per-row (1, d) @ (d,)
+    # product and row_norms sums each row of a stack as it sums one row. Returns
+    # None when a draw accepted no candidate or has a degenerate tangent, where
+    # _draw_one would take more from the stream.
+    w, accept = _radial_accept(z, u, kappa, means.shape[1], *envelope)
+    rows = np.arange(len(means))
+    first = accept.argmax(axis=1)
+    if not accept[rows, first].all():
+        return None
+    w = w[rows, first]
+    g -= np.vecdot(g, means)[:, None] * means
+    norms = row_norms(g)
+    if not (norms >= 1e-12).all():
+        return None
+    out = w[:, None] * means + np.sqrt(np.maximum(1.0 - w * w, 0.0))[:, None] * (g / norms[:, None])
+    return out / row_norms(out)[:, None]
 
 
 def sample_vmf(params: VmfParams, seed, n: int) -> np.ndarray:

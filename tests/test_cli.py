@@ -378,3 +378,44 @@ def test_eval_rejects_an_empty_method_list(tmp_path, capsys):
     assert cli.main(["eval", "--bundle", bundle, "--out", out, "--fpir", "0.2", "--methods", ","]) == 2
     assert "error: no method given; available: AccScr," in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("second", ["0.1000001", "0.1"], ids=["same-tag", "repeat"])
+def test_eval_rejects_targets_that_share_a_curve_directory(tmp_path, capsys, monkeypatch, second):
+    bundle = make_bundle(tmp_path)
+    out = os.path.join(tmp_path, "eval")
+    monkeypatch.setattr(cli, "read_bundle", lambda path: pytest.fail("read the bundle"))
+    assert cli.main(["eval", "--bundle", bundle, "--out", out, "--fpir", "0.1", "--fpir", second]) == 2
+    err = capsys.readouterr().err
+    assert f"targets 0.1 and {second} share the curve directory curves/fpir_0.1" in err
+    assert "arguments" in err
+    assert not os.path.exists(out)
+
+
+def test_out_below_a_file_fails_before_any_work(tmp_path, capsys, monkeypatch):
+    taken = a_file(os.path.join(tmp_path, "taken"))
+    below = os.path.join(taken, "x", "y")
+    monkeypatch.setattr(cli, "run_verification", lambda **kw: pytest.fail("ran the checks"))
+    monkeypatch.setattr(cli, "read_bundle", lambda path: pytest.fail("read the bundle"))
+    assert cli.main(["verify", "--scope", "bessel", "--out", below]) == 2
+    assert f"error [io]: cannot write to {below}: {taken} is not a directory" in capsys.readouterr().err
+    bundle = os.path.join(tmp_path, "bundle")
+    assert cli.main(["eval", "--bundle", bundle, "--out", below, "--fpir", "0.1"]) == 2
+    assert f"error [io]: cannot write to {below}: " in capsys.readouterr().err
+
+
+def test_out_without_write_permission_fails_before_any_work(tmp_path, capsys, monkeypatch):
+    # the tests may run as root, which may write anywhere: deny through os.access
+    asked = []
+
+    def access(path, mode):
+        asked.append((path, mode))
+        return False
+
+    monkeypatch.setattr(os, "access", access)
+    monkeypatch.setattr(cli, "run_verification", lambda **kw: pytest.fail("ran the checks"))
+    out = os.path.join(tmp_path, "new", "verify")
+    assert cli.main(["verify", "--scope", "bessel", "--out", out]) == 2
+    assert f"error [io]: cannot write to {out}: no write permission in {tmp_path}" in capsys.readouterr().err
+    assert asked == [(str(tmp_path), os.W_OK | os.X_OK)]
+    assert not os.path.exists(os.path.join(tmp_path, "new"))

@@ -35,6 +35,16 @@ GOLDEN = {
         "report.json": "047960da180a134c1b489f01c525be9a94ed55c3bd4eaa3f51087fba06b8d99d",
     },
 }
+# every pin above is d=16; this one is a d=128 bundle with the concentrations
+# scaled to d: the benchmark's d=128 generator config at 200 identities, seed 7
+D128_CONFIG = {
+    "d": 128, "n_identities": 200, "oog_fraction": 0.3, "samples_per_identity": [4, 8],
+    "class_kappa": 1200.0, "quality_kappa_range": [16.0, 4000.0], "ambiguity": 0.3, "seed": 7,
+}
+D128_GOLDEN = {
+    MANIFEST_NAME: "bdc8579e08a1e415afd31705d52bf07d62b80b303887efd3f9a642b4addec1f7",
+    RECORDS_NAME: "a4f75d6c470029dbf761282ef14b3dbc66bd6c64660d326461fa0ec2ba3d458b",
+}
 # verify.json of `osruq verify --scope all --seed 0`
 VERIFY_GOLDEN = "570c6f2f7e2dbb2c5fbd27be836c490dc0ba2175f3013c863e149eb8795032fd"
 
@@ -56,6 +66,15 @@ def test_preset_bundle_and_report_bytes(tmp_path, preset):
     got = {name: sha256(os.path.join(bundle, name)) for name in (MANIFEST_NAME, RECORDS_NAME)}
     got["report.json"] = sha256(os.path.join(out, "report.json"))
     assert got == GOLDEN[preset]
+
+
+def test_d128_bundle_bytes(tmp_path):
+    config = os.path.join(tmp_path, "config.json")
+    with open(config, "w") as fh:
+        json.dump(D128_CONFIG, fh)
+    bundle = os.path.join(tmp_path, "bundle")
+    assert cli.main(["gen", "--config", config, "--out", bundle]) == 0
+    assert {name: sha256(os.path.join(bundle, name)) for name in D128_GOLDEN} == D128_GOLDEN
 
 
 def test_verify_bytes(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from osruq import protocol as pr
+from osruq import protocol as pr, vmf
 
 
 def small_config(**overrides):
@@ -179,3 +179,119 @@ def test_meta_types_are_plain_python():
     for key, value in proto.meta.items():
         assert isinstance(key, str)
         assert type(value) in (int, float)
+
+
+# --- the blocked generator against the one-draw-at-a-time loop it replaced ---
+
+def per_draw_reference(config, rng):
+    """gen_synthetic's per-draw loop, every vMF draw through vmf._draw_one in
+    turn: (identity means, samples as bytes, the stream's final state)."""
+    d, n = config.d, config.n_identities
+    means = vmf._unit_rows(rng.standard_normal((n, d)), rng)
+    n_pairs = pr._planted_pair_count(config.ambiguity, n)
+    if n_pairs > 0:
+        chosen = rng.permutation(n)[: 2 * n_pairs]
+        for a, b in zip(chosen[0::2], chosen[1::2]):
+            target_cos = rng.uniform(0.92, 0.98)
+            tangent = rng.standard_normal(d)
+            tangent -= (tangent @ means[a]) * means[a]
+            tangent /= np.linalg.norm(tangent)
+            means[b] = target_cos * means[a] + math.sqrt(1.0 - target_cos**2) * tangent
+    lo, hi = config.samples_per_identity
+    qlo, qhi = config.quality_kappa_range
+    samples = {}
+    for i in range(n):
+        records = []
+        for _ in range(int(rng.integers(lo, hi + 1))):
+            kappa_x = float(np.exp(rng.uniform(np.log(qlo), np.log(qhi))))
+            latent = (vmf._draw_one(rng, means[i], config.class_kappa)
+                      if np.isfinite(config.class_kappa) else means[i])
+            observed = vmf._draw_one(rng, latent, kappa_x)
+            sigma2 = (1.0 / kappa_x) * (1.0 + rng.uniform(-0.1, 0.1, size=d))
+            records.append((observed.tobytes(), kappa_x, sigma2.tobytes(), float(np.log(kappa_x))))
+        samples[f"id{i:04d}"] = records
+    return means.tobytes(), samples, rng.bit_generator.state
+
+
+def blocked(config, monkeypatch, make_rng=np.random.default_rng):
+    """gen_synthetic's output in per_draw_reference's form."""
+    made = []
+
+    def default_rng(seed):
+        made.append(make_rng(seed))
+        return made[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "default_rng", default_rng)
+        store = pr.gen_synthetic(config)
+    samples = {identity: [(s.vector.tobytes(), s.kappa, s.pfe_sigma2.tobytes(), s.sf_scale)
+                          for s in records] for identity, records in store.samples.items()}
+    for records in samples.values():
+        assert all(type(kappa) is float and type(sf) is float for _, kappa, _, sf in records)
+    return store.identity_means.tobytes(), samples, made[0].bit_generator.state
+
+
+@pytest.mark.parametrize("block_elements", [pr._BLOCK_ELEMENTS, 64], ids=["default-blocks", "small-blocks"])
+@pytest.mark.parametrize("class_kappa", [300.0, float("inf")])
+@pytest.mark.parametrize("d", [2, 3, 16, 128, 512])
+def test_blocked_generator_equals_the_per_draw_loop(monkeypatch, d, class_kappa, block_elements):
+    config = small_config(d=d, n_identities=30, class_kappa=class_kappa,
+                          quality_kappa_range=(2.0, 4000.0), samples_per_identity=(1, 6))
+    expected = per_draw_reference(config, np.random.default_rng(config.seed))
+    monkeypatch.setattr(pr, "_BLOCK_ELEMENTS", block_elements)
+    monkeypatch.setattr(vmf, "_draw_one", lambda *args: pytest.fail("replayed a block"))
+    assert blocked(config, monkeypatch) == expected
+
+
+class _SpoiledAt(np.random.Generator):
+    """A Generator that spoils the draw at one stream position, so that the
+    one-draw path must take more from the stream there: a "tangent" spoils a
+    one-row standard_normal to zeros (the tangent is degenerate), a "radial"
+    spoils a round of radial uniforms to +inf (no candidate is accepted). The
+    position is the PCG64 state, so a block replayed from its saved state meets
+    the same spoiled draw."""
+
+    def __init__(self, seed, kind, at=None):
+        super().__init__(np.random.PCG64(seed))
+        self.kind, self.at, self.positions = kind, at, []
+
+    def _spoil(self, kind, out, position, spoiled):
+        if self.kind == kind:
+            self.positions.append(position)
+            if position == self.at:
+                return spoiled
+        return out
+
+    def standard_normal(self, size=None):
+        position = self.bit_generator.state["state"]["state"]
+        row = super().standard_normal(size)
+        if row.size != row.shape[-1]:
+            return row
+        return self._spoil("tangent", row, position, np.zeros(size))
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        position = self.bit_generator.state["state"]["state"]
+        out = super().uniform(low, high, size)
+        if size != vmf._RADIAL_CANDIDATES:
+            return out
+        return self._spoil("radial", out, position, np.full(size, np.inf))
+
+
+@pytest.mark.parametrize("kind", ["tangent", "radial"])
+@pytest.mark.parametrize("class_kappa", [300.0, float("inf")])
+def test_a_draw_that_needs_more_of_the_stream_replays_its_block(monkeypatch, class_kappa, kind):
+    config = small_config(d=5, n_identities=24, class_kappa=class_kappa, samples_per_identity=(2, 4))
+    monkeypatch.setattr(pr, "_BLOCK_ELEMENTS", 60)  # three identities a block
+    stream = _SpoiledAt(config.seed, kind)
+    per_draw_reference(config, stream)
+    at = stream.positions[len(stream.positions) // 2]  # a draw in a middle block
+    expected = per_draw_reference(config, _SpoiledAt(config.seed, kind, at))
+    assert expected != per_draw_reference(config, _SpoiledAt(config.seed, kind))
+
+    calls = []
+    draw_one = vmf._draw_one
+    monkeypatch.setattr(vmf, "_draw_one", lambda *args: calls.append(args) or draw_one(*args))
+    assert blocked(config, monkeypatch, lambda seed: _SpoiledAt(seed, kind, at)) == expected
+    # only the replayed block went through _draw_one: at most three identities
+    # of four samples, two draws each
+    assert 0 < len(calls) <= 24

@@ -201,6 +201,94 @@ def test_one_draw_path_matches_sample_vmf(d, kappa):
         mean = got  # chain draws, as the generator does with its latent means
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 16, 33, 64, 127, 128, 129, 256, 512, 1024])
+def test_stacked_row_products_and_norms_equal_per_row_bits(d):
+    # the blocked generator's geometry rests on these two identities
+    rng = np.random.default_rng(d)
+    for rows in (1, 2, 7, 64, 300):
+        g, means = rng.standard_normal((2, rows, d))
+        per_row = np.concatenate([g[r:r + 1] @ means[r] for r in range(rows)])
+        assert np.vecdot(g, means).tobytes() == per_row.tobytes()
+        per_row = np.array([vmf.row_norms(g[r:r + 1])[0] for r in range(rows)])
+        assert vmf.row_norms(g).tobytes() == per_row.tobytes()
+
+
+def stacked_draws(d, kappas, seeds):
+    """The candidates and normal row each _draw_one(default_rng(seed), ...) takes."""
+    m = vmf._RADIAL_CANDIDATES
+    z, u, g = np.empty((len(seeds), m)), np.empty((len(seeds), m)), np.empty((len(seeds), d))
+    for r, seed in enumerate(seeds):
+        stream = np.random.default_rng(seed)
+        z[r], u[r] = vmf._radial_proposals(stream, d, m)
+        g[r] = stream.standard_normal(d)
+    return z, u, g
+
+
+@pytest.mark.parametrize("d", [2, 3, 16, 128, 512])
+@pytest.mark.parametrize("kappa", [1e-3, 1.0, 150.0, 1e5])
+def test_stacked_draws_match_the_one_draw_path(d, kappa):
+    # row r of _draw_rows, given the radial candidates and the normal row that
+    # _draw_one takes from a stream, is that stream's _draw_one bit for bit,
+    # with one concentration for every row and with one per row
+    means = np.random.default_rng(d).standard_normal((9, d))
+    means /= np.linalg.norm(means, axis=1, keepdims=True)
+    expected = [vmf._draw_one(np.random.default_rng(r), means[r], kappa) for r in range(9)]
+    z, u, g = stacked_draws(d, [kappa] * 9, range(9))
+    got = vmf._draw_rows(means, z, u, kappa, vmf._radial_envelope(kappa, d), g)
+    assert got.tobytes() == np.array(expected).tobytes()
+
+    kappas = [kappa * (1.0 + 0.5 * r) for r in range(9)]
+    expected = [vmf._draw_one(np.random.default_rng(r), means[r], k) for r, k in enumerate(kappas)]
+    z, u, g = stacked_draws(d, kappas, range(9))
+    envelope = np.array([vmf._radial_envelope(k, d) for k in kappas]).T[:, :, None]
+    got = vmf._draw_rows(means, z, u, np.array(kappas)[:, None], envelope, g)
+    assert got.tobytes() == np.array(expected).tobytes()
+
+
+def test_stacked_draws_refuse_what_the_one_draw_path_would_draw_again():
+    means = np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]])
+    envelope = vmf._radial_envelope(5.0, 3)
+    z = np.full((2, vmf._RADIAL_CANDIDATES), 0.5)
+    u = np.full((2, vmf._RADIAL_CANDIDATES), 1e-300)  # every candidate accepted
+    g = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    assert vmf._draw_rows(means, z, u, 5.0, envelope, g.copy()) is not None
+    parallel = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])  # the second tangent projects to zero
+    assert vmf._draw_rows(means, z, u, 5.0, envelope, parallel) is None
+    u[1] = np.inf  # the second draw accepts no candidate
+    assert vmf._draw_rows(means, z, u, 5.0, envelope, g.copy()) is None
+
+
+def radial_reference(rng, kappa, d, n):
+    """_sample_radial before its envelope, proposals and test were split out."""
+    dim = d - 1.0
+    b = dim / (np.sqrt(4.0 * kappa * kappa + dim * dim) + 2.0 * kappa)
+    x0 = (1.0 - b) / (1.0 + b)
+    c = kappa * x0 + dim * np.log(1.0 - x0 * x0)
+    out = np.empty(n)
+    filled = 0
+    while filled < n:
+        want = n - filled
+        m = max(2 * want, 16)
+        z = rng.beta(0.5 * dim, 0.5 * dim, size=m)
+        w = (1.0 - (1.0 + b) * z) / (1.0 - (1.0 - b) * z)
+        u = rng.uniform(size=m)
+        accept = kappa * w + dim * np.log1p(-x0 * w) - c >= np.log(u)
+        good = w[accept][:want]
+        out[filled:filled + good.size] = good
+        filled += good.size
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 16, 128, 512])
+def test_radial_sampler_keeps_its_bits(d):
+    for kappa in (1e-3, 1.0, 16.0, 300.0, 4000.0, 1e5):
+        for n in (1, 5, 1000):
+            a, b = np.random.default_rng(n), np.random.default_rng(n)
+            for _ in range(5):
+                assert vmf._sample_radial(a, kappa, d, n).tobytes() == radial_reference(b, kappa, d, n).tobytes()
+            assert a.bit_generator.state == b.bit_generator.state
+
+
 class _FirstNormalIsMean(np.random.Generator):
     """A Generator whose first standard_normal draw is the mean direction,
     so the tangent row projects to zero and the resampling branch runs."""
