@@ -80,7 +80,7 @@ for name, score in zip(names, holue_sum(k1n, k2n)):
     print(f"  {name} {score:+.4f}")
 
 # The MLP maps the same two numbers to a calibrated p(decision correct).
-calib = fit_mlp(np.column_stack(normalize(val_comps, stats)), labels, seed=0, stats=stats)
+calib = fit_mlp(np.column_stack(normalize(val_comps, stats)), labels, seed=0)
 
 print("\ncalibrated p(correct):")
 for name, p in zip(names, mlp_predict(calib, k1n, k2n)):

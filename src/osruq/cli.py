@@ -8,6 +8,7 @@ ratio, 5 verification failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ from .evaluation import MissingValidationError, run_evaluation
 from .holistic import DEFAULT_TEMPERATURE
 from .metrics import METRIC_NAMES
 from .oracle import SCOPES, run_verification
-from .protocol import DEFAULT_VAL_FRACTION, SynthConfig, generate_protocol, preset_config
+from .protocol import DEFAULT_VAL_FRACTION, SynthConfig, _integer, generate_protocol, preset_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -29,11 +30,7 @@ EXIT_VERIFY_FAILED = 5
 
 DEFAULT_FPIRS = (0.05, 0.1, 0.2)
 
-_CONFIG_KEYS = {
-    "preset", "d", "n_identities", "oog_fraction", "samples_per_identity",
-    "class_kappa", "quality_kappa_range", "ambiguity", "seed",
-    "val_fraction", "protocol_seed",
-}
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(SynthConfig)} | {"preset", "val_fraction", "protocol_seed"}
 
 
 class ConfigError(ValueError):
@@ -66,16 +63,13 @@ def _load_config(path: str) -> tuple[SynthConfig, float, int | None]:
                 raise ConfigError(f"{key} must be a two-element array")
             raw[key] = tuple(value)
     try:
-        if preset is not None:
-            config = preset_config(preset, **raw)
-        else:
-            config = SynthConfig(**raw)
+        config = preset_config(preset, **raw) if preset is not None else SynthConfig(**raw)
+        if protocol_seed is not None:
+            protocol_seed = _integer("protocol_seed", protocol_seed, 0)
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
     if not isinstance(val_fraction, (int, float)) or not 0.0 <= val_fraction < 1.0:
         raise ConfigError(f"val_fraction must be in [0, 1), got {val_fraction!r}")
-    if protocol_seed is not None and not isinstance(protocol_seed, int):
-        raise ConfigError(f"protocol_seed must be an integer, got {protocol_seed!r}")
     return config, float(val_fraction), protocol_seed
 
 
@@ -236,7 +230,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = run_verification(scope=args.scope, seed=args.seed)
+    try:
+        report = run_verification(scope=args.scope, seed=args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     out_path = os.path.join(args.out, "verify.json")
     try:
         os.makedirs(args.out, exist_ok=True)

@@ -94,8 +94,6 @@ def run_evaluation(
     temperature: float = holistic.DEFAULT_TEMPERATURE,
     beta: float = 0.5,
     max_reject_fraction: float = 0.5,
-    n_points: int = 101,
-    n_shuffles: int = 100,
     seed: int = 0,
     stats_split: str = "validation",
     mlp_config: TrainingConfig = TrainingConfig(),
@@ -172,7 +170,7 @@ def run_evaluation(
                 val_classes = _outcome_classes(gal, validation, val_decided)
                 labels = metrics.decision_correct(val_classes).astype(np.float64)
                 features = np.column_stack(normalize(val_components, stats))
-                calibrator = fit_mlp(features, labels, config=mlp_config, seed=seed, stats=stats)
+                calibrator = fit_mlp(features, labels, config=mlp_config, seed=seed)
                 scores["HolUE"] = holistic.mlp_predict(calibrator, kl1n, kl2n)
 
     tp, fn, fp, n_nonmated = metrics.class_counts(classes)
@@ -181,8 +179,7 @@ def run_evaluation(
     with _stage("curves"):
         ids = [p.probe_id for p in test]
         oracle, random_curves = metrics.reference_curve_sets(
-            classes, ids, max_fraction=max_reject_fraction, n_points=n_points,
-            n_shuffles=n_shuffles, seed=seed)
+            classes, ids, max_fraction=max_reject_fraction, seed=seed)
         reference_curves = {m: {"oracle": oracle[m], "random": random_curves[m]}
                             for m in metrics.METRIC_NAMES}
         reference_auc = {m: {"oracle": metrics.curve_auc(oracle[m]),
@@ -190,8 +187,7 @@ def run_evaluation(
                          for m in metrics.METRIC_NAMES}
         method_reports = {}
         for name in methods:
-            curves = metrics.rejection_curves(classes, scores[name], ids,
-                                              max_fraction=max_reject_fraction, n_points=n_points)
+            curves = metrics.rejection_curves(classes, scores[name], ids, max_fraction=max_reject_fraction)
             try:
                 ratio = metrics.prr(curves["F1"], random_curves["F1"], oracle["F1"])
             except UndefinedPrrError:

@@ -208,28 +208,23 @@ def equivalent_threshold(model: GalleryModel) -> float:
     return float(_threshold(model.kappa, model.beta, model.gallery.k, model._log_normalizers[1]))
 
 
-def kappa_for_threshold(
-    target_tau: float,
-    beta: float,
-    k: int,
-    d: int,
-    bracket: tuple[float, float] = (1e-2, 1e6),
-    tol: float = 1e-8,
-    max_iter: int = 300,
-    scan_points: int = 400,
-) -> float:
+# kappa_for_threshold's kappa scan range, threshold tolerance, bisection cap and scan points
+_KAPPA_RANGE, _THRESHOLD_TOL, _MAX_BISECTIONS, _SCAN_POINTS = (1e-2, 1e6), 1e-8, 300, 400
+
+
+def kappa_for_threshold(target_tau: float, beta: float, k: int, d: int) -> float:
     """Invert the threshold map: find kappa whose equivalent cosine is target_tau.
 
     The map is not monotone for large K and d (it dips below 1 to a minimum
-    and climbs back), so a coarse scan over log kappa locates every crossing
-    and bisection refines the one at the largest kappa; that branch is the
-    one whose concentration matches sharply clustered galleries and makes the
-    inversion a true round trip for models on it. The returned kappa is the
-    bracket side whose implied threshold is at or equal to the target from
-    above (within tol), so a threshold placed just above an order statistic
-    never re-admits the probe that defined it. Raises
-    UnreachableThresholdError with the achievable range when the scan never
-    crosses the target.
+    and climbs back), so a coarse scan of _SCAN_POINTS over log kappa in
+    _KAPPA_RANGE locates every crossing and bisection refines the one at the
+    largest kappa; that branch is the one whose concentration matches sharply
+    clustered galleries and makes the inversion a true round trip for models
+    on it. The returned kappa is the bracket side whose implied threshold is
+    at or equal to the target from above (within _THRESHOLD_TOL), so a
+    threshold placed just above an order statistic never re-admits the probe
+    that defined it. Raises UnreachableThresholdError with the achievable
+    range when the scan never crosses the target.
     """
     target_tau = float(target_tau)
     if not -1.0 < target_tau < 1.0:
@@ -238,14 +233,12 @@ def kappa_for_threshold(
         raise ValueError(f"beta must be in (0, 1), got {beta!r}")
     if k < 1 or d < 2:
         raise ValueError("need k >= 1 and d >= 2")
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not 0.0 < lo < hi:
-        raise ValueError(f"invalid bracket {bracket!r}")
+    lo, hi = _KAPPA_RANGE
 
     def f(kappa: float) -> float:
         return float(_threshold_from_params(kappa, beta, k, d)) - target_tau
 
-    log_grid = np.linspace(np.log(lo), np.log(hi), scan_points)
+    log_grid = np.linspace(np.log(lo), np.log(hi), _SCAN_POINTS)
     grid = np.exp(log_grid)
     values = _threshold_from_params(grid, beta, k, d) - target_tau
     exact = np.flatnonzero(values == 0.0)
@@ -262,8 +255,8 @@ def kappa_for_threshold(
         )
     idx = int(crossings[-1])
     log_lo, log_hi = log_grid[idx], log_grid[idx + 1]
-    f_lo, f_hi = float(values[idx]), float(values[idx + 1])
-    for _ in range(max_iter):
+    f_lo = float(values[idx])
+    for _ in range(_MAX_BISECTIONS):
         if log_hi - log_lo < 1e-12:
             break
         log_mid = 0.5 * (log_lo + log_hi)
@@ -271,10 +264,10 @@ def kappa_for_threshold(
         if np.sign(f_mid) == np.sign(f_lo):
             log_lo, f_lo = log_mid, f_mid
         else:
-            log_hi, f_hi = log_mid, f_mid
+            log_hi = log_mid
     # pick the side that does not undershoot the target
     above = log_lo if f_lo >= 0.0 else log_hi
     kappa = float(np.exp(above))
-    if abs(f(kappa)) > tol:
+    if abs(f(kappa)) > _THRESHOLD_TOL:
         raise RuntimeError("threshold inversion did not converge")
     return kappa

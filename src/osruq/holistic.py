@@ -12,13 +12,12 @@ correct.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import vmf
-from .gallery import GalleryModel, log_joint_terms, softmax
+from .gallery import GalleryModel, log_joint_terms
 
 DEFAULT_TEMPERATURE = 20.0
 
@@ -63,15 +62,22 @@ class CalibrationStats:
             raise ValueError("stds must be > 0")
 
 
+def _tempered_log_posterior(terms: np.ndarray, temperature: float) -> np.ndarray:
+    """log P_T over the K+1 outcomes: every joint term tempered by 1/T, renormalized per row."""
+    if not temperature > 0.0:
+        raise ValueError(f"temperature must be > 0, got {temperature!r}")
+    scaled = terms * (1.0 / float(temperature))
+    return scaled - vmf.logsumexp(scaled, keepdims=True)
+
+
 def scaled_gallery_posterior(model: GalleryModel, z, temperature: float) -> np.ndarray:
     """Posterior at the probe mean z, (d,) or (N, d), with every joint term tempered by 1/T.
 
     temperature == 1 reproduces the unscaled posterior; T -> infinity flattens
-    to the uniform distribution over the K+1 outcomes.
+    to the uniform distribution over the K+1 outcomes. kl_from_terms uses the
+    same P_T.
     """
-    if not temperature > 0.0:
-        raise ValueError(f"temperature must be > 0, got {temperature!r}")
-    return softmax(log_joint_terms(model, z) / float(temperature))
+    return np.exp(_tempered_log_posterior(log_joint_terms(model, z), temperature))
 
 
 def self_log_density(d: int, kappa):
@@ -90,12 +96,8 @@ def kl_from_terms(model: GalleryModel, terms: np.ndarray, log_self, temperature:
     about +866 at d=512); at T != 1 kl2 carries their ratio exp((1 - 1/T) log_oog),
     one constant per model, which z-normalization cancels; at T=1 it is 1.
     """
-    if not temperature > 0.0:
-        raise ValueError(f"temperature must be > 0, got {temperature!r}")
-    t_inv = 1.0 / float(temperature)
+    log_post_t = _tempered_log_posterior(terms, temperature)[:, :-1]
     log_marg = vmf.logsumexp(terms)
-    scaled = terms * t_inv
-    log_post_t = scaled[:, :-1] - vmf.logsumexp(scaled, keepdims=True)
 
     log_prior = np.log((1.0 - model.beta) / model.gallery.k)
     post_t = np.exp(log_post_t)
@@ -108,7 +110,7 @@ def kl_from_terms(model: GalleryModel, terms: np.ndarray, log_self, temperature:
         kl1[i] = np.sum(parts[i][active[i]])
 
     log_oog = terms[:, -1]  # log(beta / surface_area)
-    bracket = (t_inv - 1.0) * log_oog + log_self - log_marg
+    bracket = (1.0 / float(temperature) - 1.0) * log_oog + log_self - log_marg
     kl2 = np.exp(log_oog - log_marg) * bracket
     return kl1, kl2
 
@@ -190,7 +192,6 @@ class MlpCalibrator:
     biases: list
     config: TrainingConfig
     seed: int
-    stats: CalibrationStats | None = None
     final_loss: float = field(default=float("nan"))
 
     def layer_sizes(self) -> list:
@@ -266,8 +267,7 @@ def loss_and_gradients(weights, biases, features: np.ndarray, labels: np.ndarray
     return loss, grad_w, grad_b
 
 
-def fit_mlp(features, labels, config: TrainingConfig = TrainingConfig(), seed: int = 0,
-            stats: CalibrationStats | None = None) -> MlpCalibrator:
+def fit_mlp(features, labels, config: TrainingConfig = TrainingConfig(), seed: int = 0) -> MlpCalibrator:
     """Train the calibrator on normalized components; deterministic per seed.
 
     Parameters live in one flat vector in which layer l is an (n_out, n_in + 1)
@@ -289,8 +289,7 @@ def fit_mlp(features, labels, config: TrainingConfig = TrainingConfig(), seed: i
 
     initial = _init_params([2, *config.hidden, 1], np.random.default_rng(seed), config.init_scale)
     (weights, biases), _, loss = _train(*initial, x, y, config.epochs, config.learning_rate, config.momentum)
-    return MlpCalibrator(weights=weights, biases=biases, config=config, seed=int(seed),
-                         stats=stats, final_loss=loss)
+    return MlpCalibrator(weights=weights, biases=biases, config=config, seed=int(seed), final_loss=loss)
 
 
 def mlp_predict(calibrator: MlpCalibrator, kl1n, kl2n) -> float | np.ndarray:
@@ -307,42 +306,3 @@ def mlp_predict(calibrator: MlpCalibrator, kl1n, kl2n) -> float | np.ndarray:
         return float(probs[0])
     return probs
 
-
-def calibrator_to_json(calibrator: MlpCalibrator) -> str:
-    """Serialize the calibrator (weights row-major) to a JSON string."""
-    payload = {
-        "layer_sizes": calibrator.layer_sizes(),
-        "weights": [w.tolist() for w in calibrator.weights],
-        "biases": [b.tolist() for b in calibrator.biases],
-        "config": {
-            "learning_rate": calibrator.config.learning_rate,
-            "epochs": calibrator.config.epochs,
-            "momentum": calibrator.config.momentum,
-            "init_scale": calibrator.config.init_scale,
-            "hidden": list(calibrator.config.hidden),
-        },
-        "seed": calibrator.seed,
-        "final_loss": calibrator.final_loss,
-        "stats": None if calibrator.stats is None else {
-            "mean1": calibrator.stats.mean1, "std1": calibrator.stats.std1,
-            "mean2": calibrator.stats.mean2, "std2": calibrator.stats.std2,
-        },
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def calibrator_from_json(text: str) -> MlpCalibrator:
-    payload = json.loads(text)
-    cfg = payload["config"]
-    config = TrainingConfig(learning_rate=cfg["learning_rate"], epochs=cfg["epochs"],
-                            momentum=cfg["momentum"], init_scale=cfg["init_scale"],
-                            hidden=tuple(cfg["hidden"]))
-    stats = payload.get("stats")
-    return MlpCalibrator(
-        weights=[np.asarray(w, dtype=np.float64) for w in payload["weights"]],
-        biases=[np.asarray(b, dtype=np.float64) for b in payload["biases"]],
-        config=config,
-        seed=int(payload["seed"]),
-        stats=None if stats is None else CalibrationStats(**stats),
-        final_loss=float(payload["final_loss"]),
-    )

@@ -308,6 +308,8 @@ def run_verification(scope: str = "all", seed: int = 0) -> dict:
     """Run the requested independent checks and report pass/fail per check."""
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; available: {sorted(SCOPES)}")
+    if not seed >= 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     runners = {
         "bessel_half_integer": lambda: _check_bessel_half_integer(),
         "bessel_series_consistency": lambda: _check_bessel_series_consistency(),

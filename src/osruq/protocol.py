@@ -28,6 +28,15 @@ from . import vmf
 from .gallery import Gallery, aggregate_template
 
 
+def _integer(name: str, value, minimum: int) -> int:
+    """value as an int >= minimum; a bool or a non-integral number is an error."""
+    integral = isinstance(value, (int, np.integer)) or (
+        isinstance(value, (float, np.floating)) and float(value).is_integer())
+    if isinstance(value, bool) or not integral or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     d: int = 16
@@ -40,15 +49,13 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.d) != self.d or self.d < 2:
-            raise ValueError(f"d must be an integer >= 2, got {self.d!r}")
-        if int(self.n_identities) != self.n_identities or self.n_identities < 1:
-            raise ValueError("n_identities must be a positive integer")
+        for name, minimum in (("d", 2), ("n_identities", 1), ("seed", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
         if not 0.0 < self.oog_fraction < 1.0:
             raise ValueError(f"oog_fraction must be in (0, 1), got {self.oog_fraction!r}")
         lo, hi = self.samples_per_identity
-        if int(lo) != lo or int(hi) != hi or lo < 1 or hi < lo:
-            raise ValueError(f"invalid samples_per_identity {self.samples_per_identity!r}")
+        lo = _integer("samples_per_identity[0]", lo, 1)
+        hi = _integer("samples_per_identity[1]", hi, lo)
         if not self.class_kappa > 0.0:  # inf allowed: no intra-class drift
             raise ValueError(f"class_kappa must be > 0, got {self.class_kappa!r}")
         qlo, qhi = self.quality_kappa_range
@@ -56,9 +63,8 @@ class SynthConfig:
             raise ValueError(f"invalid quality_kappa_range {self.quality_kappa_range!r}")
         if not 0.0 <= self.ambiguity <= 1.0:
             raise ValueError(f"ambiguity must be in [0, 1], got {self.ambiguity!r}")
-        object.__setattr__(self, "samples_per_identity", (int(lo), int(hi)))
+        object.__setattr__(self, "samples_per_identity", (lo, hi))
         object.__setattr__(self, "quality_kappa_range", (float(qlo), float(qhi)))
-        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass(frozen=True)

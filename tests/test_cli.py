@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import pytest
 
 from osruq import cli, vmf
 from osruq.bundle import read_bundle
+from osruq.protocol import SynthConfig
 
 
 def write_config(tmp_path, name="config.json", **fields):
@@ -72,6 +74,34 @@ def test_gen_config_errors(tmp_path, capsys):
     invalid = small_config(tmp_path, name="invalid.json", oog_fraction=2.0)
     assert cli.main(["gen", "--config", invalid, "--out", out]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fields", [
+    {"preset": "degraded", "seed": -1}, {"protocol_seed": -3}, {"protocol_seed": True},
+    {"seed": 7.9}, {"seed": True}, {"d": 8.5}, {"n_identities": True},
+    {"samples_per_identity": [2.5, 4]}, {"samples_per_identity": [True, 4]},
+])
+def test_gen_rejects_bad_integer_fields(tmp_path, capsys, fields):
+    config = small_config(tmp_path, **fields)
+    out = os.path.join(tmp_path, "bundle")
+    assert cli.main(["gen", "--config", config, "--out", out]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_config_may_set_every_synth_config_field(tmp_path):
+    # integral floats are stored as ints
+    fields = dict(d=8.0, n_identities=25, oog_fraction=0.3, samples_per_identity=[3.0, 5],
+                  class_kappa=100.0, quality_kappa_range=[5.0, 200.0], ambiguity=0.2, seed=5)
+    assert set(fields) == {f.name for f in dataclasses.fields(SynthConfig)}
+    assert cli._CONFIG_KEYS == set(fields) | {"preset", "val_fraction", "protocol_seed"}
+    config, _, protocol_seed = cli._load_config(write_config(tmp_path, protocol_seed=4.0, **fields))
+    assert config == SynthConfig(**dict(fields, samples_per_identity=(3, 5),
+                                        quality_kappa_range=(5.0, 200.0)))
+    assert type(config.d) is type(config.samples_per_identity[0]) is type(protocol_seed) is int
+    out = os.path.join(tmp_path, "bundle")
+    assert cli.main(["gen", "--config", write_config(tmp_path, **fields), "--out", out]) == 0
+    assert read_bundle(out).gallery.d == 8
 
 
 def make_bundle(tmp_path, **overrides):
@@ -239,6 +269,14 @@ def test_verify_exit_5_on_injected_fault(tmp_path, monkeypatch):
         payload = json.load(fh)
     assert payload["passed"] is False
     assert any(c["status"] == "fail" for c in payload["checks"])
+
+
+@pytest.mark.parametrize("scope", ["bessel", "marginal"])
+def test_verify_rejects_negative_seed(tmp_path, capsys, scope):
+    out = os.path.join(tmp_path, "verify")
+    assert cli.main(["verify", "--scope", scope, "--seed", "-1", "--out", out]) == 2
+    assert "error: seed must be a non-negative integer" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_version_flag():

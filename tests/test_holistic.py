@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -72,6 +71,23 @@ def test_scaled_posterior_flattens_at_high_temperature():
     post = ho.scaled_gallery_posterior(model, HAND_MEAN, temperature=1e6)
     assert post[0] == pytest.approx(0.5, abs=1e-5)
     assert post[-1] == pytest.approx(0.5, abs=1e-5)
+
+
+@pytest.mark.parametrize("d", [2, 16, 128])
+@pytest.mark.parametrize("k", [1, 7, 50])
+@pytest.mark.parametrize("temperature", [1.0, 20.0])
+def test_kl1_is_the_divergence_of_scaled_gallery_posterior(d, k, temperature):
+    # eval's kl1 and the P_T the temperature tests check are one posterior
+    rng = np.random.default_rng([d, k, int(temperature)])
+    model = random_model(rng, k=k, d=d, kappa_max=20.0 * d)
+    near = model.gallery.means[rng.integers(k, size=6)] + 0.1 * rng.standard_normal((6, d))
+    z = np.concatenate([near, rng.standard_normal((6, d))])
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    post = ho.scaled_gallery_posterior(model, z, temperature)[:, :-1]
+    log_post = np.log(post, out=np.zeros_like(post), where=post > 0.0)  # an underflowed term adds 0
+    expected = np.sum(post * (log_post - np.log((1.0 - model.beta) / k)), axis=1)
+    kl1 = ho.kl_components(model, z, rng.uniform(1.0, 100.0, size=12), temperature).kl1
+    np.testing.assert_allclose(kl1, expected, rtol=0.0, atol=1e-12)
 
 
 def test_kl_components_hand_values():
@@ -273,25 +289,6 @@ def test_mlp_predict_shapes_and_clipping():
     assert out == 1.0 - 1e-12
     arr = ho.mlp_predict(calib, np.zeros(3), np.zeros(3))
     assert arr.shape == (3,)
-
-
-def test_calibrator_json_round_trip():
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal((30, 2))
-    y = (x[:, 0] > 0).astype(float)
-    stats = ho.CalibrationStats(mean1=0.1, std1=1.2, mean2=-0.3, std2=0.8)
-    calib = ho.fit_mlp(x, y, config=ho.TrainingConfig(epochs=40), seed=2, stats=stats)
-    text = ho.calibrator_to_json(calib)
-    back = ho.calibrator_from_json(text)
-    assert back.seed == calib.seed
-    assert back.config == calib.config
-    assert back.stats == stats
-    probe = rng.standard_normal((5, 2))
-    np.testing.assert_array_equal(ho.mlp_predict(back, probe[:, 0], probe[:, 1]),
-                                  ho.mlp_predict(calib, probe[:, 0], probe[:, 1]))
-    # canonical form survives a second round trip byte for byte
-    assert ho.calibrator_to_json(back) == text
-    assert json.loads(text)["layer_sizes"] == [2, 16, 16, 1]
 
 
 def test_training_config_validates_every_field():
