@@ -1,25 +1,25 @@
 """On-disk protocol bundles: manifest.json plus records.jsonl.
 
-Records are one JSON object per line with sorted keys; floats are written
-with 17 significant digits (and -0 normalized to 0) so write -> read -> write
-is byte-identical and every vector survives bit-exactly. The manifest carries
+Records are one JSON object per line with sorted keys. Their floats are the
+shortest round-trip text, written by orjson (-0 as 0), so write -> read ->
+write is byte-identical and any JSON parser reads every vector back
+bit-exactly; the manifest keeps 17 significant digits. The manifest carries
 the schema version, the embedding dimension, record counts, the seeds that
 produced the protocol, and the gallery template membership map.
 
-The writer checks every value before it opens a file, formats the stacked
-vectors and pfe_sigma2 rows in blocks of 256 rows (one % call per block), and
-streams each record line to the file from a fixed template.
+The writer checks every value before it opens a file. The reader parses with
+orjson, which rejects NaN, Infinity, overflowing numbers and lone surrogates.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
 import warnings
 
 import numpy as np
+import orjson
 
 from .gallery import Gallery
 from .protocol import OsrProtocol, ProbeRecord
@@ -47,14 +47,6 @@ class BundleError(ValueError):
         self.code = code
 
 
-def _format_float(value: float) -> str:
-    if not math.isfinite(value):
-        raise ValueError(f"cannot serialize non-finite float {value!r}")
-    if value == 0.0:
-        value = 0.0  # collapse -0.0 so round trips stay byte-stable
-    return format(value, ".17g")
-
-
 def dumps_canonical(value) -> str:
     """Deterministic JSON: sorted keys, 17-significant-digit floats."""
     if value is None:
@@ -64,7 +56,9 @@ def dumps_canonical(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _format_float(float(value))
+        if not math.isfinite(value):
+            raise ValueError(f"cannot serialize non-finite float {value!r}")
+        return format(float(value) + 0.0, ".17g")  # + 0.0 folds -0 to 0, so round trips stay byte-stable
     if isinstance(value, str):
         return json.dumps(value, ensure_ascii=True)
     if isinstance(value, np.ndarray):
@@ -86,25 +80,28 @@ _RECORD_LINE = ('{"kappa":%s,"pfe_sigma2":%s,"role":%s,"sf_scale":%s,"split":%s,
                 '"subject_id":%s,"template_id":%s,"vector":%s}\n')
 
 
+def _scalar_text(value: float | None) -> str:
+    """Shortest round-trip text of an optional finite float, -0 as 0 (orjson would write NaN as null)."""
+    if value is not None and not math.isfinite(value):
+        raise ValueError(f"cannot serialize non-finite float {value!r}")
+    return orjson.dumps(None if value is None else float(value) + 0.0).decode("ascii")
+
+
 def _row_texts(rows: list, d: int, what: str):
-    """Check every entry now; return the rows' texts, formatted 256 rows per % call as read."""
+    """Check every entry now; return the rows' texts, formatted one row at a time as read."""
     matrix = np.vstack(rows, dtype=np.float64) if rows else np.empty((0, d))
     if not np.isfinite(matrix).all():
         raise ValueError(f"cannot serialize non-finite float in a {what}")
-    row = "[" + ",".join(["%.17g"] * matrix.shape[1]) + "]"
-    blocks = (matrix[i:i + 256] + 0.0 for i in range(0, len(matrix), 256))  # + 0.0 folds -0 to 0
-    return itertools.chain.from_iterable(
-        ("\n".join([row] * len(block)) % tuple(block.ravel().tolist())).split("\n") for block in blocks)
+    matrix += 0.0  # folds -0 to 0 in place: a copy would add a bundle-sized peak
+    return (orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY).decode("ascii") for row in matrix)
 
 
 def write_bundle(protocol: OsrProtocol, path: str) -> None:
     """Write a protocol to ``path`` (a directory, created if needed); a failed write writes no file."""
     gal = protocol.gallery
     order = sorted(range(gal.k), key=gal.class_ids.__getitem__)
-    probes = sorted(list(protocol.mated_probes) + list(protocol.nonmated_probes),
-                    key=lambda p: p.probe_id)
-    scalars = [tuple(dumps_canonical(None if v is None else float(v)) for v in (p.kappa, p.sf_scale))
-               for p in probes]
+    probes = sorted([*protocol.mated_probes, *protocol.nonmated_probes], key=lambda p: p.probe_id)
+    scalars = [(_scalar_text(p.kappa), _scalar_text(p.sf_scale)) for p in probes]
     vectors = _row_texts([gal.means[order]] + [p.mean for p in probes], gal.d, "vector")
     sigma2 = _row_texts([p.pfe_sigma2 for p in probes if p.pfe_sigma2 is not None], gal.d, "pfe_sigma2")
     manifest = dumps_canonical({
@@ -138,7 +135,7 @@ _REQUIRED_KEYS = frozenset(("template_id", "subject_id", "role", "split", "vecto
 
 
 def _is_number_list(raw) -> bool:
-    # json.loads yields exact types, so this rejects bools, strings and nested lists
+    # orjson.loads yields exact types and only finite floats: this rejects bools, strings, nested lists
     return isinstance(raw, list) and set(map(type, raw)) <= {int, float}
 
 
@@ -149,8 +146,6 @@ def _parse_vector(raw, d: int, line_no: int, template_id: str) -> np.ndarray:
     if vec.shape[0] != d:
         raise BundleError("dimension_mismatch",
                           f"line {line_no}: vector has dimension {vec.shape[0]}, manifest says {d}")
-    if not np.isfinite(vec).all():
-        raise BundleError("schema", f"line {line_no}: vector has non-finite entries")
     norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) <= NORM_ACCEPT:
         return vec
@@ -165,7 +160,7 @@ def _parse_vector(raw, d: int, line_no: int, template_id: str) -> np.ndarray:
 def _parse_optional_number(raw, name: str, line_no: int, positive: bool = False) -> float | None:
     if raw is None:
         return None
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)) or not math.isfinite(float(raw)):
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise BundleError("schema", f"line {line_no}: {name} must be a finite number or null")
     value = float(raw)
     if positive and value <= 0.0:
@@ -182,7 +177,7 @@ def read_bundle(path: str) -> OsrProtocol:
             raise BundleError("io", f"missing bundle file {p}")
     try:
         with open(manifest_path, encoding="ascii") as fh:
-            manifest = json.load(fh)
+            manifest = orjson.loads(fh.read())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise BundleError("schema", f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("schema_version") != SCHEMA_VERSION:
@@ -206,7 +201,7 @@ def read_bundle(path: str) -> OsrProtocol:
             if not line:
                 continue
             try:
-                rec = json.loads(line)
+                rec = orjson.loads(line)
             except json.JSONDecodeError as exc:
                 raise BundleError("schema", f"line {line_no}: not valid JSON") from exc
             if not isinstance(rec, dict) or rec.keys() != _REQUIRED_KEYS:
@@ -233,7 +228,7 @@ def read_bundle(path: str) -> OsrProtocol:
                 if not _is_number_list(sigma2):
                     raise BundleError("schema", f"line {line_no}: pfe_sigma2 must be an array of numbers")
                 sigma2 = np.asarray(sigma2, dtype=np.float64)
-                if not np.isfinite(sigma2).all() or (sigma2 <= 0.0).any():
+                if (sigma2 <= 0.0).any():
                     raise BundleError("schema", f"line {line_no}: pfe_sigma2 must be > 0")
             if role == "gallery":
                 if subject_id is None:

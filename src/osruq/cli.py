@@ -68,7 +68,7 @@ def _load_config(path: str) -> tuple[SynthConfig, float, int | None]:
             protocol_seed = _integer("protocol_seed", protocol_seed, 0)
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
-    if not isinstance(val_fraction, (int, float)) or not 0.0 <= val_fraction < 1.0:
+    if type(val_fraction) not in (int, float) or not 0.0 <= val_fraction < 1.0:  # a bool is neither
         raise ConfigError(f"val_fraction must be in [0, 1), got {val_fraction!r}")
     return config, float(val_fraction), protocol_seed
 

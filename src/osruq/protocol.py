@@ -51,6 +51,12 @@ class SynthConfig:
     def __post_init__(self):
         for name, minimum in (("d", 2), ("n_identities", 1), ("seed", 0)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
+        qlo, qhi = self.quality_kappa_range
+        for name, value in (("oog_fraction", self.oog_fraction), ("class_kappa", self.class_kappa),
+                            ("ambiguity", self.ambiguity), ("quality_kappa_range[0]", qlo),
+                            ("quality_kappa_range[1]", qhi)):
+            if isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, not a boolean")
         if not 0.0 < self.oog_fraction < 1.0:
             raise ValueError(f"oog_fraction must be in (0, 1), got {self.oog_fraction!r}")
         lo, hi = self.samples_per_identity
@@ -58,7 +64,6 @@ class SynthConfig:
         hi = _integer("samples_per_identity[1]", hi, lo)
         if not self.class_kappa > 0.0:  # inf allowed: no intra-class drift
             raise ValueError(f"class_kappa must be > 0, got {self.class_kappa!r}")
-        qlo, qhi = self.quality_kappa_range
         if not (np.isfinite(qlo) and np.isfinite(qhi) and 0.0 < qlo <= qhi):
             raise ValueError(f"invalid quality_kappa_range {self.quality_kappa_range!r}")
         if not 0.0 <= self.ambiguity <= 1.0:

@@ -4,8 +4,9 @@ import math
 import os
 
 import numpy as np
+import orjson
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from osruq import bundle as bd
 from osruq import cli
@@ -43,6 +44,23 @@ def test_float_serialization_round_trips_exactly(x):
         assert back == 0.0
     else:
         assert back == x
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
+@example(5e-324)
+@example(-2.2250738585072014e-308)
+@example(1e308)
+@example(-1e308)
+@settings(max_examples=500, deadline=None)
+def test_records_float_text_round_trips_exactly(x):
+    # the scalar path (kappa, sf_scale) and the row path (vector, pfe_sigma2)
+    scalar = bd._scalar_text(x)
+    (row,) = bd._row_texts([np.array([x, x])], 2, "vector")
+    for loads in (json.loads, orjson.loads):
+        back = np.array([loads(scalar)] + loads(row), dtype=np.float64)
+        want = np.float64(x + 0.0)  # -0 comes back as +0
+        assert back.tobytes() == np.full(3, want).tobytes()
 
 
 def small_protocol():
@@ -91,15 +109,20 @@ def test_write_is_byte_deterministic(tmp_path):
 
 
 def reference_records(proto):
-    """records.jsonl as one dumps_canonical(record) per line."""
+    """records.jsonl as one object per line: sorted keys, dumps_canonical strings and
+    orjson's float text, each float on its own, with -0 written as 0."""
+    def floats(values):
+        if values is None:
+            return "null"
+        texts = [orjson.dumps(float(v) + 0.0).decode("ascii") for v in np.ravel(values)]
+        return texts[0] if np.ndim(values) == 0 else "[" + ",".join(texts) + "]"
+
     def record(template_id, subject_id, role, split, vector, kappa, pfe_sigma2, sf_scale):
-        return bd.dumps_canonical({
-            "template_id": template_id, "subject_id": subject_id, "role": role, "split": split,
-            "vector": np.asarray(vector, dtype=np.float64).tolist(),
-            "kappa": None if kappa is None else float(kappa),
-            "pfe_sigma2": None if pfe_sigma2 is None else np.asarray(pfe_sigma2, dtype=np.float64).tolist(),
-            "sf_scale": None if sf_scale is None else float(sf_scale),
-        }) + "\n"
+        fields = {"template_id": bd.dumps_canonical(template_id), "subject_id": bd.dumps_canonical(subject_id),
+                  "role": bd.dumps_canonical(role), "split": bd.dumps_canonical(split),
+                  "vector": floats(vector), "kappa": floats(kappa), "pfe_sigma2": floats(pfe_sigma2),
+                  "sf_scale": floats(sf_scale)}
+        return "{" + ",".join(f'"{key}":{fields[key]}' for key in sorted(fields)) + "}\n"
 
     gal = proto.gallery
     lines = [record(c, c, "gallery", None, m, None, None, None)
@@ -138,7 +161,34 @@ def test_write_matches_canonical_records(tmp_path):
     path = os.path.join(tmp_path, "bundle")
     bd.write_bundle(proto, path)
     with open(os.path.join(path, bd.RECORDS_NAME), encoding="ascii") as fh:
-        assert fh.read() == reference_records(proto)
+        got = fh.read().split("\n")
+    want = reference_records(proto).split("\n")
+    # name the first differing line: a whole-file string diff of this size takes minutes
+    first = next((i for i, (a, b) in enumerate(zip(got, want), start=1) if a != b), None)
+    assert first is None, f"line {first} differs:\n{got[first - 1][:300]}\n{want[first - 1][:300]}"
+    assert len(got) == len(want)
+
+
+def test_stdlib_json_reads_the_same_bits_as_read_bundle(tmp_path):
+    # a d=128 bundle parsed line by line with the stdlib parser, as the benchmark's
+    # output checks do, gives the arrays that read_bundle returns, bit for bit
+    config = pr.SynthConfig(d=128, n_identities=40, oog_fraction=0.3, samples_per_identity=(4, 8),
+                            class_kappa=1200.0, quality_kappa_range=(16.0, 4000.0), ambiguity=0.3,
+                            seed=7)
+    path = os.path.join(tmp_path, "bundle")
+    bd.write_bundle(pr.generate_protocol(config), path)
+    gallery, probes, sigma2 = [], [], []
+    with open(os.path.join(path, bd.RECORDS_NAME), encoding="ascii") as fh:
+        for line in fh:
+            rec = json.loads(line)
+            (gallery if rec["role"] == "gallery" else probes).append(np.array(rec["vector"], dtype=np.float64))
+            if rec["pfe_sigma2"] is not None:
+                sigma2.append(np.array(rec["pfe_sigma2"], dtype=np.float64))
+    proto = bd.read_bundle(path)
+    records = sorted(proto.mated_probes + proto.nonmated_probes, key=lambda p: p.probe_id)
+    assert np.vstack(gallery).tobytes() == proto.gallery.means.tobytes()
+    assert np.vstack(probes).tobytes() == np.vstack([p.mean for p in records]).tobytes()
+    assert np.vstack(sigma2).tobytes() == np.vstack([p.pfe_sigma2 for p in records]).tobytes()
 
 
 @pytest.mark.parametrize("field", ["vector", "pfe_sigma2", "kappa", "sf_scale"])
@@ -251,6 +301,27 @@ def test_vector_validation_codes(tmp_path):
                 records=[gallery_row(vector=[1.0, 0.0, 0.0]), probe_row(), probe_row("n0", None)])
     expect_code(tmp_path, "schema",
                 records=[gallery_row(vector=[1.0, float("inf")]), probe_row(), probe_row("n0", None)])
+
+
+@pytest.mark.parametrize("old,new", [("0.6", "NaN"), ("0.6", "Infinity"), ("0.6", "1e400"),
+                                     ('"p0"', '"\\ud800"')],
+                         ids=["nan", "infinity", "overflow", "lone-surrogate"])
+def test_parser_rejects_non_finite_numbers_and_lone_surrogates(tmp_path, capsys, old, new):
+    # the stdlib parser accepts all four; orjson rejects each at parse time
+    path = os.path.join(tmp_path, "bundle")
+    write_raw(path, base_manifest(), [gallery_row(), probe_row(vector=(0.6, 0.8)), probe_row("n0", None)])
+    records = os.path.join(path, bd.RECORDS_NAME)
+    with open(records) as fh:
+        lines = fh.read().split("\n")
+    assert old in lines[1]
+    lines[1] = lines[1].replace(old, new, 1)
+    with open(records, "w") as fh:
+        fh.write("\n".join(lines))
+    with pytest.raises(bd.BundleError) as exc:
+        bd.read_bundle(path)
+    assert exc.value.code == "schema"
+    assert cli.main(["eval", "--bundle", path, "--out", os.path.join(tmp_path, "out")]) == 2
+    assert "error [schema]: line 2: not valid JSON" in capsys.readouterr().err
 
 
 def test_norm_tiers(tmp_path):

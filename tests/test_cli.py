@@ -89,6 +89,20 @@ def test_gen_rejects_bad_integer_fields(tmp_path, capsys, fields):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("fields", [
+    {"class_kappa": True}, {"oog_fraction": True}, {"ambiguity": False}, {"ambiguity": True},
+    {"quality_kappa_range": [True, 5.0]}, {"quality_kappa_range": [1.0, True]},
+    {"val_fraction": False}, {"val_fraction": True},
+])
+def test_gen_rejects_bools_in_number_fields(tmp_path, capsys, fields):
+    # isinstance(True, int) holds, so each of these used to generate with 1 or 0
+    config = write_config(tmp_path, preset="degraded", **fields)
+    out = os.path.join(tmp_path, "bundle")
+    assert cli.main(["gen", "--config", config, "--out", out]) == 2
+    assert next(iter(fields)) in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_config_may_set_every_synth_config_field(tmp_path):
     # integral floats are stored as ints
     fields = dict(d=8.0, n_identities=25, oog_fraction=0.3, samples_per_identity=[3.0, 5],

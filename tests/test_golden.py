@@ -6,7 +6,8 @@ run to run; these hashes can. The report hashes equal the table in
 on scipy's ``logsumexp`` (``vmf.logsumexp`` repeats its arithmetic), but they
 still depend on the last bits of numpy's ``log`` and row sums and of scipy's
 ``ive`` and ``gammaln``, as well as on this code, so CI pins the numpy and
-scipy versions.
+scipy versions. The ``records.jsonl`` hashes also depend on orjson's float
+text (shortest round trip), so CI pins orjson too.
 """
 
 import hashlib
@@ -21,17 +22,17 @@ from osruq.bundle import MANIFEST_NAME, RECORDS_NAME
 GOLDEN = {
     "ambiguous": {
         MANIFEST_NAME: "b55ef3df976b45851f2eaa207ec15396166d228bf114501b6b7164b2f707f45c",
-        RECORDS_NAME: "4c24574af6f1371b06150d9543d6732b2bbe7141aa5bab238bf3aaff23b0f03b",
+        RECORDS_NAME: "36c3df55a1dbd2b716786743c70308a1eb3e109c7cc22463951127dc05b1a3d7",
         "report.json": "7f3813a5e7585c71de6719c6f04e9683bb95f0f0c9155ad3dc4a67e39632e6ec",
     },
     "degraded": {
         MANIFEST_NAME: "c54ed116ba333111e26eabe540d16b195ab71b685460dece836da06cfc13e759",
-        RECORDS_NAME: "08f17bf0657cab7f93a153d2ac88e6a6c872b3ba45e7574c9c9ccc79acf4101d",
+        RECORDS_NAME: "1bcba0894430c7b2f09adc6b746763e4f8d302a6b1e07cae1551bda331a58544",
         "report.json": "d7e450c1b75946741c27500a519b64615a5977d1889c237c3afb0b379fd0155f",
     },
     "mixed": {
         MANIFEST_NAME: "a8b89dc2ec2cb2aacfae259e993e5d40acb2773c1e74a478cbd3ccd7572041ec",
-        RECORDS_NAME: "83ecf8cbc28e62eff12df7a57239d976f3126105d91b5349728cc30b8c52e40c",
+        RECORDS_NAME: "69597b7b8ed5c3b0f43f9127d49fce2f26fbb00f1692edddde1547a8b9c94e3f",
         "report.json": "047960da180a134c1b489f01c525be9a94ed55c3bd4eaa3f51087fba06b8d99d",
     },
 }
@@ -43,7 +44,7 @@ D128_CONFIG = {
 }
 D128_GOLDEN = {
     MANIFEST_NAME: "bdc8579e08a1e415afd31705d52bf07d62b80b303887efd3f9a642b4addec1f7",
-    RECORDS_NAME: "a4f75d6c470029dbf761282ef14b3dbc66bd6c64660d326461fa0ec2ba3d458b",
+    RECORDS_NAME: "2c222f2148cad492feecbf207e26c87958b8cd1c3336773ee560cc1a9ad145e5",
 }
 # verify.json of `osruq verify --scope all --seed 0`
 VERIFY_GOLDEN = "570c6f2f7e2dbb2c5fbd27be836c490dc0ba2175f3013c863e149eb8795032fd"
