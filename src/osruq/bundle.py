@@ -21,6 +21,7 @@ import warnings
 import numpy as np
 import orjson
 
+from . import vmf
 from .gallery import Gallery
 from .protocol import OsrProtocol, ProbeRecord
 
@@ -29,9 +30,8 @@ SCHEMA_VERSION = "1"
 MANIFEST_NAME = "manifest.json"
 RECORDS_NAME = "records.jsonl"
 
-# a vector this close to unit norm is accepted as-is; within the repair
-# tolerance it is renormalized with a warning; beyond that it is rejected
-NORM_ACCEPT = 1e-6
+# a vector within vmf.UNIT_NORM_ATOL of unit norm is accepted as-is; within
+# the repair tolerance it is renormalized with a warning; beyond that it is rejected
 NORM_REPAIR = 1e-3
 
 
@@ -146,8 +146,8 @@ def _parse_vector(raw, d: int, line_no: int, template_id: str) -> np.ndarray:
     if vec.shape[0] != d:
         raise BundleError("dimension_mismatch",
                           f"line {line_no}: vector has dimension {vec.shape[0]}, manifest says {d}")
-    norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) <= NORM_ACCEPT:
+    norm = float(vmf.row_norms(vec))  # the measure Gallery and cosines check
+    if abs(norm - 1.0) <= vmf.UNIT_NORM_ATOL:
         return vec
     if abs(norm - 1.0) <= NORM_REPAIR:
         warnings.warn(f"renormalizing template {template_id!r}: norm was {norm:.8f}",
@@ -195,8 +195,10 @@ def read_bundle(path: str) -> OsrProtocol:
 
     gallery_rows = {}
     probe_rows = {}
-    with open(records_path, encoding="ascii") as fh:
+    with open(records_path, encoding="ascii", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
+            if not line.isascii():  # a non-ASCII byte reads as a lone surrogate
+                raise BundleError("schema", f"line {line_no}: not ASCII text")
             line = line.strip()
             if not line:
                 continue

@@ -94,10 +94,10 @@ def _unwritable(out: str) -> str | None:
 def cmd_gen(args) -> int:
     try:
         config, val_fraction, protocol_seed = _load_config(args.config)
-    except ConfigError as exc:
+        protocol = generate_protocol(config, val_fraction=val_fraction, protocol_seed=protocol_seed)
+    except ValueError as exc:  # a ConfigError, or a config that leaves the gallery empty
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    protocol = generate_protocol(config, val_fraction=val_fraction, protocol_seed=protocol_seed)
     try:
         write_bundle(protocol, args.out)
     except OSError as exc:

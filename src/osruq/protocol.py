@@ -10,11 +10,12 @@ so identical seeds give identical corpora.
 
 The generator works one block of identities at a time. It makes the block's
 RNG calls in stream order, then computes the block's vMF geometry (the radial
-acceptance test included) on stacked rows, bit-equal to drawing one sample at
-a time through ``vmf._draw_one``. Where that path would take more from the
-stream, after a round of radial candidates that accepts none or for a
-degenerate tangent, the block replays from its saved stream state one draw at
-a time.
+acceptance test included) on stacked rows, bit-equal to drawing each sample
+in turn with ``vmf.sample_vmf(VmfParams(mean, kappa), rng, 1)``. Where that
+call would take more from the stream (after a round of radial candidates
+that accepts none, or for a degenerate tangent), the block is replayed from
+its saved stream state through that call, one draw at a time, so the corpus
+never depends on the block size.
 """
 
 from __future__ import annotations
@@ -73,21 +74,13 @@ class SynthConfig:
 
 
 @dataclass(frozen=True)
-class SyntheticSample:
-    sample_id: str
-    identity_id: str
-    vector: np.ndarray
-    kappa: float
-    pfe_sigma2: np.ndarray
-    sf_scale: float
-
-
-@dataclass(frozen=True)
 class SampleStore:
     config: SynthConfig
     identity_ids: tuple
     identity_means: np.ndarray
-    samples: dict  # identity_id -> tuple of SyntheticSample
+    # identity_id -> (vectors (m, d), kappa(x) (m,), pfe_sigma2 (m, d)): views into
+    # its block's arrays; sample j is named f"{identity_id}_s{j:02d}"
+    samples: dict
 
 
 @dataclass(frozen=True)
@@ -132,10 +125,7 @@ def _draw_block(rng: np.random.Generator, means: np.ndarray, config: SynthConfig
     of radial candidates and one normal row. The RNG calls go in stream order,
     per identity then per sample: n_samples, kappa(x), the latent draw (radial
     candidates then normal row; only for a finite class_kappa), the observed
-    draw, the sigma2 noise. The vMF geometry then runs on the block's stacked
-    rows, latents first, and is bit-equal to ``vmf._draw_one`` per draw. With
-    ``replay`` every draw goes through ``vmf._draw_one`` instead, which draws
-    again where a candidate round accepts nothing or a tangent is degenerate.
+    draw, the sigma2 noise. ``replay`` makes each draw through ``sample_vmf``.
     """
     d = config.d
     lo, hi = config.samples_per_identity
@@ -158,8 +148,8 @@ def _draw_block(rng: np.random.Generator, means: np.ndarray, config: SynthConfig
             kappa_x = float(np.exp(rng.uniform(log_qlo, log_qhi)))
             kappas.append(kappa_x)
             if replay:
-                latent = vmf._draw_one(rng, mean, class_kappa) if drift else mean
-                observed[r] = vmf._draw_one(rng, latent, kappa_x)
+                latent = vmf.sample_vmf(vmf.VmfParams(mean, class_kappa), rng, 1)[0] if drift else mean
+                observed[r] = vmf.sample_vmf(vmf.VmfParams(latent, kappa_x), rng, 1)[0]
             else:
                 if drift:
                     z[0, r], u[0, r] = vmf._radial_proposals(rng, d, m)
@@ -182,20 +172,11 @@ def _draw_block(rng: np.random.Generator, means: np.ndarray, config: SynthConfig
         if observed is None:
             return None
     sigma2 = (1.0 / kappa)[:, None] * (1.0 + noise[:r])
-    return counts, kappas, observed, sigma2
+    return counts, kappa, observed, sigma2
 
 
 def gen_synthetic(config: SynthConfig) -> SampleStore:
-    """Draw an identity/sample corpus; deterministic per config.seed.
-
-    Samples are drawn one block of identities at a time (``_draw_block``):
-    the RNG calls go in stream order and the vMF geometry is computed on the
-    block's stacked rows, bit-equal to drawing one sample at a time through
-    ``vmf._draw_one``. A block where that path would take more from the stream
-    (a round of radial candidates that accepts none, or a degenerate tangent)
-    is replayed from its saved stream state one draw at a time, so the corpus
-    never depends on the block size.
-    """
+    """Draw an identity/sample corpus, one block of identities at a time; deterministic per config.seed."""
     rng = np.random.default_rng(config.seed)
     d = config.d
     n = config.n_identities
@@ -223,17 +204,11 @@ def gen_synthetic(config: SynthConfig) -> SampleStore:
         if drawn is None:  # a draw needs more of the stream: redo the block one draw at a time
             rng.bit_generator.state = state
             drawn = _draw_block(rng, block, config, replay=True)
-        counts, kappas, observed, sigma2 = drawn
+        counts, kappa, observed, sigma2 = drawn
         r = 0
         for identity, n_samples in zip(identity_ids[start:start + step], counts):
-            samples[identity] = tuple(SyntheticSample(
-                sample_id=f"{identity}_s{j:02d}",
-                identity_id=identity,
-                vector=observed[r + j],
-                kappa=kappas[r + j],
-                pfe_sigma2=sigma2[r + j],
-                sf_scale=float(np.log(kappas[r + j])),
-            ) for j in range(n_samples))
+            rows = slice(r, r + n_samples)
+            samples[identity] = (observed[rows], kappa[rows], sigma2[rows])
             r += n_samples
     return SampleStore(config=config, identity_ids=identity_ids, identity_means=means, samples=samples)
 
@@ -255,49 +230,45 @@ def build_protocol(store: SampleStore, oog_fraction: float, val_fraction: float,
     ids = list(store.identity_ids)
     n = len(ids)
 
-    singletons = [i for i in ids if len(store.samples[i]) < 2]
-    eligible = [i for i in ids if len(store.samples[i]) >= 2]
+    singletons = [i for i in ids if len(store.samples[i][1]) < 2]
+    eligible = [i for i in ids if len(store.samples[i][1]) >= 2]
     n_oog = max(math.floor(oog_fraction * n), len(singletons))
     extra = n_oog - len(singletons)
     shuffled = [eligible[int(j)] for j in rng.permutation(len(eligible))]
     oog_ids = set(singletons) | set(shuffled[:extra])
     gallery_ids = sorted(set(ids) - oog_ids)
-    if not gallery_ids:
-        raise ValueError("no identities left for the gallery; lower oog_fraction")
+    if not gallery_ids:  # only when no identity has two samples
+        raise ValueError("every identity has a single sample, and an identity with a single "
+                         "sample cannot enter the gallery; raise samples_per_identity")
 
     gallery_means = []
     gallery_members = {}
-    mated = []
+    mated = []  # (identity, sample index, class_id) per probe
     for identity in gallery_ids:
-        records = store.samples[identity]
-        perm = rng.permutation(len(records))
-        n_gal = max(1, len(records) // 2)
-        members = sorted(records[j].sample_id for j in perm[:n_gal])
-        gallery_means.append(aggregate_template([records[j].vector for j in perm[:n_gal]]))
-        gallery_members[identity] = tuple(members)
-        for j in sorted(perm[n_gal:]):
-            rec = records[j]
-            mated.append((rec, identity))
-
-    nonmated = []
-    for identity in sorted(oog_ids):
-        for rec in store.samples[identity]:
-            nonmated.append((rec, None))
+        vectors = store.samples[identity][0]
+        perm = rng.permutation(len(vectors))
+        n_gal = max(1, len(vectors) // 2)
+        gallery_members[identity] = tuple(sorted(f"{identity}_s{j:02d}" for j in perm[:n_gal]))
+        gallery_means.append(aggregate_template(vectors[perm[:n_gal]]))
+        mated += [(identity, j, identity) for j in sorted(perm[n_gal:])]
+    nonmated = [(identity, j, None) for identity in sorted(oog_ids)
+                for j in range(len(store.samples[identity][1]))]
 
     def tag_splits(entries):
         n_val = math.floor(val_fraction * len(entries))
         perm = rng.permutation(len(entries))
         val_idx = set(int(j) for j in perm[:n_val])
         probes = []
-        for j, (rec, class_id) in enumerate(entries):
+        for e, (identity, j, class_id) in enumerate(entries):
+            vectors, kappa, sigma2 = store.samples[identity]
             probes.append(ProbeRecord(
-                probe_id=rec.sample_id,
+                probe_id=f"{identity}_s{j:02d}",
                 class_id=class_id,
-                mean=rec.vector,
-                kappa=rec.kappa,
-                pfe_sigma2=rec.pfe_sigma2,
-                sf_scale=rec.sf_scale,
-                split="validation" if j in val_idx else "test",
+                mean=vectors[j],
+                kappa=float(kappa[j]),
+                pfe_sigma2=sigma2[j],
+                sf_scale=float(np.log(kappa[j])),
+                split="validation" if e in val_idx else "test",
             ))
         return tuple(sorted(probes, key=lambda p: p.probe_id))
 

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, ive
 
-# Tolerance for vectors that claim to be unit norm already; matches the
-# bundle reader's accept tier so loaded vectors pass downstream validation.
+# Tolerance for vectors that claim to be unit norm already, on row_norms'
+# measure: the bundle reader's accept tier and Gallery's and cosines' check.
 UNIT_NORM_ATOL = 1e-6
 
 LOG_2PI = np.log(2.0 * np.pi)
@@ -30,7 +30,7 @@ def as_unit_vector(v, atol: float = UNIT_NORM_ATOL) -> np.ndarray:
         raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
     if v.shape[0] < 2:
         raise ValueError(f"dimension must be >= 2, got {v.shape[0]}")
-    norm = float(np.sqrt(np.dot(v, v)))  # the 1-d linalg.norm formula
+    norm = float(row_norms(v))
     if not np.isfinite(norm) or abs(norm - 1.0) > atol:
         raise ValueError(f"vector norm {norm!r} is not 1 within {atol}")
     return v
@@ -48,8 +48,9 @@ def as_unit_rows(v, atol: float = UNIT_NORM_ATOL) -> np.ndarray:
 
 
 def row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of (N, d): linalg.norm(axis=1)'s own formula, without its wrapper."""
-    return np.sqrt(np.add.reduce(rows * rows, axis=1))
+    """Euclidean norm of each row of (N, d), or of one vector (d,), with the same bits per row:
+    linalg.norm(axis=1)'s own formula, without its wrapper."""
+    return np.sqrt(np.add.reduce(rows * rows, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -261,7 +262,7 @@ def _radial_accept(z, u, kappa, d: int, b, x0, c):
 def _sample_radial(rng: np.random.Generator, kappa: float, d: int, n: int) -> np.ndarray:
     # Rejection sampler for the cosine w between a draw and the mean direction
     # (Ulrich's tangent-normal decomposition with Wood's envelope). The only one:
-    # _draw_rows runs the same envelope and test on one-draw rounds it stacks.
+    # _draw_rows runs the same envelope and test on stacked one-draw rounds of sample_vmf.
     envelope = _radial_envelope(kappa, d)
     out = np.empty(n)
     filled = 0
@@ -279,32 +280,17 @@ def _sample_radial(rng: np.random.Generator, kappa: float, d: int, n: int) -> np
     return out
 
 
-def _draw_one(rng: np.random.Generator, mean: np.ndarray, kappa: float) -> np.ndarray:
-    # sample_vmf(VmfParams(mean, kappa), rng, 1)[0] without the checks, for a unit
-    # float64 mean and kappa > 0: the same RNG calls and numpy float operations in
-    # the same order, so the draw is bit-equal. Norms are row_norms' np.add.reduce sums;
-    # a 1-d linalg.norm (a dot product) would change last bits. This is the reference
-    # that _draw_rows repeats on stacked draws, and the generator's replay path for a
-    # block where a draw takes more from the stream: a second round of radial
-    # candidates, or a resample of a degenerate tangent.
-    w = _sample_radial(rng, kappa, mean.shape[0], 1)[0]
-    g = rng.standard_normal((1, mean.shape[0]))
-    g -= (g @ mean)[:, None] * mean
-    norm = row_norms(g)[0]
-    v = g[0] / norm if norm >= 1e-12 else _unit_rows(g, rng, orthogonal_to=mean)[0]
-    out = w * mean + np.sqrt(max(1.0 - w * w, 0.0)) * v
-    return out / np.sqrt(np.add.reduce(out * out))
-
-
 def _draw_rows(means: np.ndarray, z: np.ndarray, u: np.ndarray, kappa, envelope, g: np.ndarray):
-    # _draw_one's float operations on N stacked draws. Draw r took the radial
-    # candidates z[r], u[r] (one _radial_proposals call) and then the normal row
-    # g[r] from the stream; kappa and the envelope's (b, x0, c) are scalars or
-    # (N, 1) columns. Row r is then bit-equal to _draw_one(rng, means[r], kappa):
-    # the acceptance test is elementwise, np.vecdot is the per-row (1, d) @ (d,)
-    # product and row_norms sums each row of a stack as it sums one row. Returns
-    # None when a draw accepted no candidate or has a degenerate tangent, where
-    # _draw_one would take more from the stream.
+    # sample_vmf's float operations on N stacked one-draw calls. Draw r took the
+    # radial candidates z[r], u[r] (one _radial_proposals call) and then the
+    # normal row g[r] from the stream; kappa and the envelope's (b, x0, c) are
+    # scalars or (N, 1) columns. Row r is then bit-equal to
+    # sample_vmf(VmfParams(means[r], kappa), rng, 1)[0]: the acceptance test is
+    # elementwise, np.vecdot is the per-row (1, d) @ (d,) product and row_norms
+    # sums each row of a stack as it sums one row (a 1-d linalg.norm, a dot
+    # product, would change last bits). Returns None when a draw accepted no
+    # candidate or has a degenerate tangent, where sample_vmf would take more
+    # from the stream.
     w, accept = _radial_accept(z, u, kappa, means.shape[1], *envelope)
     rows = np.arange(len(means))
     first = accept.argmax(axis=1)

@@ -324,6 +324,17 @@ def test_parser_rejects_non_finite_numbers_and_lone_surrogates(tmp_path, capsys,
     assert "error [schema]: line 2: not valid JSON" in capsys.readouterr().err
 
 
+def test_eval_reports_a_non_ascii_byte_as_a_schema_error(tmp_path, capsys):
+    path = os.path.join(tmp_path, "latin")
+    write_raw(path, base_manifest(), [gallery_row()])
+    with open(os.path.join(path, bd.RECORDS_NAME), "ab") as fh:  # one probe, template_id "p\u00e9"
+        fh.write(json.dumps(probe_row("p\u00e9"), ensure_ascii=False).encode("utf-8") + b"\n")
+    out = os.path.join(tmp_path, "out")
+    assert cli.main(["eval", "--bundle", path, "--out", out]) == 2
+    assert "error [schema]: line 2: not ASCII text" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_norm_tiers(tmp_path):
     # within 1e-6 of unit: accepted bit for bit
     eps_vec = [1.0 + 5e-7, 0.0]

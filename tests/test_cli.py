@@ -4,6 +4,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from osruq import cli, vmf
@@ -118,6 +119,16 @@ def test_config_may_set_every_synth_config_field(tmp_path):
     assert read_bundle(out).gallery.d == 8
 
 
+def test_gen_with_one_sample_per_identity_is_a_config_error(tmp_path, capsys):
+    # no identity can enter the gallery, whatever oog_fraction says
+    config = write_config(tmp_path, preset="degraded", samples_per_identity=[1, 1])
+    out = os.path.join(tmp_path, "bundle")
+    assert cli.main(["gen", "--config", config, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "a single sample cannot enter the gallery" in err
+    assert not os.path.exists(out)
+
+
 def make_bundle(tmp_path, **overrides):
     config = small_config(tmp_path, **overrides)
     out = os.path.join(tmp_path, "bundle")
@@ -157,6 +168,29 @@ def test_eval_outputs(tmp_path, capsys):
         for kind in ("oracle", "random"):
             rel = block["reference_curves"][metric][kind]
             assert os.path.isfile(os.path.join(out, rel))
+
+
+def test_eval_repairs_a_gallery_row_just_past_the_unit_norm_tolerance(tmp_path):
+    # the reader measures a norm as Gallery does, so a row Gallery would reject
+    # is renormalized on reading rather than accepted as it is
+    w = np.random.default_rng(0).standard_normal((31, 16))[30]
+    v = w / vmf.row_norms(w[None])[0] * (1.0 + 1e-6 + 2.2e-16)
+    # a 1-d np.linalg.norm puts v inside the tolerance, row_norms outside
+    assert np.linalg.norm(v) - 1.0 <= vmf.UNIT_NORM_ATOL < vmf.row_norms(v[None])[0] - 1.0
+    bundle = os.path.join(tmp_path, "bundle")
+    assert cli.main(["gen", "--config", write_config(tmp_path, preset="degraded"), "--out", bundle]) == 0
+    records = os.path.join(bundle, "records.jsonl")
+    with open(records) as fh:
+        lines = fh.read().splitlines(keepends=True)
+    first = json.loads(lines[0])
+    assert first["role"] == "gallery"
+    lines[0] = json.dumps(dict(first, vector=v.tolist())) + "\n"
+    with open(records, "w") as fh:
+        fh.writelines(lines)
+    with pytest.warns(UserWarning, match="renormalizing"):
+        code = cli.main(["eval", "--bundle", bundle, "--out", os.path.join(tmp_path, "eval"),
+                         "--fpir", "0.1", "--methods", "AccScr,GalUE"])
+    assert code == 0
 
 
 def test_eval_defaults_to_three_targets(tmp_path):

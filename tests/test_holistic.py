@@ -356,3 +356,67 @@ def test_fit_mlp_matches_reference_trainer(n, hidden):
     assert all(a.tobytes() == b.tobytes()
                for a, b in zip(calib.weights + calib.biases, again.weights + again.biases))
     assert again.final_loss == calib.final_loss
+
+
+# --- posterior, kl1 and kl2 at large d against an mpmath reference ---
+
+# (d, K, gallery kappa, temperature): the README's domain goes to d=512 and kappa 1e5
+LARGE_D_CASES = [(128, 5, 300.0, 1.0), (128, 200, 1e5, 20.0), (512, 5, 1e5, 1.0), (512, 200, 3000.0, 20.0)]
+
+
+def mp_log_c_d(mp, d, kappa):
+    order = mp.mpf(d) / 2 - 1
+    return order * mp.log(kappa) - mp.mpf(d) / 2 * mp.log(2 * mp.pi) - mp.log(mp.besseli(order, kappa))
+
+
+def mp_reference(mp, model, z, kappa_x, temperature):
+    """posterior, kl1 and kl2 of each probe straight from the formulas in kl_from_terms."""
+    d, k = model.gallery.d, model.gallery.k
+    beta, kappa, t = mp.mpf(model.beta), mp.mpf(model.kappa), mp.mpf(temperature)
+    log_prior = mp.log((1 - beta) / k)
+    log_c = mp_log_c_d(mp, d, kappa)
+    log_oog = mp.log(beta) - (mp.log(2) + mp.mpf(d) / 2 * mp.log(mp.pi) - mp.loggamma(mp.mpf(d) / 2))
+    means = [[mp.mpf(float(x)) for x in row] for row in model.gallery.means]
+    out = []
+    for row, kx in zip(z, kappa_x):
+        zm = [mp.mpf(float(x)) for x in row]
+        terms = [log_prior + log_c + kappa * mp.fdot(mu, zm) for mu in means] + [log_oog]
+        log_marg = mp.log(mp.fsum(mp.exp(x) for x in terms))
+        log_norm_t = mp.log(mp.fsum(mp.exp(x / t) for x in terms))
+        log_post_t = [x / t - log_norm_t for x in terms[:-1]]
+        kl1 = mp.fsum(mp.exp(lp) * (lp - log_prior) for lp in log_post_t)
+        log_self = mp_log_c_d(mp, d, mp.mpf(float(kx))) + mp.mpf(float(kx))
+        kl2 = mp.exp(log_oog - log_marg) * ((1 / t - 1) * log_oog + log_self - log_marg)
+        out.append(([float(mp.exp(x - log_marg)) for x in terms], float(kl1), float(kl2)))
+    return out
+
+
+@pytest.mark.parametrize("d,k,kappa,temperature", LARGE_D_CASES)
+def test_scores_at_large_d_match_an_mpmath_reference(d, k, kappa, temperature):
+    mp = pytest.importorskip("mpmath").mp
+    rng = np.random.default_rng(d + k)
+    means = rng.standard_normal((k, d))
+    model = ga.GalleryModel(ga.Gallery(tuple(f"c{i}" for i in range(k)), means / vmf.row_norms(means)[:, None]),
+                            kappa=kappa, beta=0.5)
+    tau = ga.equivalent_threshold(model)
+
+    def at_cosine(mean, c):
+        tangent = rng.standard_normal(d)
+        tangent -= (tangent @ mean) * mean
+        return c * mean + math.sqrt(1.0 - c * c) * tangent / np.linalg.norm(tangent)
+
+    # probes at class 0's decision threshold and 3/kappa either side of it (posteriors
+    # split between class 0 and out-of-gallery), one past class 1's, one far from every class
+    z = np.array([at_cosine(model.gallery.means[0], tau + s / kappa) for s in (-3.0, 0.0, 3.0)]
+                 + [at_cosine(model.gallery.means[1], tau + 10.0 / kappa), random_unit(rng, d)])
+    kappa_x = np.array([16.0, 300.0, 4000.0, 1e5, 50.0])
+    comps = ho.kl_components(model, z, kappa_x, temperature)
+    posterior = ga.posterior(model, z)
+    # fixed before any run: relative, floored at 1 (oracle._deviation's rule)
+    deviation = lambda a, b: float(np.max(np.abs(np.asarray(a) - b) / np.maximum(1.0, np.abs(b))))
+    with mp.workdps(60):
+        reference = mp_reference(mp, model, z, kappa_x, temperature)
+    for i, (post, kl1, kl2) in enumerate(reference):
+        assert deviation(posterior[i], np.array(post)) <= 1e-9
+        assert deviation(comps.kl1[i], kl1) <= 1e-9
+        assert deviation(comps.kl2[i], kl2) <= 1e-9

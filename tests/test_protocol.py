@@ -39,23 +39,24 @@ def test_gen_synthetic_shapes_and_determinism():
     assert store.identity_means.shape == (40, 6)
     np.testing.assert_allclose(np.linalg.norm(store.identity_means, axis=1), 1.0, atol=1e-9)
     lo, hi = cfg.samples_per_identity
+    assert set(store.samples) == set(store.identity_ids)
     for identity in store.identity_ids:
-        records = store.samples[identity]
-        assert lo <= len(records) <= hi
-        for rec in records:
-            assert rec.identity_id == identity
-            assert np.linalg.norm(rec.vector) == pytest.approx(1.0, abs=1e-9)
-            assert 5.0 <= rec.kappa <= 200.0
-            assert rec.pfe_sigma2.shape == (6,)
-            assert np.all(rec.pfe_sigma2 > 0)
-            # variances scatter within 10% of the reciprocal concentration
-            np.testing.assert_allclose(rec.pfe_sigma2 * rec.kappa, 1.0, atol=0.1 + 1e-12)
-            assert rec.sf_scale == pytest.approx(math.log(rec.kappa))
+        vectors, kappa, sigma2 = store.samples[identity]
+        m = len(kappa)
+        assert lo <= m <= hi
+        assert vectors.shape == (m, 6) and kappa.shape == (m,) and sigma2.shape == (m, 6)
+        np.testing.assert_allclose(np.linalg.norm(vectors, axis=1), 1.0, atol=1e-9)
+        assert np.all((5.0 <= kappa) & (kappa <= 200.0))
+        assert np.all(sigma2 > 0)
+        # variances scatter within 10% of the reciprocal concentration
+        np.testing.assert_allclose(sigma2 * kappa[:, None], 1.0, atol=0.1 + 1e-12)
+    # an identity's arrays are views into its block's arrays, not copies
+    first, second = store.samples["id0000"], store.samples["id0001"]
+    assert all(a.base is not None and a.base is b.base for a, b in zip(first, second))
     again = pr.gen_synthetic(cfg)
     for identity in store.identity_ids:
         for a, b in zip(store.samples[identity], again.samples[identity]):
-            np.testing.assert_array_equal(a.vector, b.vector)
-            assert a.kappa == b.kappa
+            np.testing.assert_array_equal(a, b)
 
 
 def test_gen_synthetic_plants_ambiguous_pairs():
@@ -84,8 +85,7 @@ def test_infinite_class_kappa_centers_on_identity_mean():
     store = pr.gen_synthetic(cfg)
     for identity in store.identity_ids[:5]:
         idx = store.identity_ids.index(identity)
-        for rec in store.samples[identity]:
-            assert float(rec.vector @ store.identity_means[idx]) > 0.999
+        assert np.all(store.samples[identity][0] @ store.identity_means[idx] > 0.999)
 
 
 def test_probe_record_split_validation():
@@ -104,15 +104,22 @@ def test_build_protocol_partition():
     assert len(oog_ids) >= math.floor(0.3 * 40)
     # singleton identities can never field both a template and a probe
     for identity in store.identity_ids:
-        if len(store.samples[identity]) < 2:
+        if len(store.samples[identity][1]) < 2:
             assert identity not in gallery_ids
 
-    all_samples = {rec.sample_id: rec for recs in store.samples.values() for rec in recs}
+    def sample(probe_id):
+        identity, j = probe_id.split("_s")
+        return [a[int(j)] for a in store.samples[identity]]
+
+    for probe in proto.mated_probes + proto.nonmated_probes:
+        vector, kappa, sigma2 = sample(probe.probe_id)
+        assert probe.mean.tobytes() == vector.tobytes() and probe.pfe_sigma2.tobytes() == sigma2.tobytes()
+        assert type(probe.kappa) is float and type(probe.sf_scale) is float
+        assert probe.kappa == kappa and probe.sf_scale == float(np.log(kappa))
     for probe in proto.mated_probes:
         assert probe.class_id in gallery_ids
         assert probe.probe_id not in proto.gallery_members[probe.class_id]
         assert probe.split in ("validation", "test")
-        np.testing.assert_array_equal(probe.mean, all_samples[probe.probe_id].vector)
     for probe in proto.nonmated_probes:
         assert probe.class_id is None
         owner = probe.probe_id.split("_")[0]
@@ -120,7 +127,7 @@ def test_build_protocol_partition():
 
     # gallery templates aggregate roughly half of each identity's samples
     for identity in gallery_ids:
-        n = len(store.samples[identity])
+        n = len(store.samples[identity][1])
         assert len(proto.gallery_members[identity]) == max(1, n // 2)
 
     # probes come back sorted by id
@@ -183,8 +190,12 @@ def test_meta_types_are_plain_python():
 
 # --- the blocked generator against the one-draw-at-a-time loop it replaced ---
 
+def draw_one(rng, mean, kappa):
+    return vmf.sample_vmf(vmf.VmfParams(mean, kappa), rng, 1)[0]
+
+
 def per_draw_reference(config, rng):
-    """gen_synthetic's per-draw loop, every vMF draw through vmf._draw_one in
+    """gen_synthetic's per-draw loop, every vMF draw through sample_vmf in
     turn: (identity means, samples as bytes, the stream's final state)."""
     d, n = config.d, config.n_identities
     means = vmf._unit_rows(rng.standard_normal((n, d)), rng)
@@ -204,11 +215,11 @@ def per_draw_reference(config, rng):
         records = []
         for _ in range(int(rng.integers(lo, hi + 1))):
             kappa_x = float(np.exp(rng.uniform(np.log(qlo), np.log(qhi))))
-            latent = (vmf._draw_one(rng, means[i], config.class_kappa)
+            latent = (draw_one(rng, means[i], config.class_kappa)
                       if np.isfinite(config.class_kappa) else means[i])
-            observed = vmf._draw_one(rng, latent, kappa_x)
+            observed = draw_one(rng, latent, kappa_x)
             sigma2 = (1.0 / kappa_x) * (1.0 + rng.uniform(-0.1, 0.1, size=d))
-            records.append((observed.tobytes(), kappa_x, sigma2.tobytes(), float(np.log(kappa_x))))
+            records.append((observed.tobytes(), kappa_x, sigma2.tobytes()))
         samples[f"id{i:04d}"] = records
     return means.tobytes(), samples, rng.bit_generator.state
 
@@ -218,16 +229,17 @@ def blocked(config, monkeypatch, make_rng=np.random.default_rng):
     made = []
 
     def default_rng(seed):
+        if isinstance(seed, np.random.Generator):  # sample_vmf on a replayed block's stream
+            return seed
         made.append(make_rng(seed))
         return made[-1]
 
     with monkeypatch.context() as m:
         m.setattr(np.random, "default_rng", default_rng)
         store = pr.gen_synthetic(config)
-    samples = {identity: [(s.vector.tobytes(), s.kappa, s.pfe_sigma2.tobytes(), s.sf_scale)
-                          for s in records] for identity, records in store.samples.items()}
-    for records in samples.values():
-        assert all(type(kappa) is float and type(sf) is float for _, kappa, _, sf in records)
+    samples = {identity: [(v.tobytes(), float(k), s.tobytes()) for v, k, s in zip(*arrays)]
+               for identity, arrays in store.samples.items()}
+    assert len(made) == 1
     return store.identity_means.tobytes(), samples, made[0].bit_generator.state
 
 
@@ -239,7 +251,7 @@ def test_blocked_generator_equals_the_per_draw_loop(monkeypatch, d, class_kappa,
                           quality_kappa_range=(2.0, 4000.0), samples_per_identity=(1, 6))
     expected = per_draw_reference(config, np.random.default_rng(config.seed))
     monkeypatch.setattr(pr, "_BLOCK_ELEMENTS", block_elements)
-    monkeypatch.setattr(vmf, "_draw_one", lambda *args: pytest.fail("replayed a block"))
+    monkeypatch.setattr(vmf, "sample_vmf", lambda *args: pytest.fail("replayed a block"))
     assert blocked(config, monkeypatch) == expected
 
 
@@ -289,9 +301,9 @@ def test_a_draw_that_needs_more_of_the_stream_replays_its_block(monkeypatch, cla
     assert expected != per_draw_reference(config, _SpoiledAt(config.seed, kind))
 
     calls = []
-    draw_one = vmf._draw_one
-    monkeypatch.setattr(vmf, "_draw_one", lambda *args: calls.append(args) or draw_one(*args))
+    sample_vmf = vmf.sample_vmf
+    monkeypatch.setattr(vmf, "sample_vmf", lambda *args: calls.append(args) or sample_vmf(*args))
     assert blocked(config, monkeypatch, lambda seed: _SpoiledAt(seed, kind, at)) == expected
-    # only the replayed block went through _draw_one: at most three identities
+    # only the replayed block went through sample_vmf: at most three identities
     # of four samples, two draws each
     assert 0 < len(calls) <= 24

@@ -129,6 +129,14 @@ def test_as_unit_vector_tolerance():
         vmf.as_unit_vector(v * 1.001)
     with pytest.raises(ValueError):
         vmf.as_unit_vector(np.zeros(3))
+    # one measure for a vector and a stack: this one is just past the tolerance
+    # on row_norms and inside it on a 1-d np.linalg.norm
+    w = np.random.default_rng(0).standard_normal((31, 16))[30]
+    edge = w / vmf.row_norms(w[None])[0] * (1.0 + 1e-6 + 2.2e-16)
+    assert np.linalg.norm(edge) - 1.0 <= vmf.UNIT_NORM_ATOL
+    for check in (vmf.as_unit_vector, lambda v: vmf.as_unit_rows(v[None])):
+        with pytest.raises(ValueError):
+            check(edge)
 
 
 def test_sample_vmf_rows_are_unit(rng):
@@ -188,14 +196,17 @@ def random_mean(d: int) -> np.ndarray:
 @pytest.mark.parametrize("d", [2, 3, 16, 128, 512])
 @pytest.mark.parametrize("kappa", [1e-3, 1.0, 150.0, 1e5])
 def test_one_draw_path_matches_sample_vmf(d, kappa):
-    # the generator's one-draw path must give the same bits and leave the
-    # stream in the same state as the public sampler
+    # the generator's stacked path on one draw, given the radial candidates and
+    # the normal row it takes from a stream, must give the same bits and leave
+    # the stream in the same state as the public sampler
     mean = random_mean(d)
     a = np.random.default_rng(d + 7)
     b = np.random.default_rng(d + 7)
     for _ in range(25):
         expected = vmf.sample_vmf(vmf.VmfParams(mean, kappa), a, 1)[0]
-        got = vmf._draw_one(b, mean, kappa)
+        z, u = vmf._radial_proposals(b, d, vmf._RADIAL_CANDIDATES)
+        g = b.standard_normal((1, d))
+        got = vmf._draw_rows(mean[None], z[None], u[None], kappa, vmf._radial_envelope(kappa, d), g)[0]
         assert got.tobytes() == expected.tobytes()
         assert b.bit_generator.state == a.bit_generator.state
         mean = got  # chain draws, as the generator does with its latent means
@@ -211,10 +222,12 @@ def test_stacked_row_products_and_norms_equal_per_row_bits(d):
         assert np.vecdot(g, means).tobytes() == per_row.tobytes()
         per_row = np.array([vmf.row_norms(g[r:r + 1])[0] for r in range(rows)])
         assert vmf.row_norms(g).tobytes() == per_row.tobytes()
+        per_vector = np.array([vmf.row_norms(g[r]) for r in range(rows)])
+        assert per_vector.tobytes() == per_row.tobytes()
 
 
 def stacked_draws(d, kappas, seeds):
-    """The candidates and normal row each _draw_one(default_rng(seed), ...) takes."""
+    """The candidates and normal row each sample_vmf(..., seed, 1) takes."""
     m = vmf._RADIAL_CANDIDATES
     z, u, g = np.empty((len(seeds), m)), np.empty((len(seeds), m)), np.empty((len(seeds), d))
     for r, seed in enumerate(seeds):
@@ -228,17 +241,17 @@ def stacked_draws(d, kappas, seeds):
 @pytest.mark.parametrize("kappa", [1e-3, 1.0, 150.0, 1e5])
 def test_stacked_draws_match_the_one_draw_path(d, kappa):
     # row r of _draw_rows, given the radial candidates and the normal row that
-    # _draw_one takes from a stream, is that stream's _draw_one bit for bit,
-    # with one concentration for every row and with one per row
+    # a one-draw sample_vmf takes from a stream, is that call's draw bit for
+    # bit, with one concentration for every row and with one per row
     means = np.random.default_rng(d).standard_normal((9, d))
     means /= np.linalg.norm(means, axis=1, keepdims=True)
-    expected = [vmf._draw_one(np.random.default_rng(r), means[r], kappa) for r in range(9)]
+    expected = [vmf.sample_vmf(vmf.VmfParams(means[r], kappa), r, 1)[0] for r in range(9)]
     z, u, g = stacked_draws(d, [kappa] * 9, range(9))
     got = vmf._draw_rows(means, z, u, kappa, vmf._radial_envelope(kappa, d), g)
     assert got.tobytes() == np.array(expected).tobytes()
 
     kappas = [kappa * (1.0 + 0.5 * r) for r in range(9)]
-    expected = [vmf._draw_one(np.random.default_rng(r), means[r], k) for r, k in enumerate(kappas)]
+    expected = [vmf.sample_vmf(vmf.VmfParams(means[r], k), r, 1)[0] for r, k in enumerate(kappas)]
     z, u, g = stacked_draws(d, kappas, range(9))
     envelope = np.array([vmf._radial_envelope(k, d) for k in kappas]).T[:, :, None]
     got = vmf._draw_rows(means, z, u, np.array(kappas)[:, None], envelope, g)
@@ -305,11 +318,19 @@ class _FirstNormalIsMean(np.random.Generator):
 
 
 def test_one_draw_path_resamples_a_degenerate_tangent_like_sample_vmf():
+    # _draw_rows refuses a tangent that projects to zero (see below), so the
+    # generator replays it through sample_vmf, which draws one more normal row
     mean = np.array([0.6, 0.8, 0.0])
-    expected = vmf.sample_vmf(vmf.VmfParams(mean, 5.0), _FirstNormalIsMean(3, mean), 1)[0]
-    got = vmf._draw_one(_FirstNormalIsMean(3, mean), mean, 5.0)
-    assert got.tobytes() == expected.tobytes()
+    stream = _FirstNormalIsMean(3, mean)
+    got = vmf.sample_vmf(vmf.VmfParams(mean, 5.0), stream, 1)[0]
+    reference = np.random.Generator(np.random.PCG64(3))
+    w = vmf._sample_radial(reference, 5.0, 3, 1)[0]
+    fresh = reference.standard_normal(3)
+    assert stream.bit_generator.state == reference.bit_generator.state
     assert abs(float(np.linalg.norm(got)) - 1.0) < 1e-12
+    tangent = fresh - (fresh @ mean) * mean
+    expected = w * mean + np.sqrt(1.0 - w * w) * tangent / np.linalg.norm(tangent)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
 # --- vmf.logsumexp repeats scipy.special.logsumexp's arithmetic bit for bit ---
