@@ -256,10 +256,16 @@ def read_bundle(path: str) -> OsrProtocol:
         raise BundleError("schema", "bundle contains no gallery records")
     ordered = sorted(gallery_rows)
     subjects = [gallery_rows[t][0] for t in ordered]
-    if len(set(subjects)) != len(subjects):
+    enrolled = set(subjects)
+    if len(enrolled) != len(subjects):
         raise BundleError("duplicate_id", "two gallery templates share a subject_id")
     gallery = Gallery(class_ids=tuple(subjects),
                       means=np.vstack([gallery_rows[t][1] for t in ordered]))
+
+    stray = sorted(t for t, p in probe_rows.items() if p.class_id is not None and p.class_id not in enrolled)
+    if stray:
+        raise BundleError("schema", f"probe {stray[0]!r}: subject_id {probe_rows[stray[0]].class_id!r} "
+                                    "names no gallery subject; a non-mated probe takes subject_id null")
 
     counts = sections["counts"]
     mated = tuple(p for _, p in sorted(probe_rows.items()) if p.class_id is not None)

@@ -126,15 +126,11 @@ def row_blocks(n_rows: int, k: int) -> list:
 
 
 def cosines(gallery: Gallery, z) -> np.ndarray:
-    """Cosine of each probe with each class mean: (d,) -> (K,), (N, d) -> (N, K).
-
-    One matrix-vector product per row, so each row has the bits of a
-    single-probe call (a matrix-matrix product would not).
-    """
+    """Cosine of each probe with each class mean: (d,) -> (K,), (N, d) -> (N, K)."""
     z = vmf.as_unit_rows(z)
     if z.shape[-1] != gallery.d:
         raise ValueError(f"dimension mismatch: gallery d={gallery.d}, z d={z.shape[-1]}")
-    return np.matmul(gallery.means, z[..., None])[..., 0]
+    return z @ gallery.means.T
 
 
 def terms_from_cosines(model: GalleryModel, cos: np.ndarray) -> np.ndarray:

@@ -100,14 +100,7 @@ def kl_from_terms(model: GalleryModel, terms: np.ndarray, log_self, temperature:
     log_marg = vmf.logsumexp(terms)
 
     log_prior = np.log((1.0 - model.beta) / model.gallery.k)
-    post_t = np.exp(log_post_t)
-    parts = post_t * (log_post_t - log_prior)
-    active = post_t > 0.0
-    kl1 = parts.sum(axis=1)
-    # a row with underflowed entries sums only the others: numpy groups its
-    # pairwise sum by position, so zeros left in would move the rounding
-    for i in np.flatnonzero(~active.all(axis=1)):
-        kl1[i] = np.sum(parts[i][active[i]])
+    kl1 = (np.exp(log_post_t) * (log_post_t - log_prior)).sum(axis=1)  # underflowed entries add exact zeros
 
     log_oog = terms[:, -1]  # log(beta / surface_area)
     bracket = (1.0 / float(temperature) - 1.0) * log_oog + log_self - log_marg
@@ -293,16 +286,9 @@ def fit_mlp(features, labels, config: TrainingConfig = TrainingConfig(), seed: i
 
 
 def mlp_predict(calibrator: MlpCalibrator, kl1n, kl2n) -> float | np.ndarray:
-    """Predicted probability that the decision is correct, in (0, 1).
-
-    Each row goes through the net as a (1, 2) input of its own: a batch then
-    has the bits of one call per probe, which one (N, 2) product does not.
-    """
+    """Predicted probability that the decision is correct, in (0, 1)."""
     x = np.column_stack([np.atleast_1d(np.asarray(kl1n, dtype=np.float64)),
                          np.atleast_1d(np.asarray(kl2n, dtype=np.float64))])
-    logits = _forward(calibrator.weights, calibrator.biases, x[:, None, :])
-    probs = np.clip(_sigmoid(logits[:, 0, 0]), 1e-12, 1.0 - 1e-12)
-    if np.ndim(kl1n) == 0:
-        return float(probs[0])
-    return probs
+    probs = np.clip(_sigmoid(_forward(calibrator.weights, calibrator.biases, x)[:, 0]), 1e-12, 1.0 - 1e-12)
+    return float(probs[0]) if np.ndim(kl1n) == 0 else probs
 

@@ -1,4 +1,4 @@
-"""The batch scoring path gives the same bits as one probe at a time."""
+"""The batch scoring path agrees with one probe at a time up to rounding."""
 
 import math
 
@@ -11,6 +11,15 @@ from osruq import gallery as ga
 from osruq import holistic as ho
 from osruq import metrics as mt
 from osruq import protocol as pr
+
+
+# the one tolerance, relative and absolute, at which a batch row agrees with its
+# single-probe call; the widest gap seen is about 2e-14 relative (log terms)
+TOLERANCE = 1e-12
+
+
+def agree(batch, single):
+    np.testing.assert_allclose(batch, single, rtol=TOLERANCE, atol=TOLERANCE)
 
 
 def preset_probes(d: int, n_identities: int = 60):
@@ -38,16 +47,16 @@ def test_batch_rows_equal_scalar_calls(d, kappa):
     assert np.array_equal(stacked.kl1, kl1) and np.array_equal(stacked.kl2, kl2)
 
     for i, p in enumerate(probes):
-        assert np.array_equal(cos[i], gal.means @ p.mean)
-        assert cos[i].max() == bl.acc_score(gal, p.mean)
-        assert np.array_equal(terms[i], ga.log_joint_terms(model, p.mean))
-        assert log_marg[i] == ga.log_marginal(model, p.mean)
+        agree(cos[i], gal.means @ p.mean)
+        agree(cos[i].max(), bl.acc_score(gal, p.mean))
+        agree(terms[i], ga.log_joint_terms(model, p.mean))
+        agree(log_marg[i], ga.log_marginal(model, p.mean))
         post = ga.posterior(model, p.mean)
-        assert np.array_equal(probs[i], post)
+        agree(probs[i], post)
         assert ga.decision_index(post) == decided[i]
-        assert ga.galue_score(post) == probs[i].max()
+        agree(probs[i].max(), ga.galue_score(post))
         comps = ho.kl_components(model, p.mean, p.kappa, temperature=20.0)
-        assert (kl1[i], kl2[i]) == (comps.kl1, comps.kl2)
+        agree((kl1[i], kl2[i]), (comps.kl1, comps.kl2))
 
 
 def test_batch_validates_every_row():
@@ -63,8 +72,8 @@ def test_batch_validates_every_row():
 
 def test_kl1_with_underflowed_posterior_entries_matches_scalar():
     # at kappa 500 and T = 1 most probes push some tempered class
-    # probabilities below the smallest double; kl1 then sums only the rest,
-    # and on this gallery summing the zeros too changes some rows' last bits
+    # probabilities below the smallest double; those entries add exact
+    # zeros, so kl1 is the sum over the entries that did not underflow
     gal, probes = preset_probes(16, n_identities=300)
     model = ga.GalleryModel(gallery=gal, kappa=500.0, beta=0.5)
     z_all = np.array([p.mean for p in probes])
@@ -76,13 +85,13 @@ def test_kl1_with_underflowed_posterior_entries_matches_scalar():
     assert 0 < underflowed.sum() < len(probes)
     for i, p in enumerate(probes):
         comps = ho.kl_components(model, p.mean, p.kappa, temperature=1.0)
-        assert (kl1[i], kl2[i]) == (comps.kl1, comps.kl2)
-        # the same entries, summed apart from the batch
+        agree((kl1[i], kl2[i]), (comps.kl1, comps.kl2))
+        # the entries that did not underflow, summed apart from the batch
         log_post = terms[i, :-1] - logsumexp(terms[i])
         post = np.exp(log_post)
         kept = post > 0.0
         log_prior = np.log((1.0 - model.beta) / gal.k)
-        assert kl1[i] == np.sum(post[kept] * (log_post[kept] - log_prior))
+        agree(kl1[i], np.sum(post[kept] * (log_post[kept] - log_prior)))
 
 
 def random_outcomes(n=60, seed=13):
@@ -176,4 +185,4 @@ def test_mlp_predict_batch_equals_single_calls():
     calib = ho.fit_mlp(features, labels, config=ho.TrainingConfig(epochs=100), seed=1)
     kl1n, kl2n = rng.standard_normal(500), rng.standard_normal(500)
     batch = ho.mlp_predict(calib, kl1n, kl2n)
-    assert batch.tolist() == [ho.mlp_predict(calib, a, b) for a, b in zip(kl1n, kl2n)]
+    agree(batch, [ho.mlp_predict(calib, a, b) for a, b in zip(kl1n, kl2n)])

@@ -400,6 +400,16 @@ def test_role_specific_rules(tmp_path):
     expect_code(tmp_path, "schema", records=[probe_row(), probe_row("n0", None)])
 
 
+def test_probe_of_a_subject_outside_the_gallery_is_a_schema_error(tmp_path, capsys):
+    # counted as mated, such a probe could only ever be a false negative
+    path = os.path.join(tmp_path, "stray")
+    write_raw(path, base_manifest(), base_records() + [probe_row("p7", "nobody")])
+    assert cli.main(["eval", "--bundle", path, "--out", os.path.join(tmp_path, "out")]) == 2
+    err = capsys.readouterr().err
+    assert "error [schema]: probe 'p7': subject_id 'nobody' names no gallery subject" in err
+    assert "subject_id null" in err
+
+
 def test_duplicate_ids(tmp_path):
     expect_code(tmp_path, "duplicate_id",
                 records=[gallery_row(), gallery_row(), probe_row(), probe_row("n0", None)])

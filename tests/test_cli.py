@@ -220,6 +220,24 @@ def test_eval_report_is_byte_deterministic(tmp_path):
     assert blob_a == blob_b
 
 
+def test_mixed_preset_at_d512_runs_end_to_end(tmp_path):
+    # mixed's concentrations times 512/16: a fixed kappa/d keeps the d=16 geometry
+    config = write_config(tmp_path, preset="mixed", d=512, n_identities=80, class_kappa=4800.0,
+                          quality_kappa_range=[64.0, 16000.0])
+    bundle = os.path.join(tmp_path, "bundle")
+    assert cli.main(["gen", "--config", config, "--out", bundle]) == 0
+    blobs = []
+    for name in ("ea", "eb"):
+        out = os.path.join(tmp_path, name)
+        assert cli.main(["eval", "--bundle", bundle, "--out", out, "--fpir", "0.1"]) == 0
+        with open(os.path.join(out, "report.json"), "rb") as fh:
+            blobs.append(fh.read())
+    assert blobs[0] == blobs[1]
+    (evaluation,) = json.loads(blobs[0])["evaluations"]
+    assert all(m["prr"] is not None and math.isfinite(m["prr"]) for m in evaluation["methods"].values())
+    assert evaluation["counts"]["tp"] >= evaluation["counts"]["mated_test"] / 2
+
+
 def test_eval_bundle_and_method_errors(tmp_path, capsys):
     out = os.path.join(tmp_path, "eval")
     assert cli.main(["eval", "--bundle", os.path.join(tmp_path, "nowhere"),
