@@ -333,7 +333,7 @@ def test_one_draw_path_resamples_a_degenerate_tangent_like_sample_vmf():
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
-# --- vmf.logsumexp: within a few ulps of the exact value; scipy's values on special rows ---
+# --- vmf.logsumexp: within a few ulps of the exact value; scipy's bits on rows with inf, NaN or only -inf ---
 
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
@@ -357,24 +357,47 @@ def lse_cases():
     return cases
 
 
-def test_logsumexp_is_accurate_and_keeps_scipys_special_values():
+@pytest.mark.parametrize("keepdims", [False, True])
+def test_logsumexp_is_bit_equal_to_scipy(keepdims):
+    # scipy's bits on the rows whose maximum is inf, NaN or -inf; scipy's type and shape everywhere.
+    # No np.errstate around vmf.logsumexp: an overflow inside it is a RuntimeWarning, which fails the test
+    for a in lse_cases() + [np.array([np.inf, 800.0])]:
+        with np.errstate(all="ignore"):
+            want = scipy_logsumexp(a, axis=-1, keepdims=keepdims)
+        got = vmf.logsumexp(a, keepdims=keepdims)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        special = ~np.isfinite(np.max(a, axis=-1, keepdims=keepdims))
+        assert same_bits(np.asarray(got)[special], np.asarray(want)[special]), a
+
+
+def test_logsumexp_is_bit_equal_to_scipy_on_a_scoring_block():
+    # special rows among finite ones keep scipy's bits: the shift falls back to 0 row by row
+    terms = np.random.default_rng(3).normal(0.0, 30.0, (300, 211))
+    terms[::7, ::5] = -np.inf
+    special = [10, 20, 30, 40, 50]
+    terms[10] = -np.inf
+    terms[20, 3], terms[30, 9], terms[40, :2], terms[50, :2] = np.inf, np.nan, [np.inf, -np.inf], [np.inf, 800.0]
+    with np.errstate(all="ignore"):
+        want = scipy_logsumexp(terms, axis=-1, keepdims=True)
+    got = vmf.logsumexp(terms, keepdims=True)
+    assert same_bits(got[special], want[special])
+    assert same_bits(vmf.logsumexp(terms, axis=1), got[:, 0])
+    assert np.isfinite(np.delete(got, special)).all()
+
+
+def test_logsumexp_is_accurate():
     # no np.errstate around vmf.logsumexp: an overflow inside it is a RuntimeWarning, which fails the test
     mp = pytest.importorskip("mpmath").mp
     tolerance = 4 * np.finfo(np.float64).eps  # times max(1, |exact|), fixed before the first run
     scoring_block = np.random.default_rng(3).normal(0.0, 30.0, (300, 211))
-    for a in lse_cases() + [scoring_block, np.array([np.inf, 800.0])]:
-        with np.errstate(all="ignore"):
-            want = scipy_logsumexp(a, axis=-1)
+    for a in lse_cases() + [scoring_block]:
         got = vmf.logsumexp(a)
-        assert type(got) is type(want) and np.shape(got) == np.shape(want)
         assert same_bits(vmf.logsumexp(a, keepdims=True), np.expand_dims(got, -1))
-        for row, g, w in zip(np.atleast_2d(a), np.ravel(got), np.ravel(want)):
-            if np.isfinite(row.max()):
+        for row, g in zip(np.atleast_2d(a), np.ravel(got)):
+            if np.isfinite(row.max()):  # the other rows are checked against scipy's bits above
                 with mp.workdps(60):
                     exact = mp.log(mp.fsum(mp.exp(x) for x in row if x != -np.inf))
                     assert abs(mp.mpf(float(g)) - exact) <= tolerance * max(1, abs(exact)), row
-            else:  # inf, NaN or all -inf
-                assert same_bits(g, w), row
 
 
 def test_no_module_imports_scipy_logsumexp():
