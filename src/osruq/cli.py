@@ -16,7 +16,7 @@ import sys
 from . import __version__
 from .baselines import METHOD_NAMES
 from .bundle import BundleError, dumps_canonical, read_bundle, write_bundle
-from .evaluation import MissingValidationError, run_evaluation
+from .evaluation import MissingValidationError, check_arguments, run_evaluation
 from .holistic import DEFAULT_TEMPERATURE
 from .metrics import METRIC_NAMES
 from .oracle import SCOPES, run_verification
@@ -108,48 +108,47 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _curve_rows(curve) -> str:
-    lines = ["fraction,value"]
-    for f, v in zip(curve.fractions, curve.values):
-        lines.append(f"{format(float(f), '.17g')},{format(float(v), '.17g')}")
-    return "\n".join(lines) + "\n"
-
-
-def _write_curves(out_dir: str, tag: str, report) -> dict:
-    """Write per-method and reference curve CSVs; return their relative paths."""
+def _write_target(out_dir: str, tag: str, report) -> dict:
+    """Write one target's curve CSVs under curves/<tag>; return its report.json block."""
     base = os.path.join("curves", tag)
     os.makedirs(os.path.join(out_dir, base), exist_ok=True)
-    # (group, file label, metric, curve); a method file is <method>_<metric>.csv
-    # keyed [method][metric], a reference file <kind>_<metric>.csv keyed [metric][kind]
-    curves = [("methods", name, metric, curve) for name, mrep in report.methods.items()
-              for metric, curve in mrep.curves.items()]
-    curves += [("reference", kind, metric, curve) for metric, pair in report.reference_curves.items()
-               for kind, curve in pair.items()]
-    paths = {"methods": {}, "reference": {}}
-    for group, label, metric, curve in curves:
+
+    def write(label: str, metric: str, curve) -> str:
         rel = os.path.join(base, f"{label}_{metric}.csv")
         with open(os.path.join(out_dir, rel), "w", encoding="ascii") as fh:
-            fh.write(_curve_rows(curve))
-        outer, inner = (label, metric) if group == "methods" else (metric, label)
-        paths[group].setdefault(outer, {})[inner] = rel
-    return paths
+            fh.write("fraction,value\n" + "".join(
+                "%.17g,%.17g\n" % row for row in zip(curve.fractions.tolist(), curve.values.tolist())))
+        return rel
+
+    block = {key: getattr(report, key) for key in ("target_fpir", "tau", "kappa", "base", "counts", "reference_auc")}
+    block["methods"] = {name: {"prr": m.prr, "auc": m.auc,
+                               "curves": {metric: write(name, metric, c) for metric, c in m.curves.items()}}
+                        for name, m in report.methods.items()}
+    block["reference_curves"] = {metric: {kind: write(kind, metric, c) for kind, c in pair.items()}
+                                 for metric, pair in report.reference_curves.items()}
+    return block
+
+
+def _target_error(target: float, stage: str, exc: ValueError) -> int:
+    print(f"error: fpir={target:g}: {stage}: {exc}", file=sys.stderr)
+    return EXIT_NO_VALIDATION if isinstance(exc, MissingValidationError) else EXIT_CONFIG
 
 
 def cmd_eval(args) -> int:
-    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    unknown = [m for m in methods if m not in METHOD_NAMES]
-    if unknown or not methods:
-        what = f"unknown method {unknown[0]!r}" if unknown else "no method given"
-        print(f"error: {what}; available: {','.join(METHOD_NAMES)}", file=sys.stderr)
-        return EXIT_CONFIG
+    settings = dict(methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
+                    temperature=args.temperature, beta=args.beta, max_reject_fraction=args.max_reject_fraction,
+                    seed=args.seed, stats_split=args.stats_split)
     targets = tuple(args.fpir) if args.fpir else DEFAULT_FPIRS
     tags = [f"fpir_{t:g}" for t in targets]  # each target's curve directory
-    for i, tag in enumerate(tags):
-        first = tags.index(tag)
-        if first < i:
-            print(f"error: fpir={targets[i]:g}: arguments: targets {targets[first]!r} and "
-                  f"{targets[i]!r} share the curve directory curves/{tag}", file=sys.stderr)
-            return EXIT_CONFIG
+    for i, target in enumerate(targets):
+        first = tags.index(tags[i])
+        try:
+            check_arguments(target, **settings)
+            if first < i:
+                raise ValueError(f"targets {targets[first]!r} and {target!r} share the curve directory "
+                                 f"curves/{tags[i]}")
+        except ValueError as exc:
+            return _target_error(target, "arguments", exc)
     try:
         protocol = read_bundle(args.bundle)
     except BundleError as exc:
@@ -161,70 +160,30 @@ def cmd_eval(args) -> int:
     reports = []
     for target in targets:
         try:
-            reports.append(run_evaluation(
-                protocol, target, methods=methods, temperature=args.temperature,
-                beta=args.beta, max_reject_fraction=args.max_reject_fraction,
-                seed=args.seed, stats_split=args.stats_split))
+            reports.append(run_evaluation(protocol, target, **settings))
         except ValueError as exc:
-            print(f"error: fpir={target:g}: {getattr(exc, 'stage', 'evaluation')}: {exc}",
-                  file=sys.stderr)
-            return EXIT_NO_VALIDATION if isinstance(exc, MissingValidationError) else EXIT_CONFIG
+            return _target_error(target, getattr(exc, "stage", "evaluation"), exc)
 
+    report_path = os.path.join(args.out, "report.json")
+    payload = {"tool": "osruq", "version": __version__, "beta": args.beta, "temperature": args.temperature,
+               "max_reject_fraction": args.max_reject_fraction, "methods": list(settings["methods"]),
+               "metrics": list(METRIC_NAMES), "stats_split": args.stats_split,
+               "seeds": {**protocol.meta, "cli_seed": args.seed}}
     try:
         os.makedirs(args.out, exist_ok=True)
-        curve_paths = [_write_curves(args.out, tag, r) for tag, r in zip(tags, reports)]
-    except OSError as exc:
-        return _out_error(args.out, exc)
-    evaluations = []
-    any_undefined = False
-    for target, report, paths in zip(targets, reports, curve_paths):
-        method_block = {}
-        for name, mrep in report.methods.items():
-            if mrep.prr is None:
-                any_undefined = True
-            method_block[name] = {
-                "prr": mrep.prr,
-                "auc": mrep.auc,
-                "curves": paths["methods"][name],
-            }
-        evaluations.append({
-            "target_fpir": report.target_fpir,
-            "tau": report.tau,
-            "kappa": report.kappa,
-            "base": report.base,
-            "counts": report.counts,
-            "methods": method_block,
-            "reference_auc": report.reference_auc,
-            "reference_curves": paths["reference"],
-        })
-        summary = " ".join(
-            f"{name}={mrep.prr:.4f}" if mrep.prr is not None else f"{name}=undefined"
-            for name, mrep in report.methods.items())
-        print(f"fpir={target:g} tau={report.tau:.6f} kappa={report.kappa:.4f} "
-              f"f1={report.base['f1']:.4f} prr: {summary}")
-
-    payload = {
-        "tool": "osruq",
-        "version": __version__,
-        "beta": args.beta,
-        "temperature": args.temperature,
-        "max_reject_fraction": args.max_reject_fraction,
-        "methods": list(methods),
-        "metrics": list(METRIC_NAMES),
-        "stats_split": args.stats_split,
-        "seeds": {"cli_seed": args.seed, **protocol.meta},
-        "evaluations": evaluations,
-    }
-    report_path = os.path.join(args.out, "report.json")
-    try:
+        payload["evaluations"] = [_write_target(args.out, tag, r) for tag, r in zip(tags, reports)]
         with open(report_path, "w", encoding="ascii") as fh:
             fh.write(dumps_canonical(payload) + "\n")
     except OSError as exc:
         return _out_error(args.out, exc)
+    for report in reports:
+        summary = " ".join(f"{name}={m.prr:.4f}" if m.prr is not None else f"{name}=undefined"
+                           for name, m in report.methods.items())
+        print(f"fpir={report.target_fpir:g} tau={report.tau:.6f} kappa={report.kappa:.4f} "
+              f"f1={report.base['f1']:.4f} prr: {summary}")
     print(f"wrote {report_path}")
-    if any_undefined:
-        print("error: prediction rejection ratio undefined (no errors to reject)",
-              file=sys.stderr)
+    if any(m.prr is None for report in reports for m in report.methods.values()):
+        print("error: prediction rejection ratio undefined (no errors to reject)", file=sys.stderr)
         return EXIT_UNDEFINED_PRR
     return EXIT_OK
 

@@ -87,6 +87,29 @@ def _outcome_classes(gallery, probes, decided: np.ndarray) -> np.ndarray:
                                    decided == truth)
 
 
+def check_arguments(target_fpir: float, methods, temperature: float, beta: float,
+                    max_reject_fraction: float, seed: int, stats_split: str) -> tuple:
+    """Check every argument of run_evaluation that needs no protocol; return the methods as a tuple.
+
+    The CLI runs it for each target before it reads the bundle.
+    """
+    methods = tuple(methods)
+    available = ",".join(baselines.METHOD_NAMES)
+    for i, m in enumerate(methods):
+        _require(m in baselines.METHOD_NAMES, ValueError, f"unknown method {m!r}; available: {available}")
+        _require(m not in methods[:i], ValueError, f"method {m!r} is given twice")
+    _require(len(methods) > 0, ValueError, f"no method given; available: {available}")
+    _require(0.0 < target_fpir < 1.0, ValueError, f"target_fpir must be in (0, 1), got {target_fpir!r}")
+    _require(temperature > 0.0, ValueError, f"temperature must be > 0, got {temperature!r}")
+    _require(0.0 < beta < 1.0, ValueError, f"beta must be in (0, 1), got {beta!r}")
+    _require(0.0 < max_reject_fraction <= 1.0, ValueError,
+             f"max_fraction must be in (0, 1], got {max_reject_fraction!r}")
+    _require(seed >= 0, ValueError, f"seed must be a non-negative integer, got {seed!r}")
+    _require(stats_split in ("validation", "test"), ValueError,
+             f"stats_split must be validation or test, got {stats_split!r}")
+    return methods
+
+
 def run_evaluation(
     protocol: OsrProtocol,
     target_fpir: float,
@@ -106,20 +129,7 @@ def run_evaluation(
     """
     validation = _split(protocol.mated_probes, "validation") + _split(protocol.nonmated_probes, "validation")
     with _stage("arguments"):  # cheap checks first, so a bad argument fails before any work
-        methods = tuple(methods)
-        for m in methods:
-            if m not in baselines.METHOD_NAMES:
-                raise ValueError(f"unknown method {m!r}; available: {baselines.METHOD_NAMES}")
-        _require(len(methods) > 0, ValueError, f"no method given; available: {baselines.METHOD_NAMES}")
-        if not 0.0 < target_fpir < 1.0:
-            raise ValueError(f"target_fpir must be in (0, 1), got {target_fpir!r}")
-        _require(temperature > 0.0, ValueError, f"temperature must be > 0, got {temperature!r}")
-        _require(0.0 < beta < 1.0, ValueError, f"beta must be in (0, 1), got {beta!r}")
-        _require(0.0 < max_reject_fraction <= 1.0, ValueError,
-                 f"max_fraction must be in (0, 1], got {max_reject_fraction!r}")
-        _require(seed >= 0, ValueError, f"seed must be a non-negative integer, got {seed!r}")
-        if stats_split not in ("validation", "test"):
-            raise ValueError(f"stats_split must be validation or test, got {stats_split!r}")
+        methods = check_arguments(target_fpir, methods, temperature, beta, max_reject_fraction, seed, stats_split)
         if "HolUE" in methods and stats_split == "test" and validation:
             raise ValueError("HolUE trains on validation labels; stats_split='test' applies to HolUE-sum only")
 
@@ -212,7 +222,5 @@ def run_evaluation(
         methods=method_reports,
         reference_curves=reference_curves,
         reference_auc=reference_auc,
-        seeds={"shuffle_seed": int(seed), "mlp_seed": int(seed), **{
-            k: v for k, v in protocol.meta.items()
-        }},
+        seeds={**protocol.meta, "shuffle_seed": int(seed), "mlp_seed": int(seed)},
     )

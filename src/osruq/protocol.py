@@ -29,12 +29,16 @@ from . import vmf
 from .gallery import Gallery, aggregate_template
 
 
+# orjson reads an integer above 2**64 - 1 back as a float; below this, a seed and seed + 1 survive the bundle
+_INTEGER_LIMIT = 2**63
+
+
 def _integer(name: str, value, minimum: int) -> int:
-    """value as an int >= minimum; a bool or a non-integral number is an error."""
+    """value as an int in [minimum, _INTEGER_LIMIT); a bool or a non-integral number is an error."""
     integral = isinstance(value, (int, np.integer)) or (
         isinstance(value, (float, np.floating)) and float(value).is_integer())
-    if isinstance(value, bool) or not integral or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if isinstance(value, bool) or not integral or not minimum <= value < _INTEGER_LIMIT:
+        raise ValueError(f"{name} must be an integer in [{minimum}, 2**63), got {value!r}")
     return int(value)
 
 

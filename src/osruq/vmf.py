@@ -113,6 +113,14 @@ def _log_bessel_series(order: float, x: np.ndarray) -> np.ndarray:
     return logsumexp(terms)
 
 
+def _log_bessel_large_x(order: float, x: np.ndarray) -> np.ndarray:
+    # Hankel's expansion to three terms; from x = 2**30 on, the first dropped term is below an ulp for
+    # every order up to that of d = 512
+    mu, t = 4.0 * order * order, 0.125 / x
+    return x - 0.5 * (LOG_2PI + np.log(x)) + np.log1p(
+        -(mu - 1.0) * t * (1.0 - (mu - 9.0) * t / 2.0 * (1.0 - (mu - 25.0) * t / 3.0)))
+
+
 def _log_from_scaled(scaled, x):
     # log I_order(x) from the exponentially scaled ive(order, x) = I_order(x) exp(-x)
     return np.log(scaled) + x
@@ -121,9 +129,10 @@ def _log_from_scaled(scaled, x):
 def log_bessel_i(order: float, x) -> float | np.ndarray:
     """log I_order(x) for order >= 0, x >= 0; stable for large order and x.
 
-    Uses the exponentially scaled Bessel from scipy where it is nonzero and a
-    log-domain power series where scaling underflows (large order, small x).
-    A finite float x >= 0 on the scaled branch skips the array machinery.
+    Uses the exponentially scaled Bessel from scipy where it is finite and nonzero, a large-x
+    expansion where scipy gives NaN (x from 2**30, about 1.07e9) and a log-domain power series where
+    scaling underflows (large order, small x). A finite float x >= 0 on the scaled branch skips
+    the array machinery.
     """
     order = float(order)
     if not np.isfinite(order) or order < 0.0:
@@ -141,8 +150,10 @@ def log_bessel_i(order: float, x) -> float | np.ndarray:
     scaled = ive(order, x_arr)
     direct = np.isfinite(scaled) & (scaled > 0.0)
     out[direct] = _log_from_scaled(scaled[direct], x_arr[direct])
+    large = np.isnan(scaled)
+    out[large] = _log_bessel_large_x(order, x_arr[large])
 
-    rest = ~direct
+    rest = ~(direct | large)
     if np.any(rest):
         xr = x_arr[rest]
         vals = np.full(xr.shape, -np.inf)

@@ -9,6 +9,7 @@ import pytest
 
 from osruq import cli, vmf
 from osruq.bundle import read_bundle
+from osruq.evaluation import run_evaluation
 from osruq.protocol import SynthConfig
 
 
@@ -81,6 +82,8 @@ def test_gen_config_errors(tmp_path, capsys):
     {"preset": "degraded", "seed": -1}, {"protocol_seed": -3}, {"protocol_seed": True},
     {"seed": 7.9}, {"seed": True}, {"d": 8.5}, {"n_identities": True},
     {"samples_per_identity": [2.5, 4]}, {"samples_per_identity": [True, 4]},
+    # orjson reads an integer above 2**64 - 1 back as a float, so seeds stay below 2**63
+    {"preset": "degraded", "seed": 2**64}, {"seed": 2**64 - 1}, {"seed": 2**63}, {"protocol_seed": 2**64},
 ])
 def test_gen_rejects_bad_integer_fields(tmp_path, capsys, fields):
     config = small_config(tmp_path, **fields)
@@ -467,12 +470,16 @@ def test_verify_unwritable_out_is_an_io_error(tmp_path, capsys):
     ["--beta", "1.5"],
     ["--max-reject-fraction", "2"],
     ["--seed", "-1"],
-], ids=["temperature", "temperature-AccScr", "beta", "max-reject-fraction", "seed"])
-def test_eval_flag_errors_fail_in_the_arguments_stage(tmp_path, capsys, flags):
+    ["--fpir", "1"],
+    ["--methods", "AccScr,AccScr"],
+], ids=["temperature", "temperature-AccScr", "beta", "max-reject-fraction", "seed", "fpir", "repeated-method"])
+def test_eval_flag_errors_fail_in_the_arguments_stage(tmp_path, capsys, monkeypatch, flags):
     bundle = make_bundle(tmp_path)
     out = os.path.join(tmp_path, "eval")
+    monkeypatch.setattr(cli, "read_bundle", lambda path: pytest.fail("read the bundle"))
     assert cli.main(["eval", "--bundle", bundle, "--out", out, "--fpir", "0.2"] + flags) == 2
-    assert "error: fpir=0.2: arguments: " in capsys.readouterr().err
+    target = flags[1] if flags[0] == "--fpir" else "0.2"
+    assert f"error: fpir={target}: arguments: " in capsys.readouterr().err
     assert not os.path.exists(out)
 
 
@@ -480,8 +487,39 @@ def test_eval_rejects_an_empty_method_list(tmp_path, capsys):
     bundle = make_bundle(tmp_path)
     out = os.path.join(tmp_path, "eval")
     assert cli.main(["eval", "--bundle", bundle, "--out", out, "--fpir", "0.2", "--methods", ","]) == 2
-    assert "error: no method given; available: AccScr," in capsys.readouterr().err
+    assert "error: fpir=0.2: arguments: no method given; available: AccScr," in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def test_run_seeds_override_the_bundles_seeds(tmp_path):
+    bundle = make_bundle(tmp_path)
+    manifest_path = os.path.join(bundle, "manifest.json")
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
+    manifest["seeds"].update(cli_seed=99, shuffle_seed=77, mlp_seed=77)
+    with open(manifest_path, "w") as fh:
+        json.dump(manifest, fh)
+    out = os.path.join(tmp_path, "eval")
+    assert cli.main(["eval", "--bundle", bundle, "--out", out, "--fpir", "0.2", "--methods", "AccScr",
+                     "--seed", "3"]) == 0
+    with open(os.path.join(out, "report.json")) as fh:
+        assert json.load(fh)["seeds"]["cli_seed"] == 3
+    report = run_evaluation(read_bundle(bundle), 0.2, methods=("AccScr",), seed=3)
+    assert report.seeds["shuffle_seed"] == report.seeds["mlp_seed"] == 3
+
+
+def test_eval_accepts_a_probe_beyond_scipys_bessel_range(tmp_path):
+    # scipy's ive is NaN at kappa = 1e10, where the power series cannot converge either
+    bundle = make_bundle(tmp_path)
+    path = os.path.join(bundle, "records.jsonl")
+    with open(path) as fh:
+        records = [json.loads(line) for line in fh]
+    probe = next(r for r in records if r["role"] == "probe" and r["split"] == "test")
+    probe["kappa"] = 1e10
+    with open(path, "w") as fh:
+        fh.writelines(json.dumps(r) + "\n" for r in records)
+    out = os.path.join(tmp_path, "eval")
+    assert cli.main(["eval", "--bundle", bundle, "--out", out, "--fpir", "0.2"]) == 0
 
 
 @pytest.mark.parametrize("second", ["0.1000001", "0.1"], ids=["same-tag", "repeat"])

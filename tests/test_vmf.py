@@ -66,6 +66,19 @@ def test_log_bessel_i_deep_underflow_stays_finite():
         assert val < -100.0
 
 
+def test_log_bessel_i_beyond_scipys_range_matches_mpmath():
+    # scipy's ive is NaN from x = 2**30 (about 1.07e9); those rows take the large-x expansion
+    mp = pytest.importorskip("mpmath").mp
+    xs = np.array([1e8, 1e9, 1e10, 1e12, 1e20, 1e100, 1e300])
+    for order in (0.0, 0.5, 7.0, 63.0, 127.5, 255.0):
+        got = vmf.log_bessel_i(order, xs)
+        assert got[0] == vmf.log_bessel_i(order, 1e8)  # where ive is finite it keeps its path
+        for x, g in zip(xs, got):
+            with mp.workdps(50):
+                exact = mp.log(mp.besseli(order, mp.mpf(float(x))))
+                assert abs(mp.mpf(float(g)) - exact) <= 4e-16 * abs(exact), (order, x)
+
+
 def test_log_c_d_reference_values():
     for (d, kappa), expected in LOG_C_REFERENCE.items():
         assert vmf.log_c_d(d, kappa) == pytest.approx(expected, rel=1e-12)
