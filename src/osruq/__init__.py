@@ -15,7 +15,7 @@ from .gallery import (Gallery, GalleryModel, aggregate_template, cosines, decisi
 from .holistic import (CalibrationStats, KlComponents, MlpCalibrator, TrainingConfig, fit_mlp,
                        fit_stats, holue_sum, kl_components, kl_from_terms, mlp_predict, normalize,
                        scaled_gallery_posterior, self_log_density)
-from .baselines import METHOD_NAMES, acc_score, q_accscr, q_pfe, q_scf, q_sf
+from .baselines import METHOD_NAMES, q_accscr, q_pfe, q_scf, q_sf
 from .metrics import (EvalReport, RejectionCurve, class_counts, curve_auc, decision_correct,
                       osr_metrics, outcome_classes, prr, reference_curve_sets, rejection_curves,
                       threshold_for_fpir)

@@ -4,16 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import vmf
-from .gallery import Gallery, cosines
-
 # Wire-format method names accepted by the evaluation pipeline and CLI.
 METHOD_NAMES = ("AccScr", "SCF", "PFE", "SF", "GalUE", "HolUE", "HolUE-sum")
-
-
-def acc_score(gallery: Gallery, z) -> float:
-    """Best gallery cosine similarity for a probe."""
-    return float(cosines(gallery, vmf.as_unit_vector(z)).max())
 
 
 def q_accscr(score, tau: float):
@@ -37,7 +29,8 @@ def q_pfe(sigma_sq) -> np.ndarray:
         raise ValueError(f"expected (N, d) variance vectors, got shape {s.shape}")
     if not np.all(np.isfinite(s)) or np.any(s <= 0.0):
         raise ValueError("variances must be finite and > 0")
-    return -s.shape[1] / np.sum(1.0 / s, axis=1)
+    with np.errstate(over="ignore"):  # a subnormal variance has an infinite reciprocal: the score is -0.0
+        return -s.shape[1] / np.sum(1.0 / s, axis=1)
 
 
 def q_sf(scale) -> np.ndarray:

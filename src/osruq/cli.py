@@ -20,7 +20,7 @@ from .evaluation import MissingValidationError, check_arguments, run_evaluation
 from .holistic import DEFAULT_TEMPERATURE
 from .metrics import METRIC_NAMES
 from .oracle import SCOPES, run_verification
-from .protocol import DEFAULT_VAL_FRACTION, SynthConfig, _integer, generate_protocol, preset_config
+from .protocol import SynthConfig, generate_protocol, preset_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -30,14 +30,15 @@ EXIT_VERIFY_FAILED = 5
 
 DEFAULT_FPIRS = (0.05, 0.1, 0.2)
 
-_CONFIG_KEYS = {f.name for f in dataclasses.fields(SynthConfig)} | {"preset", "val_fraction", "protocol_seed"}
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(SynthConfig)} | {"preset"}
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _load_config(path: str) -> tuple[SynthConfig, float, int | None]:
+def _load_config(path: str) -> SynthConfig:
+    """The SynthConfig a JSON config names; SynthConfig checks every value."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -51,26 +52,13 @@ def _load_config(path: str) -> tuple[SynthConfig, float, int | None]:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    val_fraction = raw.pop("val_fraction", DEFAULT_VAL_FRACTION)
-    protocol_seed = raw.pop("protocol_seed", None)
     preset = raw.pop("preset", None)
     if "class_kappa" in raw and raw["class_kappa"] is None:
         raw["class_kappa"] = float("inf")  # null disables intra-class drift
-    for key in ("samples_per_identity", "quality_kappa_range"):
-        if key in raw:
-            value = raw[key]
-            if not isinstance(value, list) or len(value) != 2:
-                raise ConfigError(f"{key} must be a two-element array")
-            raw[key] = tuple(value)
     try:
-        config = preset_config(preset, **raw) if preset is not None else SynthConfig(**raw)
-        if protocol_seed is not None:
-            protocol_seed = _integer("protocol_seed", protocol_seed, 0)
+        return preset_config(preset, **raw) if preset is not None else SynthConfig(**raw)
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
-    if type(val_fraction) not in (int, float) or not 0.0 <= val_fraction < 1.0:  # a bool is neither
-        raise ConfigError(f"val_fraction must be in [0, 1), got {val_fraction!r}")
-    return config, float(val_fraction), protocol_seed
 
 
 def _out_error(path: str, reason) -> int:
@@ -93,8 +81,7 @@ def _unwritable(out: str) -> str | None:
 
 def cmd_gen(args) -> int:
     try:
-        config, val_fraction, protocol_seed = _load_config(args.config)
-        protocol = generate_protocol(config, val_fraction=val_fraction, protocol_seed=protocol_seed)
+        protocol = generate_protocol(_load_config(args.config))
     except ValueError as exc:  # a ConfigError, or a config that leaves the gallery empty
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

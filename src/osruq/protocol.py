@@ -44,6 +44,7 @@ def _integer(name: str, value, minimum: int) -> int:
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """Every input of the generator and of the protocol partition, each checked here."""
     d: int = 16
     n_identities: int = 100
     oog_fraction: float = 0.3
@@ -52,19 +53,28 @@ class SynthConfig:
     quality_kappa_range: tuple[float, float] = (50.0, 50.0)
     ambiguity: float = 0.0
     seed: int = 0
+    val_fraction: float = 0.3
+    protocol_seed: int | None = None  # None: seed + 1
 
     def __post_init__(self):
         for name, minimum in (("d", 2), ("n_identities", 1), ("seed", 0)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
-        qlo, qhi = self.quality_kappa_range
-        for name, value in (("oog_fraction", self.oog_fraction), ("class_kappa", self.class_kappa),
-                            ("ambiguity", self.ambiguity), ("quality_kappa_range[0]", qlo),
-                            ("quality_kappa_range[1]", qhi)):
-            if isinstance(value, (bool, np.bool_)):
-                raise ValueError(f"{name} must be a number, not a boolean")
+        if self.protocol_seed is not None:
+            object.__setattr__(self, "protocol_seed", _integer("protocol_seed", self.protocol_seed, 0))
+        try:
+            (lo, hi), (qlo, qhi) = self.samples_per_identity, self.quality_kappa_range
+        except (TypeError, ValueError):
+            raise ValueError("samples_per_identity and quality_kappa_range must be two-element arrays, got "
+                             f"{self.samples_per_identity!r} and {self.quality_kappa_range!r}") from None
+        for name, value in (("oog_fraction", self.oog_fraction), ("val_fraction", self.val_fraction),
+                            ("class_kappa", self.class_kappa), ("ambiguity", self.ambiguity),
+                            ("quality_kappa_range[0]", qlo), ("quality_kappa_range[1]", qhi)):
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not 0.0 < self.oog_fraction < 1.0:
             raise ValueError(f"oog_fraction must be in (0, 1), got {self.oog_fraction!r}")
-        lo, hi = self.samples_per_identity
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction!r}")
         lo = _integer("samples_per_identity[0]", lo, 1)
         hi = _integer("samples_per_identity[1]", hi, lo)
         if not self.class_kappa > 0.0:  # inf allowed: no intra-class drift
@@ -217,26 +227,26 @@ def gen_synthetic(config: SynthConfig) -> SampleStore:
     return SampleStore(config=config, identity_ids=identity_ids, identity_means=means, samples=samples)
 
 
-def build_protocol(store: SampleStore, oog_fraction: float, val_fraction: float, seed: int) -> OsrProtocol:
+def build_protocol(store: SampleStore) -> OsrProtocol:
     """Partition a corpus into gallery, mated and non-mated probes.
 
+    It reads three fields of ``store.config``: oog_fraction, val_fraction and
+    protocol_seed (seed + 1 when None), which seeds the partition's stream.
     Identities with a single sample cannot give both a gallery template and a
-    probe, so they are always treated as out-of-gallery. Remaining identities
-    are assigned per oog_fraction; in-gallery samples split into a gallery
+    probe, so they are always out-of-gallery. Remaining identities are
+    assigned per oog_fraction; in-gallery samples split into a gallery
     template half and probe samples; probes are then tagged validation/test
     per val_fraction, separately for mated and non-mated.
     """
-    if not 0.0 < oog_fraction < 1.0:
-        raise ValueError(f"oog_fraction must be in (0, 1), got {oog_fraction!r}")
-    if not 0.0 <= val_fraction < 1.0:
-        raise ValueError(f"val_fraction must be in [0, 1), got {val_fraction!r}")
+    config = store.config
+    seed = config.seed + 1 if config.protocol_seed is None else config.protocol_seed
     rng = np.random.default_rng(seed)
     ids = list(store.identity_ids)
     n = len(ids)
 
     singletons = [i for i in ids if len(store.samples[i][1]) < 2]
     eligible = [i for i in ids if len(store.samples[i][1]) >= 2]
-    n_oog = max(math.floor(oog_fraction * n), len(singletons))
+    n_oog = max(math.floor(config.oog_fraction * n), len(singletons))
     extra = n_oog - len(singletons)
     shuffled = [eligible[int(j)] for j in rng.permutation(len(eligible))]
     oog_ids = set(singletons) | set(shuffled[:extra])
@@ -259,7 +269,7 @@ def build_protocol(store: SampleStore, oog_fraction: float, val_fraction: float,
                 for j in range(len(store.samples[identity][1]))]
 
     def tag_splits(entries):
-        n_val = math.floor(val_fraction * len(entries))
+        n_val = math.floor(config.val_fraction * len(entries))
         perm = rng.permutation(len(entries))
         val_idx = set(int(j) for j in perm[:n_val])
         probes = []
@@ -281,10 +291,10 @@ def build_protocol(store: SampleStore, oog_fraction: float, val_fraction: float,
 
     gallery = Gallery(class_ids=tuple(gallery_ids), means=np.vstack(gallery_means))
     meta = {
-        "generator_seed": store.config.seed,
-        "protocol_seed": int(seed),
-        "oog_fraction": float(oog_fraction),
-        "val_fraction": float(val_fraction),
+        "generator_seed": config.seed,
+        "protocol_seed": seed,
+        "oog_fraction": float(config.oog_fraction),
+        "val_fraction": float(config.val_fraction),
     }
     return OsrProtocol(gallery=gallery, mated_probes=mated_probes,
                        nonmated_probes=nonmated_probes,
@@ -310,8 +320,6 @@ PRESETS = {
     ),
 }
 
-DEFAULT_VAL_FRACTION = 0.3
-
 
 def preset_config(name: str, **overrides) -> SynthConfig:
     if name not in PRESETS:
@@ -320,10 +328,6 @@ def preset_config(name: str, **overrides) -> SynthConfig:
     return replace(config, **overrides) if overrides else config
 
 
-def generate_protocol(config: SynthConfig, val_fraction: float = DEFAULT_VAL_FRACTION,
-                      protocol_seed: int | None = None) -> OsrProtocol:
-    """Convenience wrapper: corpus generation plus protocol assembly."""
-    store = gen_synthetic(config)
-    if protocol_seed is None:
-        protocol_seed = config.seed + 1
-    return build_protocol(store, config.oog_fraction, val_fraction, protocol_seed)
+def generate_protocol(config: SynthConfig) -> OsrProtocol:
+    """gen_synthetic then build_protocol; the partition reads oog_fraction, val_fraction, protocol_seed."""
+    return build_protocol(gen_synthetic(config))

@@ -2,20 +2,10 @@ import numpy as np
 import pytest
 
 from osruq import baselines as bl
-from osruq.gallery import Gallery
 
 
 def test_method_names_wire_format():
     assert bl.METHOD_NAMES == ("AccScr", "SCF", "PFE", "SF", "GalUE", "HolUE", "HolUE-sum")
-
-
-def test_acc_score_is_best_cosine():
-    g = Gallery(class_ids=("a", "b"), means=np.eye(2))
-    assert bl.acc_score(g, np.array([1.0, 0.0])) == pytest.approx(1.0)
-    z = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    assert bl.acc_score(g, z) == pytest.approx(1.0 / np.sqrt(2.0))
-    with pytest.raises(ValueError):
-        bl.acc_score(g, np.array([1.0, 0.0, 0.0]))
 
 
 def test_q_accscr_distance_from_threshold():
@@ -47,6 +37,14 @@ def test_q_pfe_rows_match_one_probe_at_a_time():
     for d in (16, 128, 512):
         s = rng.uniform(0.01, 2.0, size=(300, d))
         assert bl.q_pfe(s).tolist() == [float(-d / np.sum(1.0 / row)) for row in s]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_q_pfe_of_a_subnormal_variance_is_minus_zero():
+    # 1 / 5e-324 overflows to inf, so the harmonic mean is 0: the limit, with no warning
+    scores = bl.q_pfe(np.array([[5e-324, 1.0], [0.5, 0.25]]))
+    assert scores[0] == 0.0 and np.signbit(scores[0])
+    assert scores[1] == -2.0 / 6.0
 
 
 def test_q_pfe_orders_by_uncertainty():

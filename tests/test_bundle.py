@@ -66,8 +66,8 @@ def test_records_float_text_round_trips_exactly(x):
 def small_protocol():
     cfg = pr.SynthConfig(d=5, n_identities=20, oog_fraction=0.3, samples_per_identity=(2, 4),
                          class_kappa=60.0, quality_kappa_range=(10.0, 100.0), ambiguity=0.1,
-                         seed=12)
-    return pr.generate_protocol(cfg, val_fraction=0.25)
+                         seed=12, val_fraction=0.25)
+    return pr.generate_protocol(cfg)
 
 
 def test_write_read_round_trip(tmp_path):

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from osruq import cli, vmf
-from osruq.bundle import read_bundle
+from osruq.bundle import read_bundle, write_bundle
 from osruq.evaluation import run_evaluation
-from osruq.protocol import SynthConfig
+from osruq.protocol import SynthConfig, generate_protocol, preset_config
 
 
 def write_config(tmp_path, name="config.json", **fields):
@@ -110,16 +110,43 @@ def test_gen_rejects_bools_in_number_fields(tmp_path, capsys, fields):
 def test_config_may_set_every_synth_config_field(tmp_path):
     # integral floats are stored as ints
     fields = dict(d=8.0, n_identities=25, oog_fraction=0.3, samples_per_identity=[3.0, 5],
-                  class_kappa=100.0, quality_kappa_range=[5.0, 200.0], ambiguity=0.2, seed=5)
+                  class_kappa=100.0, quality_kappa_range=[5.0, 200.0], ambiguity=0.2, seed=5,
+                  val_fraction=0.25, protocol_seed=4.0)
     assert set(fields) == {f.name for f in dataclasses.fields(SynthConfig)}
-    assert cli._CONFIG_KEYS == set(fields) | {"preset", "val_fraction", "protocol_seed"}
-    config, _, protocol_seed = cli._load_config(write_config(tmp_path, protocol_seed=4.0, **fields))
+    assert cli._CONFIG_KEYS == set(fields) | {"preset"}
+    config = cli._load_config(write_config(tmp_path, **fields))
     assert config == SynthConfig(**dict(fields, samples_per_identity=(3, 5),
                                         quality_kappa_range=(5.0, 200.0)))
-    assert type(config.d) is type(config.samples_per_identity[0]) is type(protocol_seed) is int
+    assert type(config.d) is type(config.samples_per_identity[0]) is type(config.protocol_seed) is int
     out = os.path.join(tmp_path, "bundle")
     assert cli.main(["gen", "--config", write_config(tmp_path, **fields), "--out", out]) == 0
     assert read_bundle(out).gallery.d == 8
+
+
+def test_one_config_gives_one_bundle(tmp_path):
+    # the CLI and the library build the same SynthConfig, so they write the same bytes
+    fields = dict(val_fraction=0.25, protocol_seed=11)
+    cli_out, lib_out = os.path.join(tmp_path, "cli"), os.path.join(tmp_path, "lib")
+    assert cli.main(["gen", "--config", write_config(tmp_path, preset="degraded", **fields),
+                     "--out", cli_out]) == 0
+    write_bundle(generate_protocol(preset_config("degraded", **fields)), lib_out)
+    assert sorted(os.listdir(cli_out)) == sorted(os.listdir(lib_out)) == ["manifest.json", "records.jsonl"]
+    for name in os.listdir(cli_out):
+        with open(os.path.join(cli_out, name), "rb") as a, open(os.path.join(lib_out, name), "rb") as b:
+            assert a.read() == b.read()
+    assert read_bundle(cli_out).meta["protocol_seed"] == 11
+
+
+@pytest.mark.parametrize("field", [
+    {"samples_per_identity": [2, 3, 4]}, {"quality_kappa_range": 5.0}, {"val_fraction": None},
+    {"val_fraction": "0.3"}, {"oog_fraction": None},
+])
+def test_gen_names_a_malformed_field(tmp_path, capsys, field):
+    config = write_config(tmp_path, preset="degraded", **field)
+    out = os.path.join(tmp_path, "bundle")
+    assert cli.main(["gen", "--config", config, "--out", out]) == 2
+    assert next(iter(field)) in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_gen_with_one_sample_per_identity_is_a_config_error(tmp_path, capsys):
@@ -266,6 +293,18 @@ def test_eval_exit_3_without_validation_split(tmp_path):
     code = cli.main(["eval", "--bundle", bundle, "--out", out, "--fpir", "0.2",
                      "--methods", "HolUE-sum", "--stats-split", "test"])
     assert code == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eval_scores_a_subnormal_pfe_variance_without_a_warning(tmp_path):
+    # 1 / 5e-324 overflows; PFE scores that probe -0.0, the limit of its harmonic mean
+    proto = generate_protocol(preset_config("degraded"))
+    i = next(i for i, p in enumerate(proto.mated_probes) if p.split == "test")
+    proto.mated_probes[i].pfe_sigma2[0] = 5e-324
+    bundle, out = os.path.join(tmp_path, "bundle"), os.path.join(tmp_path, "eval")
+    write_bundle(proto, bundle)
+    assert read_bundle(bundle).mated_probes[i].pfe_sigma2[0] == 5e-324
+    assert cli.main(["eval", "--bundle", bundle, "--out", out, "--fpir", "0.1"]) == 0
 
 
 def pristine_bundle(tmp_path):

@@ -12,7 +12,7 @@ def small_protocol(val_fraction=0.3, **overrides):
     base = dict(d=8, n_identities=30, oog_fraction=0.3, samples_per_identity=(3, 5),
                 class_kappa=100.0, quality_kappa_range=(5.0, 200.0), ambiguity=0.2, seed=5)
     base.update(overrides)
-    return pr.generate_protocol(pr.SynthConfig(**base), val_fraction=val_fraction)
+    return pr.generate_protocol(pr.SynthConfig(**base, val_fraction=val_fraction))
 
 
 FAST_MLP = TrainingConfig(epochs=150)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -95,9 +96,8 @@ def test_probe_record_split_validation():
 
 
 def test_build_protocol_partition():
-    cfg = small_config()
-    store = pr.gen_synthetic(cfg)
-    proto = pr.build_protocol(store, oog_fraction=0.3, val_fraction=0.25, seed=9)
+    store = pr.gen_synthetic(small_config(val_fraction=0.25, protocol_seed=9))
+    proto = pr.build_protocol(store)
 
     gallery_ids = set(proto.gallery.class_ids)
     oog_ids = set(store.identity_ids) - gallery_ids
@@ -138,19 +138,26 @@ def test_build_protocol_partition():
 
 
 def test_build_protocol_split_fractions():
-    store = pr.gen_synthetic(small_config(n_identities=80))
-    proto = pr.build_protocol(store, oog_fraction=0.3, val_fraction=0.25, seed=1)
+    store = pr.gen_synthetic(small_config(n_identities=80, val_fraction=0.25, protocol_seed=1))
+    proto = pr.build_protocol(store)
     for probes in (proto.mated_probes, proto.nonmated_probes):
         n_val = sum(1 for p in probes if p.split == "validation")
         assert n_val == math.floor(0.25 * len(probes))
 
 
-def test_build_protocol_validation_errors():
-    store = pr.gen_synthetic(small_config())
-    with pytest.raises(ValueError):
-        pr.build_protocol(store, oog_fraction=1.0, val_fraction=0.2, seed=0)
-    with pytest.raises(ValueError):
-        pr.build_protocol(store, oog_fraction=0.3, val_fraction=1.0, seed=0)
+@pytest.mark.parametrize("make", [
+    lambda **field: small_config(**field),
+    lambda **field: pr.preset_config("degraded", **field),
+    lambda **field: dataclasses.replace(small_config(), **field),
+], ids=["SynthConfig", "preset_config", "replace"])
+@pytest.mark.parametrize("name, value", [
+    ("protocol_seed", 2**64), ("protocol_seed", True), ("protocol_seed", -1),
+    ("val_fraction", True), ("val_fraction", 1.0), ("val_fraction", None), ("oog_fraction", 1.0),
+])
+def test_partition_fields_are_checked_on_every_library_path(make, name, value):
+    # SynthConfig is the one place that checks them; build_protocol takes them as checked
+    with pytest.raises(ValueError, match=name):
+        make(**{name: value})
 
 
 def test_generate_protocol_seed_convention():
@@ -158,8 +165,8 @@ def test_generate_protocol_seed_convention():
     proto = pr.generate_protocol(cfg)
     assert proto.meta["generator_seed"] == cfg.seed
     assert proto.meta["protocol_seed"] == cfg.seed + 1
-    assert proto.meta["val_fraction"] == pr.DEFAULT_VAL_FRACTION
-    explicit = pr.generate_protocol(cfg, protocol_seed=cfg.seed + 1)
+    assert proto.meta["val_fraction"] == 0.3
+    explicit = pr.generate_protocol(small_config(protocol_seed=cfg.seed + 1))
     assert [p.probe_id for p in explicit.mated_probes] == [p.probe_id for p in proto.mated_probes]
     assert [p.split for p in explicit.mated_probes] == [p.split for p in proto.mated_probes]
 
