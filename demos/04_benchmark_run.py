@@ -13,7 +13,7 @@ import numpy as np
 from osruq import preset_config, generate_protocol, run_evaluation
 
 proto = generate_protocol(preset_config("mixed"))
-n_probes = len(proto.mated_probes) + len(proto.nonmated_probes)
+n_probes = len(proto.probes.ids)
 print(f"protocol: d={proto.gallery.d} classes={proto.gallery.k} probes={n_probes}")
 
 methods = ("AccScr", "SCF", "PFE", "SF", "GalUE", "HolUE", "HolUE-sum")

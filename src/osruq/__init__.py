@@ -19,7 +19,8 @@ from .baselines import METHOD_NAMES, q_accscr, q_pfe, q_scf, q_sf
 from .metrics import (EvalReport, RejectionCurve, class_counts, curve_auc, decision_correct,
                       osr_metrics, outcome_classes, prr, reference_curve_sets, rejection_curves,
                       threshold_for_fpir)
-from .protocol import OsrProtocol, ProbeRecord, SynthConfig, build_protocol, gen_synthetic, generate_protocol, preset_config
+from .protocol import (OsrProtocol, ProbeRecord, ProbeTable, SynthConfig, build_protocol, gen_synthetic,
+                       generate_protocol, preset_config)
 from .bundle import read_bundle, write_bundle
 from .evaluation import run_evaluation
 from .oracle import independent_kl_components, independent_posterior, mc_marginal_check, quad_log_c_d, run_verification

@@ -23,7 +23,7 @@ import orjson
 
 from . import vmf
 from .gallery import Gallery
-from .protocol import OsrProtocol, ProbeRecord
+from .protocol import OsrProtocol, ProbeTable
 
 SCHEMA_VERSION = "1"
 
@@ -80,39 +80,37 @@ _RECORD_LINE = ('{"kappa":%s,"pfe_sigma2":%s,"role":%s,"sf_scale":%s,"split":%s,
                 '"subject_id":%s,"template_id":%s,"vector":%s}\n')
 
 
-def _scalar_text(value: float | None) -> str:
-    """Shortest round-trip text of an optional finite float, -0 as 0 (orjson would write NaN as null)."""
-    if value is not None and not math.isfinite(value):
-        raise ValueError(f"cannot serialize non-finite float {value!r}")
-    return orjson.dumps(None if value is None else float(value) + 0.0).decode("ascii")
+def _row_texts(column: np.ndarray, rows, what: str):
+    """Check a column's rows now; return each one's shortest round-trip text, -0 as 0, formatted as read.
 
-
-def _row_texts(rows: list, d: int, what: str):
-    """Check every entry now; return the rows' texts, formatted one row at a time as read."""
-    matrix = np.vstack(rows, dtype=np.float64) if rows else np.empty((0, d))
-    if not np.isfinite(matrix).all():
+    Each row is copied on its own: a copy of the column would add a bundle-sized peak.
+    """
+    if not np.isfinite(column).all(axis=tuple(range(1, column.ndim)))[rows].all():  # per row, 1-d or 2-d
         raise ValueError(f"cannot serialize non-finite float in a {what}")
-    matrix += 0.0  # folds -0 to 0 in place: a copy would add a bundle-sized peak
-    return (orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY).decode("ascii") for row in matrix)
+    return (orjson.dumps(column[i] + 0.0, option=orjson.OPT_SERIALIZE_NUMPY).decode("ascii") for i in rows)
+
+
+_OPTIONAL = ("kappa", "pfe_sigma2", "sf_scale")  # in the order of the record line
 
 
 def write_bundle(protocol: OsrProtocol, path: str) -> None:
     """Write a protocol to ``path`` (a directory, created if needed); a failed write writes no file."""
-    gal = protocol.gallery
+    gal, t = protocol.gallery, protocol.probes
     order = sorted(range(gal.k), key=gal.class_ids.__getitem__)
-    probes = sorted([*protocol.mated_probes, *protocol.nonmated_probes], key=lambda p: p.probe_id)
-    scalars = [(_scalar_text(p.kappa), _scalar_text(p.sf_scale)) for p in probes]
-    vectors = _row_texts([gal.means[order]] + [p.mean for p in probes], gal.d, "vector")
-    sigma2 = _row_texts([p.pfe_sigma2 for p in probes if p.pfe_sigma2 is not None], gal.d, "pfe_sigma2")
+    by_id = np.argsort(t.ids, kind="stable")  # the file lists probes by id
+    present = [getattr(t, "has_" + name)[by_id] for name in _OPTIONAL]
+    optional = [_row_texts(getattr(t, name), by_id[has], name) for name, has in zip(_OPTIONAL, present)]
+    gallery_vectors = _row_texts(gal.means, order, "vector")
+    vectors = _row_texts(t.means, by_id, "vector")
     manifest = dumps_canonical({
         "schema_version": SCHEMA_VERSION,
         "d": int(gal.d),
         "counts": {
             "gallery": gal.k,
-            "mated_probes": len(protocol.mated_probes),
-            "nonmated_probes": len(protocol.nonmated_probes),
-            "validation_probes": sum(p.split == "validation" for p in probes),
-            "test_probes": sum(p.split == "test" for p in probes),
+            "mated_probes": int(t.mated.sum()),
+            "nonmated_probes": int((~t.mated).sum()),
+            "validation_probes": int(t.validation.sum()),
+            "test_probes": int((~t.validation).sum()),
         },
         "seeds": {k: v for k, v in protocol.meta.items()},
         "gallery_members": {k: list(v) for k, v in sorted(protocol.gallery_members.items())},
@@ -123,12 +121,13 @@ def write_bundle(protocol: OsrProtocol, path: str) -> None:
     with open(os.path.join(path, RECORDS_NAME), "w", encoding="ascii") as fh:
         for i in order:
             c = dumps_canonical(gal.class_ids[i])
-            fh.write(_RECORD_LINE % ("null", "null", '"gallery"', "null", "null", c, c, next(vectors)))
-        for p, (kappa, sf_scale) in zip(probes, scalars):
+            fh.write(_RECORD_LINE % ("null", "null", '"gallery"', "null", "null", c, c, next(gallery_vectors)))
+        for probe_id, c, validation, *has in zip(t.ids[by_id].tolist(), t.class_index[by_id].tolist(),
+                                                 t.validation[by_id].tolist(), *(p.tolist() for p in present)):
+            kappa, sigma2, sf_scale = (next(texts) if h else "null" for texts, h in zip(optional, has))
             fh.write(_RECORD_LINE % (
-                kappa, "null" if p.pfe_sigma2 is None else next(sigma2), '"probe"', sf_scale,
-                dumps_canonical(p.split), dumps_canonical(p.class_id), dumps_canonical(p.probe_id),
-                next(vectors)))
+                kappa, sigma2, '"probe"', sf_scale, '"validation"' if validation else '"test"',
+                dumps_canonical(gal.class_ids[c] if c >= 0 else None), dumps_canonical(probe_id), next(vectors)))
 
 
 _REQUIRED_KEYS = frozenset(("template_id", "subject_id", "role", "split", "vector", "kappa", "pfe_sigma2", "sf_scale"))
@@ -168,8 +167,17 @@ def _parse_optional_number(raw, name: str, line_no: int, positive: bool = False)
     return value
 
 
+def _lines(path: str):
+    """The lines of a text file; an OSError while opening or reading it is an io BundleError."""
+    try:
+        with open(path, encoding="ascii", errors="surrogateescape") as fh:
+            yield from fh
+    except OSError as exc:
+        raise BundleError("io", f"cannot read {path}: {exc}") from exc
+
+
 def read_bundle(path: str) -> OsrProtocol:
-    """Read a bundle directory back into an OsrProtocol (sorted, validated)."""
+    """Read a bundle directory back into an OsrProtocol (validated)."""
     manifest_path = os.path.join(path, MANIFEST_NAME)
     records_path = os.path.join(path, RECORDS_NAME)
     for p in (manifest_path, records_path):
@@ -178,6 +186,8 @@ def read_bundle(path: str) -> OsrProtocol:
     try:
         with open(manifest_path, encoding="ascii") as fh:
             manifest = orjson.loads(fh.read())
+    except OSError as exc:
+        raise BundleError("io", f"cannot read {manifest_path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise BundleError("schema", f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("schema_version") != SCHEMA_VERSION:
@@ -193,95 +203,96 @@ def read_bundle(path: str) -> OsrProtocol:
     if not all(isinstance(v, list) and set(map(type, v)) <= {str} for v in sections["gallery_members"].values()):
         raise BundleError("schema", "manifest gallery_members values must be lists of strings")
 
-    gallery_rows = {}
-    probe_rows = {}
-    with open(records_path, encoding="ascii", errors="surrogateescape") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.isascii():  # a non-ASCII byte reads as a lone surrogate
-                raise BundleError("schema", f"line {line_no}: not ASCII text")
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = orjson.loads(line)
-            except json.JSONDecodeError as exc:
-                raise BundleError("schema", f"line {line_no}: not valid JSON") from exc
-            if not isinstance(rec, dict) or rec.keys() != _REQUIRED_KEYS:
-                raise BundleError("schema",
-                                  f"line {line_no}: expected exactly keys {sorted(_REQUIRED_KEYS)}")
-            template_id = rec["template_id"]
-            subject_id = rec["subject_id"]
-            role = rec["role"]
-            split = rec["split"]
-            if not isinstance(template_id, str) or not template_id:
-                raise BundleError("schema", f"line {line_no}: template_id must be a non-empty string")
-            if subject_id is not None and not isinstance(subject_id, str):
-                raise BundleError("schema", f"line {line_no}: subject_id must be a string or null")
-            if role not in ("gallery", "probe"):
-                raise BundleError("schema", f"line {line_no}: role must be gallery or probe")
-            vec = _parse_vector(rec["vector"], d, line_no, template_id)
-            kappa = _parse_optional_number(rec["kappa"], "kappa", line_no, positive=True)
-            sf_scale = _parse_optional_number(rec["sf_scale"], "sf_scale", line_no)
-            sigma2 = rec["pfe_sigma2"]
-            if sigma2 is not None:
-                if not isinstance(sigma2, list) or len(sigma2) != d:
-                    raise BundleError("dimension_mismatch",
-                                      f"line {line_no}: pfe_sigma2 must be an array of length {d}")
-                if not _is_number_list(sigma2):
-                    raise BundleError("schema", f"line {line_no}: pfe_sigma2 must be an array of numbers")
-                sigma2 = np.asarray(sigma2, dtype=np.float64)
-                if (sigma2 <= 0.0).any():
-                    raise BundleError("schema", f"line {line_no}: pfe_sigma2 must be > 0")
-            if role == "gallery":
-                if subject_id is None:
-                    raise BundleError("schema", f"line {line_no}: gallery records need a subject_id")
-                if split is not None:
-                    raise BundleError("schema", f"line {line_no}: gallery records take split null")
-                if template_id in gallery_rows:
-                    raise BundleError("duplicate_id",
-                                      f"line {line_no}: duplicate gallery template_id {template_id!r}")
-                gallery_rows[template_id] = (subject_id, vec)
-            else:
-                if split not in ("validation", "test"):
-                    raise BundleError("schema",
-                                      f"line {line_no}: probe split must be validation or test")
-                if template_id in probe_rows:
-                    raise BundleError("duplicate_id",
-                                      f"line {line_no}: duplicate probe template_id {template_id!r}")
-                probe_rows[template_id] = ProbeRecord(
-                    probe_id=template_id, class_id=subject_id, mean=vec, kappa=kappa,
-                    pfe_sigma2=sigma2, sf_scale=sf_scale, split=split)
+    # probe columns in ProbeTable's field order, with subject ids for class_index and
+    # zeros for an absent field. Mated probes are kept apart and go first, as the table
+    # orders them, so the table of a file written in id order makes no copy.
+    gallery_rows, seen = {}, set()
+    groups = {mated: tuple([] for _ in range(10)) for mated in (True, False)}
+    no_sigma2 = np.zeros(d)
+    for line_no, line in enumerate(_lines(records_path), start=1):
+        if not line.isascii():  # a non-ASCII byte reads as a lone surrogate
+            raise BundleError("schema", f"line {line_no}: not ASCII text")
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = orjson.loads(line)
+        except json.JSONDecodeError as exc:
+            raise BundleError("schema", f"line {line_no}: not valid JSON") from exc
+        if not isinstance(rec, dict) or rec.keys() != _REQUIRED_KEYS:
+            raise BundleError("schema", f"line {line_no}: expected exactly keys {sorted(_REQUIRED_KEYS)}")
+        template_id = rec["template_id"]
+        subject_id = rec["subject_id"]
+        role = rec["role"]
+        split = rec["split"]
+        if not isinstance(template_id, str) or not template_id:
+            raise BundleError("schema", f"line {line_no}: template_id must be a non-empty string")
+        if subject_id is not None and not isinstance(subject_id, str):
+            raise BundleError("schema", f"line {line_no}: subject_id must be a string or null")
+        if role not in ("gallery", "probe"):
+            raise BundleError("schema", f"line {line_no}: role must be gallery or probe")
+        vec = _parse_vector(rec["vector"], d, line_no, template_id)
+        kappa = _parse_optional_number(rec["kappa"], "kappa", line_no, positive=True)
+        sf_scale = _parse_optional_number(rec["sf_scale"], "sf_scale", line_no)
+        sigma2 = rec["pfe_sigma2"]
+        if sigma2 is not None:
+            if not isinstance(sigma2, list) or len(sigma2) != d:
+                raise BundleError("dimension_mismatch", f"line {line_no}: pfe_sigma2 must be an array of length {d}")
+            if not _is_number_list(sigma2):
+                raise BundleError("schema", f"line {line_no}: pfe_sigma2 must be an array of numbers")
+            sigma2 = np.asarray(sigma2, dtype=np.float64)
+            if (sigma2 <= 0.0).any():
+                raise BundleError("schema", f"line {line_no}: pfe_sigma2 must be > 0")
+        if role == "gallery":
+            if subject_id is None:
+                raise BundleError("schema", f"line {line_no}: gallery records need a subject_id")
+            for key in ("split", "kappa", "pfe_sigma2", "sf_scale"):
+                if rec[key] is not None:
+                    raise BundleError("schema", f"line {line_no}: gallery records take {key} null")
+            if template_id in gallery_rows:
+                raise BundleError("duplicate_id", f"line {line_no}: duplicate gallery template_id {template_id!r}")
+            gallery_rows[template_id] = (subject_id, vec)
+        else:
+            if split not in ("validation", "test"):
+                raise BundleError("schema", f"line {line_no}: probe split must be validation or test")
+            if template_id in seen:
+                raise BundleError("duplicate_id", f"line {line_no}: duplicate probe template_id {template_id!r}")
+            seen.add(template_id)
+            row = (template_id, subject_id, vec, 0.0 if kappa is None else kappa, kappa is not None,
+                   0.0 if sf_scale is None else sf_scale, sf_scale is not None,
+                   no_sigma2 if sigma2 is None else sigma2, sigma2 is not None, split == "validation")
+            for column, value in zip(groups[subject_id is not None], row):
+                column.append(value)
 
     if not gallery_rows:
         raise BundleError("schema", "bundle contains no gallery records")
+    ids, subjects, means, *quality, pfe_sigma2, has_pfe_sigma2, validation = (
+        mated + nonmated for mated, nonmated in zip(groups[True], groups[False]))
     ordered = sorted(gallery_rows)
-    subjects = [gallery_rows[t][0] for t in ordered]
-    enrolled = set(subjects)
-    if len(enrolled) != len(subjects):
+    subject_of = [gallery_rows[t][0] for t in ordered]
+    index = {s: c for c, s in enumerate(subject_of)}
+    if len(index) != len(subject_of):
         raise BundleError("duplicate_id", "two gallery templates share a subject_id")
-    gallery = Gallery(class_ids=tuple(subjects),
+    gallery = Gallery(class_ids=tuple(subject_of),
                       means=np.vstack([gallery_rows[t][1] for t in ordered]))
 
-    stray = sorted(t for t, p in probe_rows.items() if p.class_id is not None and p.class_id not in enrolled)
+    stray = sorted((t, s) for t, s in zip(ids, subjects) if s is not None and s not in index)
     if stray:
-        raise BundleError("schema", f"probe {stray[0]!r}: subject_id {probe_rows[stray[0]].class_id!r} "
+        raise BundleError("schema", f"probe {stray[0][0]!r}: subject_id {stray[0][1]!r} "
                                     "names no gallery subject; a non-mated probe takes subject_id null")
+    probes = ProbeTable(ids, [-1 if s is None else index[s] for s in subjects], np.reshape(means, (-1, d)),
+                        *quality, np.reshape(pfe_sigma2, (-1, d)), has_pfe_sigma2, validation)
 
     counts = sections["counts"]
-    mated = tuple(p for _, p in sorted(probe_rows.items()) if p.class_id is not None)
-    nonmated = tuple(p for _, p in sorted(probe_rows.items()) if p.class_id is None)
-    splits = [p.split for p in probe_rows.values()]
-    expected = {"gallery": gallery.k, "mated_probes": len(mated), "nonmated_probes": len(nonmated),
-                "validation_probes": splits.count("validation"), "test_probes": splits.count("test")}
+    expected = {"gallery": gallery.k, "mated_probes": int(probes.mated.sum()),
+                "nonmated_probes": int((~probes.mated).sum()),
+                "validation_probes": int(probes.validation.sum()), "test_probes": int((~probes.validation).sum())}
     for key, value in expected.items():
         if key in counts and counts[key] != value:
-            raise BundleError("schema",
-                              f"manifest counts[{key!r}]={counts[key]} but records contain {value}")
-
+            raise BundleError("schema", f"manifest counts[{key!r}]={counts[key]} but records contain {value}")
     return OsrProtocol(
         gallery=gallery,
-        mated_probes=mated,
-        nonmated_probes=nonmated,
+        probes=probes,
         gallery_members={k: tuple(v) for k, v in sections["gallery_members"].items()},
         meta=dict(sections["seeds"]),
     )

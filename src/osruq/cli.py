@@ -89,9 +89,9 @@ def cmd_gen(args) -> int:
         write_bundle(protocol, args.out)
     except OSError as exc:
         return _out_error(args.out, exc)
+    mated = int(protocol.probes.mated.sum())
     print(f"wrote bundle to {args.out}: d={protocol.gallery.d} "
-          f"gallery={protocol.gallery.k} mated={len(protocol.mated_probes)} "
-          f"nonmated={len(protocol.nonmated_probes)}")
+          f"gallery={protocol.gallery.k} mated={mated} nonmated={len(protocol.probes.ids) - mated}")
     return EXIT_OK
 
 

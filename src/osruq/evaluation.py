@@ -20,7 +20,7 @@ from .gallery import (GalleryModel, cosines, decision_index, galue_score, kappa_
 from .holistic import (KlComponents, TrainingConfig, fit_mlp, fit_stats, kl_from_terms,
                        normalize, self_log_density)
 from .metrics import EvalReport, MethodReport, UndefinedPrrError
-from .protocol import OsrProtocol
+from .protocol import OsrProtocol, ProbeTable
 
 
 class MissingValidationError(ValueError):
@@ -47,44 +47,37 @@ def _require(condition: bool, exc_type, message: str):
         raise exc_type(message)
 
 
-def _split(probes, split: str):
-    return [p for p in probes if p.split == split]
+def _quality(probes: ProbeTable, rows: np.ndarray, field: str, method: str, score=None) -> np.ndarray:
+    """One quality column at ``rows``, for a method that needs it; with ``score``,
+    that row-wise score of it, applied a block of rows at a time."""
+    present = getattr(probes, "has_" + field)[rows]
+    if not present.all():
+        raise MissingQualityError(f"probe {probes.ids[rows][~present][0]} has no {field} for {method}")
+    column = getattr(probes, field)
+    if score is None:
+        return column[rows]
+    # blocks keep the temporaries of a (N, d) column small
+    return np.concatenate([score(column[rows[block]]) for block in row_blocks(len(rows), column[0].size)])
 
 
-def _quality(probes, field: str, method: str) -> np.ndarray:
-    """One quality field of every probe as a float array, for a method that needs it."""
-    values = [getattr(p, field) for p in probes]
-    for probe, value in zip(probes, values):
-        _require(value is not None, MissingQualityError,
-                 f"probe {probe.probe_id} has no {field} for {method}")
-    return np.array(values, dtype=np.float64)
-
-
-def _score(model: GalleryModel, probes, temperature: float, components: bool):
+def _score(model: GalleryModel, probes: ProbeTable, rows: np.ndarray, temperature: float, components: bool):
     """Best cosine, decided class index (-1 rejects), GalUE and, when asked for,
-    KlComponents of every probe, scored in row blocks."""
-    n = len(probes)
+    KlComponents of the probes at ``rows``, gathered and scored a block of rows at a time."""
+    n = len(rows)
     best, galue, kl1, kl2 = (np.empty(n) for _ in range(4))
     decided = np.empty(n, dtype=np.intp)
     if components:
-        log_self = self_log_density(model.gallery.d, _quality(probes, "kappa", "HolUE methods"))
-    for rows in row_blocks(n, model.gallery.k):
-        cos = cosines(model.gallery, [p.mean for p in probes[rows]])
+        log_self = self_log_density(model.gallery.d, _quality(probes, rows, "kappa", "HolUE methods"))
+    for block in row_blocks(n, model.gallery.k):
+        cos = cosines(model.gallery, probes.means[rows[block]])
         terms = terms_from_cosines(model, cos)
         probs = softmax(terms)
-        best[rows] = cos.max(axis=1)
-        decided[rows] = decision_index(probs)
-        galue[rows] = galue_score(probs)
+        best[block] = cos.max(axis=1)
+        decided[block] = decision_index(probs)
+        galue[block] = galue_score(probs)
         if components:
-            kl1[rows], kl2[rows] = kl_from_terms(model, terms, log_self[rows], temperature)
+            kl1[block], kl2[block] = kl_from_terms(model, terms, log_self[block], temperature)
     return best, decided, galue, (KlComponents(kl1, kl2, temperature) if components else None)
-
-
-def _outcome_classes(gallery, probes, decided: np.ndarray) -> np.ndarray:
-    index = {cid: i for i, cid in enumerate(gallery.class_ids)}
-    truth = np.array([index.get(p.class_id, -1) for p in probes], dtype=np.intp)
-    return metrics.outcome_classes([p.class_id is not None for p in probes], decided >= 0,
-                                   decided == truth)
 
 
 def check_arguments(target_fpir: float, methods, temperature: float, beta: float,
@@ -127,16 +120,16 @@ def run_evaluation(
     that failed: arguments, operating point, scoring, calibration, training
     or curves.
     """
-    validation = _split(protocol.mated_probes, "validation") + _split(protocol.nonmated_probes, "validation")
+    probes = protocol.probes
+    validation, test = np.flatnonzero(probes.validation), np.flatnonzero(~probes.validation)
     with _stage("arguments"):  # cheap checks first, so a bad argument fails before any work
         methods = check_arguments(target_fpir, methods, temperature, beta, max_reject_fraction, seed, stats_split)
-        if "HolUE" in methods and stats_split == "test" and validation:
+        if "HolUE" in methods and stats_split == "test" and len(validation):
             raise ValueError("HolUE trains on validation labels; stats_split='test' applies to HolUE-sum only")
 
     gal = protocol.gallery
-    mated_test = _split(protocol.mated_probes, "test")
-    nonmated_test = _split(protocol.nonmated_probes, "test")
-    test = mated_test + nonmated_test
+    truth = probes.class_index[test]  # -1 for a non-mated probe
+    n_mated_test = int((truth >= 0).sum())
     needs_components = "HolUE" in methods or "HolUE-sum" in methods
     with _stage("calibration"):
         if needs_components and stats_split == "validation":
@@ -146,28 +139,29 @@ def run_evaluation(
     # operating point: threshold on test non-mated acceptance scores, then the
     # concentration whose posterior rule matches that threshold
     with _stage("operating point"):
+        nonmated_test = test[truth < 0]
         _require(len(nonmated_test) > 0, ValueError, "test split has no non-mated probes")
-        _require(len(mated_test) > 0, ValueError, "test split has no mated probes")
-        best_nonmated = [cosines(gal, [p.mean for p in nonmated_test[rows]]).max(axis=1)
-                         for rows in row_blocks(len(nonmated_test), gal.k)]
+        _require(n_mated_test > 0, ValueError, "test split has no mated probes")
+        best_nonmated = [cosines(gal, probes.means[nonmated_test[block]]).max(axis=1)
+                         for block in row_blocks(len(nonmated_test), gal.k)]
         tau = metrics.threshold_for_fpir(np.concatenate(best_nonmated), target_fpir)
         kappa = kappa_for_threshold(tau, beta, gal.k, gal.d)
         model = GalleryModel(gallery=gal, kappa=kappa, beta=beta)
 
     with _stage("scoring"):
-        best, decided, galue, components = _score(model, test, temperature, needs_components)
-        classes = _outcome_classes(gal, test, decided)
+        best, decided, galue, components = _score(model, probes, test, temperature, needs_components)
+        classes = metrics.outcome_classes(truth >= 0, decided >= 0, decided == truth)
         scores = {"AccScr": baselines.q_accscr(best, tau), "GalUE": galue}
         for name, field, quality in (("SCF", "kappa", baselines.q_scf),
                                      ("PFE", "pfe_sigma2", baselines.q_pfe),
                                      ("SF", "sf_scale", baselines.q_sf)):
             if name in methods:
-                scores[name] = quality(_quality(test, field, name))
+                scores[name] = _quality(probes, test, field, name, quality)
 
     if needs_components:
         with _stage("calibration"):
             if stats_split == "validation":
-                _, val_decided, _, val_components = _score(model, validation, temperature, True)
+                _, val_decided, _, val_components = _score(model, probes, validation, temperature, True)
                 stats = fit_stats(val_components)
             else:
                 stats = fit_stats(components)
@@ -177,7 +171,8 @@ def run_evaluation(
             scores["HolUE-sum"] = holistic.holue_sum(kl1n, kl2n)
         if "HolUE" in methods:
             with _stage("training"):
-                val_classes = _outcome_classes(gal, validation, val_decided)
+                val_truth = probes.class_index[validation]
+                val_classes = metrics.outcome_classes(val_truth >= 0, val_decided >= 0, val_decided == val_truth)
                 labels = metrics.decision_correct(val_classes).astype(np.float64)
                 features = np.column_stack(normalize(val_components, stats))
                 calibrator = fit_mlp(features, labels, config=mlp_config, seed=seed)
@@ -187,7 +182,7 @@ def run_evaluation(
     fpir, fnir, f1 = metrics.osr_metrics(tp, fn, fp, n_nonmated)
 
     with _stage("curves"):
-        ids = [p.probe_id for p in test]
+        ids = probes.ids[test].astype(str)  # sorted as fixed-width text: faster than str objects
         oracle, random_curves = metrics.reference_curve_sets(
             classes, ids, max_fraction=max_reject_fraction, seed=seed)
         reference_curves = {m: {"oracle": oracle[m], "random": random_curves[m]}
@@ -214,7 +209,7 @@ def run_evaluation(
         base={"fpir": fpir, "fnir": fnir, "f1": f1},
         counts={
             "gallery": gal.k,
-            "mated_test": len(mated_test),
+            "mated_test": n_mated_test,
             "nonmated_test": len(nonmated_test),
             "validation": len(validation),
             "tp": tp, "fn": fn, "fp": fp,

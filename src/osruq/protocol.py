@@ -21,7 +21,7 @@ never depends on the block size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -99,6 +99,7 @@ class SampleStore:
 
 @dataclass(frozen=True)
 class ProbeRecord:
+    """One row of a ProbeTable, as OsrProtocol.mated_probes and nonmated_probes give it."""
     probe_id: str
     class_id: str | None  # None marks a non-mated probe
     mean: np.ndarray
@@ -107,18 +108,78 @@ class ProbeRecord:
     sf_scale: float | None
     split: str  # "validation" or "test"
 
+
+_COLUMN_TYPES = {"ids": object, "class_index": np.intp, "has_kappa": bool, "has_sf_scale": bool,
+                 "has_pfe_sigma2": bool, "validation": bool}  # the other columns are float64
+
+
+@dataclass(frozen=True)
+class ProbeTable:
+    """Every probe of a protocol as row-aligned arrays, sorted here, once: mated rows by id, then
+    non-mated rows by id. class_index indexes the gallery's class_ids, -1 for a non-mated probe.
+    The optional kappa, sf_scale and pfe_sigma2 hold a value only where their has_ mask is True.
+    """
+    ids: np.ndarray  # (N,) str objects
+    class_index: np.ndarray
+    means: np.ndarray  # (N, d)
+    kappa: np.ndarray
+    has_kappa: np.ndarray
+    sf_scale: np.ndarray
+    has_sf_scale: np.ndarray
+    pfe_sigma2: np.ndarray  # (N, d)
+    has_pfe_sigma2: np.ndarray
+    validation: np.ndarray  # the validation split; the other rows are the test split
+
     def __post_init__(self):
-        if self.split not in ("validation", "test"):
-            raise ValueError(f"split must be validation or test, got {self.split!r}")
+        columns = {f.name: np.asarray(getattr(self, f.name), dtype=_COLUMN_TYPES.get(f.name, np.float64))
+                   for f in fields(self)}
+        ids, n = columns["ids"], len(columns["ids"])
+        if {len(column) for column in columns.values()} != {n}:
+            raise ValueError(f"every probe table column must have one row per probe ({n})")
+        if len(set(ids.tolist())) != n:
+            raise ValueError("probe ids must be unique")
+        if n and columns["class_index"].min() < -1:
+            raise ValueError("class_index must be -1 for a non-mated probe or a gallery class index")
+        order = np.lexsort((ids, columns["class_index"] < 0))
+        moved = not np.array_equal(order, np.arange(n))  # a table built in order is not copied
+        for name, column in columns.items():
+            column = column[order] if moved else column
+            column.flags.writeable = False  # frozen: no reader, the record view included, can write a row back
+            object.__setattr__(self, name, column)
+
+    @property
+    def mated(self) -> np.ndarray:
+        return self.class_index >= 0
 
 
 @dataclass(frozen=True)
 class OsrProtocol:
     gallery: Gallery
-    mated_probes: tuple
-    nonmated_probes: tuple
+    probes: ProbeTable
     gallery_members: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if len(self.probes.ids) and self.probes.class_index.max() >= self.gallery.k:
+            raise ValueError(f"class_index must be below the gallery's {self.gallery.k} classes")
+
+    def _records(self, mated: bool) -> tuple:
+        t = self.probes
+        return tuple(ProbeRecord(
+            t.ids[i], self.gallery.class_ids[t.class_index[i]] if mated else None, t.means[i],
+            float(t.kappa[i]) if t.has_kappa[i] else None, t.pfe_sigma2[i] if t.has_pfe_sigma2[i] else None,
+            float(t.sf_scale[i]) if t.has_sf_scale[i] else None, "validation" if t.validation[i] else "test")
+            for i in np.flatnonzero(t.mated == mated))
+
+    @property
+    def mated_probes(self) -> tuple:
+        """The mated rows as read-only ProbeRecords, by id; perfbench/checks.py is its one reader outside tests."""
+        return self._records(True)
+
+    @property
+    def nonmated_probes(self) -> tuple:
+        """The non-mated rows as read-only ProbeRecords, by id; perfbench/checks.py is its one reader outside tests."""
+        return self._records(False)
 
 
 def _planted_pair_count(ambiguity: float, n_identities: int) -> int:
@@ -228,7 +289,7 @@ def gen_synthetic(config: SynthConfig) -> SampleStore:
 
 
 def build_protocol(store: SampleStore) -> OsrProtocol:
-    """Partition a corpus into gallery, mated and non-mated probes.
+    """Partition a corpus into a gallery and a table of mated and non-mated probes.
 
     It reads three fields of ``store.config``: oog_fraction, val_fraction and
     protocol_seed (seed + 1 when None), which seeds the partition's stream.
@@ -236,7 +297,8 @@ def build_protocol(store: SampleStore) -> OsrProtocol:
     probe, so they are always out-of-gallery. Remaining identities are
     assigned per oog_fraction; in-gallery samples split into a gallery
     template half and probe samples; probes are then tagged validation/test
-    per val_fraction, separately for mated and non-mated.
+    per val_fraction, separately for mated and non-mated. The table holds
+    copies, so the store can be freed once the protocol is built.
     """
     config = store.config
     seed = config.seed + 1 if config.protocol_seed is None else config.protocol_seed
@@ -257,38 +319,30 @@ def build_protocol(store: SampleStore) -> OsrProtocol:
 
     gallery_means = []
     gallery_members = {}
-    mated = []  # (identity, sample index, class_id) per probe
-    for identity in gallery_ids:
+    rows = []  # (identity, its probe samples' indices, class index), mated identities first
+    for c, identity in enumerate(gallery_ids):
         vectors = store.samples[identity][0]
         perm = rng.permutation(len(vectors))
         n_gal = max(1, len(vectors) // 2)
         gallery_members[identity] = tuple(sorted(f"{identity}_s{j:02d}" for j in perm[:n_gal]))
         gallery_means.append(aggregate_template(vectors[perm[:n_gal]]))
-        mated += [(identity, j, identity) for j in sorted(perm[n_gal:])]
-    nonmated = [(identity, j, None) for identity in sorted(oog_ids)
-                for j in range(len(store.samples[identity][1]))]
+        rows.append((identity, np.sort(perm[n_gal:]), c))
+    rows += [(identity, np.arange(len(store.samples[identity][1])), -1) for identity in sorted(oog_ids)]
 
-    def tag_splits(entries):
-        n_val = math.floor(config.val_fraction * len(entries))
-        perm = rng.permutation(len(entries))
-        val_idx = set(int(j) for j in perm[:n_val])
-        probes = []
-        for e, (identity, j, class_id) in enumerate(entries):
-            vectors, kappa, sigma2 = store.samples[identity]
-            probes.append(ProbeRecord(
-                probe_id=f"{identity}_s{j:02d}",
-                class_id=class_id,
-                mean=vectors[j],
-                kappa=float(kappa[j]),
-                pfe_sigma2=sigma2[j],
-                sf_scale=float(np.log(kappa[j])),
-                split="validation" if e in val_idx else "test",
-            ))
-        return tuple(sorted(probes, key=lambda p: p.probe_id))
+    n = sum(len(js) for _, js, _ in rows)
+    means, kappa, sigma2 = np.empty((n, config.d)), np.empty(n), np.empty((n, config.d))
+    r = 0
+    for identity, js, _ in rows:
+        for column, values in zip((means, kappa, sigma2), store.samples[identity]):
+            column[r:r + len(js)] = values[js]
+        r += len(js)
+    class_index = np.concatenate([np.full(len(js), c) for _, js, c in rows])
+    validation = np.zeros(n, dtype=bool)
+    for part in (np.flatnonzero(class_index >= 0), np.flatnonzero(class_index < 0)):
+        validation[part[rng.permutation(len(part))[:math.floor(config.val_fraction * len(part))]]] = True
 
-    mated_probes = tag_splits(mated)
-    nonmated_probes = tag_splits(nonmated)
-
+    ids, present = [f"{identity}_s{j:02d}" for identity, js, _ in rows for j in js], np.ones(n, dtype=bool)
+    probes = ProbeTable(ids, class_index, means, kappa, present, np.log(kappa), present, sigma2, present, validation)
     gallery = Gallery(class_ids=tuple(gallery_ids), means=np.vstack(gallery_means))
     meta = {
         "generator_seed": config.seed,
@@ -296,9 +350,7 @@ def build_protocol(store: SampleStore) -> OsrProtocol:
         "oog_fraction": float(config.oog_fraction),
         "val_fraction": float(config.val_fraction),
     }
-    return OsrProtocol(gallery=gallery, mated_probes=mated_probes,
-                       nonmated_probes=nonmated_probes,
-                       gallery_members=gallery_members, meta=meta)
+    return OsrProtocol(gallery=gallery, probes=probes, gallery_members=gallery_members, meta=meta)
 
 
 # Scenario presets. "ambiguous" plants near-duplicate identity pairs under

@@ -22,17 +22,15 @@ def agree(batch, single):
 
 
 def preset_probes(d: int, n_identities: int = 60):
+    """The gallery, the probe vectors and the probe kappas of a mixed-preset protocol."""
     proto = pr.generate_protocol(pr.preset_config("mixed", d=d, n_identities=n_identities))
-    probes = list(proto.mated_probes + proto.nonmated_probes)
-    return proto.gallery, probes
+    return proto.gallery, proto.probes.means, proto.probes.kappa
 
 
 @pytest.mark.parametrize("d, kappa", [(16, 60.0), (128, 480.0)])
 def test_batch_rows_equal_scalar_calls(d, kappa):
-    gal, probes = preset_probes(d)
+    gal, z_all, kappas = preset_probes(d)
     model = ga.GalleryModel(gallery=gal, kappa=kappa, beta=0.5)
-    z_all = np.array([p.mean for p in probes])
-    kappas = np.array([p.kappa for p in probes])
 
     cos = ga.cosines(gal, z_all)
     terms = ga.log_joint_terms(model, z_all)
@@ -40,27 +38,27 @@ def test_batch_rows_equal_scalar_calls(d, kappa):
     probs = ga.softmax(terms)
     decided = ga.decision_index(probs)
     kl1, kl2 = ho.kl_from_terms(model, terms, ho.self_log_density(d, kappas), 20.0)
-    assert terms.shape == (len(probes), gal.k + 1)
+    assert terms.shape == (len(z_all), gal.k + 1)
     assert np.array_equal(ga.posterior(model, z_all), probs)
     stacked = ho.kl_components(model, z_all, kappas, temperature=20.0)
     assert np.array_equal(stacked.kl1, kl1) and np.array_equal(stacked.kl2, kl2)
 
-    for i, p in enumerate(probes):
-        agree(cos[i], gal.means @ p.mean)
-        agree(cos[i].max(), ga.cosines(gal, p.mean).max())
-        agree(terms[i], ga.log_joint_terms(model, p.mean))
-        agree(log_marg[i], ga.log_marginal(model, p.mean))
-        post = ga.posterior(model, p.mean)
+    for i, (z, k) in enumerate(zip(z_all, kappas)):
+        agree(cos[i], gal.means @ z)
+        agree(cos[i].max(), ga.cosines(gal, z).max())
+        agree(terms[i], ga.log_joint_terms(model, z))
+        agree(log_marg[i], ga.log_marginal(model, z))
+        post = ga.posterior(model, z)
         agree(probs[i], post)
         assert ga.decision_index(post) == decided[i]
         agree(probs[i].max(), ga.galue_score(post))
-        comps = ho.kl_components(model, p.mean, p.kappa, temperature=20.0)
+        comps = ho.kl_components(model, z, k, temperature=20.0)
         agree((kl1[i], kl2[i]), (comps.kl1, comps.kl2))
 
 
 def test_batch_validates_every_row():
-    gal, probes = preset_probes(16)
-    z_all = np.array([p.mean for p in probes[:5]])
+    gal, z_all, _ = preset_probes(16)
+    z_all = z_all[:5].copy()
     z_all[3] *= 1.01
     with pytest.raises(ValueError, match=r"rows \[3\]"):
         ga.cosines(gal, z_all)
@@ -73,17 +71,15 @@ def test_kl1_with_underflowed_posterior_entries_matches_scalar():
     # at kappa 500 and T = 1 most probes push some tempered class
     # probabilities below the smallest double; those entries add exact
     # zeros, so kl1 is the sum over the entries that did not underflow
-    gal, probes = preset_probes(16, n_identities=300)
+    gal, z_all, kappas = preset_probes(16, n_identities=300)
     model = ga.GalleryModel(gallery=gal, kappa=500.0, beta=0.5)
-    z_all = np.array([p.mean for p in probes])
-    kappas = np.array([p.kappa for p in probes])
     terms = ga.log_joint_terms(model, z_all)
     kl1, kl2 = ho.kl_from_terms(model, terms, ho.self_log_density(16, kappas), 1.0)
 
     underflowed = ~np.all(ga.softmax(terms)[:, :-1] > 0.0, axis=1)
-    assert 0 < underflowed.sum() < len(probes)
-    for i, p in enumerate(probes):
-        comps = ho.kl_components(model, p.mean, p.kappa, temperature=1.0)
+    assert 0 < underflowed.sum() < len(z_all)
+    for i, (z, k) in enumerate(zip(z_all, kappas)):
+        comps = ho.kl_components(model, z, k, temperature=1.0)
         agree((kl1[i], kl2[i]), (comps.kl1, comps.kl2))
         # the entries that did not underflow, summed apart from the batch
         log_post = terms[i, :-1] - logsumexp(terms[i])

@@ -55,8 +55,8 @@ def test_float_serialization_round_trips_exactly(x):
 @settings(max_examples=500, deadline=None)
 def test_records_float_text_round_trips_exactly(x):
     # the scalar path (kappa, sf_scale) and the row path (vector, pfe_sigma2)
-    scalar = bd._scalar_text(x)
-    (row,) = bd._row_texts([np.array([x, x])], 2, "vector")
+    (scalar,) = bd._row_texts(np.array([x]), [0], "kappa")
+    (row,) = bd._row_texts(np.array([[x, x]]), [0], "vector")
     for loads in (json.loads, orjson.loads):
         back = np.array([loads(scalar)] + loads(row), dtype=np.float64)
         want = np.float64(x + 0.0)  # -0 comes back as +0
@@ -80,18 +80,11 @@ def test_write_read_round_trip(tmp_path):
     np.testing.assert_array_equal(back.gallery.means, proto.gallery.means)
     assert back.meta == proto.meta
     assert back.gallery_members == {k: tuple(v) for k, v in proto.gallery_members.items()}
-
-    for mine, theirs in ((proto.mated_probes, back.mated_probes),
-                         (proto.nonmated_probes, back.nonmated_probes)):
-        assert len(mine) == len(theirs)
-        for a, b in zip(mine, theirs):
-            assert a.probe_id == b.probe_id
-            assert a.class_id == b.class_id
-            assert a.split == b.split
-            np.testing.assert_array_equal(a.mean, b.mean)
-            assert a.kappa == b.kappa
-            np.testing.assert_array_equal(a.pfe_sigma2, b.pfe_sigma2)
-            assert a.sf_scale == b.sf_scale
+    # every column reads back bit for bit, in the same row order
+    for f in dataclasses.fields(pr.ProbeTable):
+        a, b = getattr(proto.probes, f.name), getattr(back.probes, f.name)
+        assert a.shape == b.shape and (a.tolist() == b.tolist() if a.dtype == object else
+                                       a.dtype == b.dtype and a.tobytes() == b.tobytes()), f.name
 
 
 def test_write_is_byte_deterministic(tmp_path):
@@ -127,9 +120,12 @@ def reference_records(proto):
     gal = proto.gallery
     lines = [record(c, c, "gallery", None, m, None, None, None)
              for c, m in sorted(zip(gal.class_ids, gal.means), key=lambda t: t[0])]
-    probes = sorted(proto.mated_probes + proto.nonmated_probes, key=lambda p: p.probe_id)
-    lines += [record(p.probe_id, p.class_id, "probe", p.split, p.mean, p.kappa, p.pfe_sigma2,
-                     p.sf_scale) for p in probes]
+    t = proto.probes
+    for i in sorted(range(len(t.ids)), key=t.ids.__getitem__):
+        optional = [getattr(t, name)[i] if getattr(t, "has_" + name)[i] else None
+                    for name in ("kappa", "pfe_sigma2", "sf_scale")]
+        lines.append(record(t.ids[i], gal.class_ids[t.class_index[i]] if t.class_index[i] >= 0 else None, "probe",
+                            "validation" if t.validation[i] else "test", t.means[i], *optional))
     return "".join(lines)
 
 
@@ -145,19 +141,17 @@ def test_write_matches_canonical_records(tmp_path):
     means = rng.standard_normal((3, d))
     means /= np.linalg.norm(means, axis=1, keepdims=True)
     gallery = Gallery(class_ids=('q"uote', "é", "z\\back"), means=means)
-    probes = []
-    for i in range(600):
-        vector = np.array(EDGE_FLOATS) if i % 7 == 0 else rng.standard_normal(d) * 10.0 ** rng.integers(-300, 300)
-        sigma2 = None if i % 3 == 0 else np.roll(EDGE_FLOATS, i)
-        probes.append(pr.ProbeRecord(
-            probe_id=f"p{i:04d}" + ('"' if i % 11 == 0 else "") + ("ü" if i % 13 == 0 else ""),
-            class_id=gallery.class_ids[i % 3] if i % 2 else None, mean=vector,
-            kappa=None if i % 5 == 0 else EDGE_FLOATS[i % d] + (0.0 if i % 4 else 1.0),
-            pfe_sigma2=sigma2, sf_scale=None if i % 6 == 0 else EDGE_FLOATS[(i + 3) % d],
-            split="validation" if i % 4 else "test"))
-    proto = pr.OsrProtocol(gallery=gallery,
-                           mated_probes=tuple(p for p in probes if p.class_id is not None),
-                           nonmated_probes=tuple(p for p in probes if p.class_id is None))
+    i = np.arange(600)
+    vectors = rng.standard_normal((600, d)) * 10.0 ** rng.integers(-300, 300, (600, 1))
+    vectors[i % 7 == 0] = EDGE_FLOATS
+    probes = pr.ProbeTable(
+        ids=[f"p{j:04d}" + ('"' if j % 11 == 0 else "") + ("ü" if j % 13 == 0 else "") for j in i],
+        class_index=np.where(i % 2 == 1, i % 3, -1), means=vectors,
+        kappa=np.array(EDGE_FLOATS)[i % d] + np.where(i % 4 == 0, 1.0, 0.0), has_kappa=i % 5 != 0,
+        sf_scale=np.array(EDGE_FLOATS)[(i + 3) % d], has_sf_scale=i % 6 != 0,
+        pfe_sigma2=np.array([np.roll(EDGE_FLOATS, j) for j in i]), has_pfe_sigma2=i % 3 != 0,
+        validation=i % 4 != 0)
+    proto = pr.OsrProtocol(gallery=gallery, probes=probes)
     path = os.path.join(tmp_path, "bundle")
     bd.write_bundle(proto, path)
     with open(os.path.join(path, bd.RECORDS_NAME), encoding="ascii") as fh:
@@ -184,23 +178,24 @@ def test_stdlib_json_reads_the_same_bits_as_read_bundle(tmp_path):
             (gallery if rec["role"] == "gallery" else probes).append(np.array(rec["vector"], dtype=np.float64))
             if rec["pfe_sigma2"] is not None:
                 sigma2.append(np.array(rec["pfe_sigma2"], dtype=np.float64))
-    proto = bd.read_bundle(path)
-    records = sorted(proto.mated_probes + proto.nonmated_probes, key=lambda p: p.probe_id)
-    assert np.vstack(gallery).tobytes() == proto.gallery.means.tobytes()
-    assert np.vstack(probes).tobytes() == np.vstack([p.mean for p in records]).tobytes()
-    assert np.vstack(sigma2).tobytes() == np.vstack([p.pfe_sigma2 for p in records]).tobytes()
+    t = bd.read_bundle(path).probes
+    by_id = np.argsort(t.ids)
+    assert np.vstack(gallery).tobytes() == bd.read_bundle(path).gallery.means.tobytes()
+    assert np.vstack(probes).tobytes() == t.means[by_id].tobytes()
+    assert np.vstack(sigma2).tobytes() == t.pfe_sigma2[by_id][t.has_pfe_sigma2[by_id]].tobytes()
 
 
 @pytest.mark.parametrize("field", ["vector", "pfe_sigma2", "kappa", "sf_scale"])
 def test_failed_write_leaves_no_bundle_files(tmp_path, field):
     proto = small_protocol()
-    last = proto.mated_probes[-1]
-    bad = {"vector": {"mean": np.where(np.arange(last.mean.size) == 2, np.nan, last.mean)},
-           "pfe_sigma2": {"pfe_sigma2": np.full(last.mean.size, np.inf)},
-           "kappa": {"kappa": float("nan")},
-           "sf_scale": {"sf_scale": float("nan")}}[field]
-    proto = dataclasses.replace(proto, mated_probes=proto.mated_probes[:-1]
-                                + (dataclasses.replace(last, **bad),))
+    column = {"vector": "means"}.get(field, field)
+    values = getattr(proto.probes, column).copy()
+    last = np.flatnonzero(proto.probes.mated)[-1]
+    if field == "vector":
+        values[last, 2] = np.nan
+    else:
+        values[last] = {"pfe_sigma2": np.inf}.get(field, np.nan)
+    proto = dataclasses.replace(proto, probes=dataclasses.replace(proto.probes, **{column: values}))
     path = os.path.join(tmp_path, "bundle")
     with pytest.raises(ValueError):
         bd.write_bundle(proto, path)
@@ -252,8 +247,18 @@ def test_read_accepts_minimal_bundle(tmp_path):
     write_raw(path, base_manifest(), base_records())
     proto = bd.read_bundle(path)
     assert proto.gallery.class_ids == ("g0",)
-    assert len(proto.mated_probes) == 1
-    assert len(proto.nonmated_probes) == 1
+    assert proto.probes.ids.tolist() == ["p0", "n0"]
+    assert proto.probes.class_index.tolist() == [0, -1]
+
+
+def test_a_bundle_without_probes_round_trips(tmp_path):
+    path = os.path.join(tmp_path, "empty")
+    write_raw(path, base_manifest(), [gallery_row()])
+    proto = bd.read_bundle(path)
+    assert proto.probes.ids.shape == (0,) and proto.probes.means.shape == (0, 2)
+    assert proto.probes.validation.dtype == bool and proto.probes.class_index.dtype == np.intp
+    bd.write_bundle(proto, os.path.join(tmp_path, "again"))
+    assert bd.read_bundle(os.path.join(tmp_path, "again")).probes.means.shape == (0, 2)
 
 
 def test_missing_files_are_io_errors(tmp_path):
@@ -267,6 +272,24 @@ def test_missing_files_are_io_errors(tmp_path):
     with pytest.raises(bd.BundleError) as exc:
         bd.read_bundle(path)
     assert exc.value.code == "io"
+
+
+@pytest.mark.parametrize("name", [bd.MANIFEST_NAME, bd.RECORDS_NAME])
+def test_eval_reports_an_unreadable_bundle_file_as_an_io_error(tmp_path, capsys, monkeypatch, name):
+    path = os.path.join(tmp_path, "bundle")
+    write_raw(path, base_manifest(), base_records())
+
+    def refuse(file, *args, **kwargs):
+        if os.path.basename(file) == name:
+            raise PermissionError(13, "Permission denied", file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(bd, "open", refuse, raising=False)
+    out = os.path.join(tmp_path, "out")
+    assert cli.main(["eval", "--bundle", path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"error [io]: cannot read {os.path.join(path, name)}: [Errno 13] Permission denied" in err
+    assert not os.path.exists(out)
 
 
 def test_manifest_schema_errors(tmp_path):
@@ -398,6 +421,12 @@ def test_role_specific_rules(tmp_path):
     row["role"] = "query"
     expect_code(tmp_path, "schema", records=[row, probe_row(), probe_row("n0", None)])
     expect_code(tmp_path, "schema", records=[probe_row(), probe_row("n0", None)])
+    # a gallery template carries no probe quality: a value there would be dropped on read
+    for key, value in (("kappa", 5.0), ("sf_scale", 1.6), ("pfe_sigma2", [0.2, 0.2])):
+        row = {**gallery_row(), key: value}
+        expect_code(tmp_path, "schema", records=[row, probe_row(), probe_row("n0", None)])
+        with pytest.raises(bd.BundleError, match=f"line 1: gallery records take {key} null"):
+            bd.read_bundle(os.path.join(tmp_path, "case"))
 
 
 def test_probe_of_a_subject_outside_the_gallery_is_a_schema_error(tmp_path, capsys):
@@ -461,8 +490,7 @@ def test_probes_come_back_sorted(tmp_path):
     path = os.path.join(tmp_path, "sorted")
     write_raw(path, base_manifest(), records)
     proto = bd.read_bundle(path)
-    assert [p.probe_id for p in proto.mated_probes] == ["p1", "p9"]
-    assert [p.probe_id for p in proto.nonmated_probes] == ["n2", "n5"]
+    assert proto.probes.ids.tolist() == ["p1", "p9", "n2", "n5"]
 
 
 def test_bundle_error_rejects_unknown_code():

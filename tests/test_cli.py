@@ -34,8 +34,8 @@ def test_gen_writes_bundle(tmp_path):
     assert cli.main(["gen", "--config", config, "--out", out]) == 0
     proto = read_bundle(out)
     assert proto.gallery.d == 8
-    assert len(proto.mated_probes) > 0
-    assert len(proto.nonmated_probes) > 0
+    assert proto.probes.mated.any()
+    assert not proto.probes.mated.all()
 
 
 def test_gen_accepts_presets(tmp_path):
@@ -299,11 +299,13 @@ def test_eval_exit_3_without_validation_split(tmp_path):
 def test_eval_scores_a_subnormal_pfe_variance_without_a_warning(tmp_path):
     # 1 / 5e-324 overflows; PFE scores that probe -0.0, the limit of its harmonic mean
     proto = generate_protocol(preset_config("degraded"))
-    i = next(i for i, p in enumerate(proto.mated_probes) if p.split == "test")
-    proto.mated_probes[i].pfe_sigma2[0] = 5e-324
+    i = np.flatnonzero(proto.probes.mated & ~proto.probes.validation)[0]
+    sigma2 = proto.probes.pfe_sigma2.copy()
+    sigma2[i, 0] = 5e-324
+    proto = dataclasses.replace(proto, probes=dataclasses.replace(proto.probes, pfe_sigma2=sigma2))
     bundle, out = os.path.join(tmp_path, "bundle"), os.path.join(tmp_path, "eval")
     write_bundle(proto, bundle)
-    assert read_bundle(bundle).mated_probes[i].pfe_sigma2[0] == 5e-324
+    assert read_bundle(bundle).probes.pfe_sigma2[i, 0] == 5e-324
     assert cli.main(["eval", "--bundle", bundle, "--out", out, "--fpir", "0.1"]) == 0
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -88,19 +89,9 @@ def test_missing_validation_split():
 
 def test_missing_quality_fields():
     proto = small_protocol()
-    stripped = pr.OsrProtocol(
-        gallery=proto.gallery,
-        mated_probes=tuple(
-            pr.ProbeRecord(probe_id=p.probe_id, class_id=p.class_id, mean=p.mean,
-                           kappa=None, pfe_sigma2=None, sf_scale=None, split=p.split)
-            for p in proto.mated_probes),
-        nonmated_probes=tuple(
-            pr.ProbeRecord(probe_id=p.probe_id, class_id=p.class_id, mean=p.mean,
-                           kappa=None, pfe_sigma2=None, sf_scale=None, split=p.split)
-            for p in proto.nonmated_probes),
-        gallery_members=proto.gallery_members,
-        meta=proto.meta,
-    )
+    absent = np.zeros(len(proto.probes.ids), dtype=bool)
+    stripped = dataclasses.replace(proto, probes=dataclasses.replace(
+        proto.probes, has_kappa=absent, has_pfe_sigma2=absent, has_sf_scale=absent))
     with pytest.raises(ev.MissingQualityError):
         ev.run_evaluation(stripped, 0.1, methods=("SCF",))
     with pytest.raises(ev.MissingQualityError):
@@ -130,21 +121,16 @@ def test_stats_split_changes_scores():
     assert a.methods["HolUE-sum"].auc["F1"] != b.methods["HolUE-sum"].auc["F1"]
 
 
-def with_validation(proto, validation):
-    """The protocol with its validation split replaced by the given probes."""
-    def retag(p, split):
-        return pr.ProbeRecord(probe_id=p.probe_id, class_id=p.class_id, mean=p.mean,
-                              kappa=p.kappa, pfe_sigma2=p.pfe_sigma2, sf_scale=p.sf_scale,
-                              split=split)
-    test = [retag(p, "test") for p in proto.mated_probes + proto.nonmated_probes
-            if p.split == "test"]
-    val = [retag(p, "validation") for p in validation]
-    probes = test + val
-    return pr.OsrProtocol(
-        gallery=proto.gallery,
-        mated_probes=tuple(p for p in probes if p.class_id is not None),
-        nonmated_probes=tuple(p for p in probes if p.class_id is None),
-        gallery_members=proto.gallery_members, meta=proto.meta)
+def with_validation(proto, rows, ids=None):
+    """The protocol with its validation split replaced by copies of the given table rows,
+    renamed to ``ids`` when given."""
+    t = proto.probes
+    keep = np.concatenate([np.flatnonzero(~t.validation), rows])
+    columns = {f.name: getattr(t, f.name)[keep] for f in dataclasses.fields(t)}
+    columns["validation"] = np.arange(len(keep)) >= len(keep) - len(rows)
+    if ids is not None:
+        columns["ids"][len(keep) - len(rows):] = ids
+    return dataclasses.replace(proto, probes=pr.ProbeTable(**columns))
 
 
 def stage_of(call):
@@ -160,17 +146,15 @@ def test_failures_name_their_stage():
     assert stage_of(lambda: ev.run_evaluation(proto, 0.1, methods=("AccScr",),
                                               max_reject_fraction=1.0)) == "curves"
 
-    mated_val = [p for p in proto.mated_probes if p.split == "validation"]
-    twins = [mated_val[0], pr.ProbeRecord(
-        probe_id="twin", class_id=mated_val[0].class_id, mean=mated_val[0].mean,
-        kappa=mated_val[0].kappa, pfe_sigma2=None, sf_scale=None, split="validation")]
-    assert stage_of(lambda: ev.run_evaluation(with_validation(proto, twins), 0.1,
-                                              methods=("HolUE-sum",))) == "calibration"
+    t = proto.probes
+    mated_val = np.flatnonzero(t.mated & t.validation)
+    twins = with_validation(proto, mated_val[[0, 0]], ids=[t.ids[mated_val[0]], "twin"])
+    assert stage_of(lambda: ev.run_evaluation(twins, 0.1, methods=("HolUE-sum",))) == "calibration"
 
     report = ev.run_evaluation(proto, 0.1, methods=("AccScr",))
     model = GalleryModel(gallery=proto.gallery, kappa=report.kappa, beta=report.beta)
-    decided = ga.decision_index(ga.posterior(model, np.array([p.mean for p in mated_val])))
-    correct = [p for p, i in zip(mated_val, decided) if i >= 0 and proto.gallery.class_ids[i] == p.class_id]
+    decided = ga.decision_index(ga.posterior(model, t.means[mated_val]))
+    correct = mated_val[decided == t.class_index[mated_val]]
     assert len(correct) >= 2
     assert stage_of(lambda: ev.run_evaluation(with_validation(proto, correct), 0.1,
                                               methods=("HolUE",), mlp_config=FAST_MLP)) == "training"
@@ -201,3 +185,24 @@ def test_degraded_preset_at_d512_evaluates():
     report = ev.run_evaluation(pr.generate_protocol(pr.preset_config("degraded", d=512)), 0.1)
     assert set(report.methods) == set(baselines.METHOD_NAMES)
     assert all(m.prr is not None and math.isfinite(m.prr) for m in report.methods.values())
+
+
+def test_a_table_built_from_shuffled_rows_is_the_sorted_table():
+    # the table sorts its rows once, so the order rows arrive in cannot move a report
+    proto = small_protocol()
+    t = proto.probes
+    perm = np.random.default_rng(1).permutation(len(t.ids))
+    shuffled = pr.ProbeTable(**{f.name: getattr(t, f.name)[perm] for f in dataclasses.fields(t)})
+    for f in dataclasses.fields(t):
+        a, b = getattr(t, f.name), getattr(shuffled, f.name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tolist() == b.tolist(), f.name
+    a = ev.run_evaluation(proto, 0.1, mlp_config=FAST_MLP, seed=2)
+    b = ev.run_evaluation(dataclasses.replace(proto, probes=shuffled), 0.1, mlp_config=FAST_MLP, seed=2)
+    assert a.tau == b.tau and a.kappa == b.kappa and a.counts == b.counts and a.base == b.base
+    for name in a.methods:
+        assert a.methods[name].prr == b.methods[name].prr
+        for metric, curve in a.methods[name].curves.items():
+            assert curve.values.tobytes() == b.methods[name].curves[metric].values.tobytes()
+    for metric, pair in a.reference_curves.items():
+        for kind, curve in pair.items():
+            assert curve.values.tobytes() == b.reference_curves[metric][kind].values.tobytes()

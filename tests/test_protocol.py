@@ -89,10 +89,56 @@ def test_infinite_class_kappa_centers_on_identity_mean():
         assert np.all(store.samples[identity][0] @ store.identity_means[idx] > 0.999)
 
 
-def test_probe_record_split_validation():
-    with pytest.raises(ValueError):
-        pr.ProbeRecord(probe_id="p", class_id=None, mean=np.array([1.0, 0.0]),
-                       kappa=1.0, pfe_sigma2=None, sf_scale=None, split="train")
+def table(ids, class_index, **columns):
+    """A ProbeTable of unit 2-d probes with every quality field present."""
+    n = len(ids)
+    fields = dict(ids=ids, class_index=class_index, means=np.tile([1.0, 0.0], (n, 1)), kappa=np.ones(n),
+                  has_kappa=np.ones(n, bool), sf_scale=np.zeros(n), has_sf_scale=np.ones(n, bool),
+                  pfe_sigma2=np.ones((n, 2)), has_pfe_sigma2=np.ones(n, bool), validation=np.zeros(n, bool))
+    return pr.ProbeTable(**{**fields, **columns})
+
+
+def test_probe_table_invariants():
+    t = table(["b", "n2", "a", "n1"], [0, -1, 1, -1], kappa=[1.0, 2.0, 3.0, 4.0])
+    # mated rows by id, then non-mated rows by id; every column moves with its row
+    assert t.ids.tolist() == ["a", "b", "n1", "n2"]
+    assert t.class_index.tolist() == [1, 0, -1, -1] and t.kappa.tolist() == [3.0, 1.0, 4.0, 2.0]
+    with pytest.raises(ValueError, match="read-only"):
+        t.means[0, 0] = 0.5
+    with pytest.raises(ValueError, match="one row per probe"):
+        table(["a", "b"], [0, 0], kappa=np.ones(3))
+    with pytest.raises(ValueError, match="one row per probe"):
+        table(["a", "b"], [0, 0], has_pfe_sigma2=np.ones(1, bool))
+    with pytest.raises(ValueError, match="unique"):
+        table(["a", "a"], [0, -1])
+    with pytest.raises(ValueError, match="class_index"):
+        table(["a", "b"], [0, -2])
+    gallery = pr.Gallery(class_ids=("g0", "g1"), means=np.eye(2))
+    pr.OsrProtocol(gallery=gallery, probes=table(["a", "b"], [1, -1]))
+    with pytest.raises(ValueError, match="below the gallery's 2 classes"):
+        pr.OsrProtocol(gallery=gallery, probes=table(["a", "b"], [2, -1]))
+
+
+def test_record_view_gives_what_the_benchmark_check_reads():
+    # perfbench/checks.py::check_bundle_round_trip reads mated_probes + nonmated_probes
+    # and each record's probe_id, mean and pfe_sigma2
+    gallery = pr.Gallery(class_ids=("g0", "g1"), means=np.eye(2))
+    means = np.array([[0.6, 0.8], [0.0, 1.0], [1.0, 0.0], [0.8, 0.6]])
+    t = table(["p9", "n5", "p1", "n2"], [1, -1, 0, -1], means=means, pfe_sigma2=np.full((4, 2), 0.5),
+              has_pfe_sigma2=[True, False, True, True], has_kappa=[False, True, True, True],
+              validation=[True, False, False, True])
+    proto = pr.OsrProtocol(gallery=gallery, probes=t)
+    records = proto.mated_probes + proto.nonmated_probes
+    assert isinstance(proto.mated_probes, tuple)
+    assert [p.probe_id for p in records] == ["p1", "p9", "n2", "n5"]
+    assert [p.class_id for p in records] == ["g0", "g1", None, None]
+    for p, row in zip(records, ([1.0, 0.0], [0.6, 0.8], [0.8, 0.6], [0.0, 1.0])):
+        assert p.mean.tobytes() == np.array(row).tobytes()
+    assert [p.pfe_sigma2 is None for p in records] == [False, False, False, True]
+    assert records[0].pfe_sigma2.tobytes() == np.full(2, 0.5).tobytes()
+    assert not records[0].mean.flags.writeable and not records[0].pfe_sigma2.flags.writeable
+    assert [p.kappa for p in records] == [1.0, None, 1.0, 1.0]
+    assert [p.split for p in records] == ["test", "validation", "validation", "test"]
 
 
 def test_build_protocol_partition():
@@ -111,38 +157,38 @@ def test_build_protocol_partition():
         identity, j = probe_id.split("_s")
         return [a[int(j)] for a in store.samples[identity]]
 
-    for probe in proto.mated_probes + proto.nonmated_probes:
-        vector, kappa, sigma2 = sample(probe.probe_id)
-        assert probe.mean.tobytes() == vector.tobytes() and probe.pfe_sigma2.tobytes() == sigma2.tobytes()
-        assert type(probe.kappa) is float and type(probe.sf_scale) is float
-        assert probe.kappa == kappa and probe.sf_scale == float(np.log(kappa))
-    for probe in proto.mated_probes:
-        assert probe.class_id in gallery_ids
-        assert probe.probe_id not in proto.gallery_members[probe.class_id]
-        assert probe.split in ("validation", "test")
-    for probe in proto.nonmated_probes:
-        assert probe.class_id is None
-        owner = probe.probe_id.split("_")[0]
-        assert owner in oog_ids
+    t = proto.probes
+    assert t.has_kappa.all() and t.has_sf_scale.all() and t.has_pfe_sigma2.all()
+    for i, probe_id in enumerate(t.ids):
+        vector, kappa, sigma2 = sample(probe_id)
+        assert t.means[i].tobytes() == vector.tobytes() and t.pfe_sigma2[i].tobytes() == sigma2.tobytes()
+        assert t.kappa[i] == kappa and t.sf_scale[i] == float(np.log(kappa))
+        owner = probe_id.split("_")[0]
+        if t.class_index[i] >= 0:
+            assert proto.gallery.class_ids[t.class_index[i]] == owner
+            assert probe_id not in proto.gallery_members[owner]
+        else:
+            assert owner in oog_ids
+    # the table holds copies: none of its arrays is a view into the store
+    assert all(getattr(t, f.name).base is None for f in dataclasses.fields(t) if f.name != "ids")
 
     # gallery templates aggregate roughly half of each identity's samples
     for identity in gallery_ids:
         n = len(store.samples[identity][1])
         assert len(proto.gallery_members[identity]) == max(1, n // 2)
 
-    # probes come back sorted by id
-    ids = [p.probe_id for p in proto.mated_probes]
-    assert ids == sorted(ids)
-    ids = [p.probe_id for p in proto.nonmated_probes]
-    assert ids == sorted(ids)
+    # mated probes come first, each group sorted by id
+    mated = t.mated.tolist()
+    assert mated == sorted(mated, reverse=True)
+    for group in (t.ids[t.mated].tolist(), t.ids[~t.mated].tolist()):
+        assert group == sorted(group)
 
 
 def test_build_protocol_split_fractions():
     store = pr.gen_synthetic(small_config(n_identities=80, val_fraction=0.25, protocol_seed=1))
     proto = pr.build_protocol(store)
-    for probes in (proto.mated_probes, proto.nonmated_probes):
-        n_val = sum(1 for p in probes if p.split == "validation")
-        assert n_val == math.floor(0.25 * len(probes))
+    for group in (proto.probes.mated, ~proto.probes.mated):
+        assert proto.probes.validation[group].sum() == math.floor(0.25 * group.sum())
 
 
 @pytest.mark.parametrize("make", [
@@ -167,8 +213,8 @@ def test_generate_protocol_seed_convention():
     assert proto.meta["protocol_seed"] == cfg.seed + 1
     assert proto.meta["val_fraction"] == 0.3
     explicit = pr.generate_protocol(small_config(protocol_seed=cfg.seed + 1))
-    assert [p.probe_id for p in explicit.mated_probes] == [p.probe_id for p in proto.mated_probes]
-    assert [p.split for p in explicit.mated_probes] == [p.split for p in proto.mated_probes]
+    assert explicit.probes.ids.tolist() == proto.probes.ids.tolist()
+    assert np.array_equal(explicit.probes.validation, proto.probes.validation)
 
 
 def test_presets_exist_and_build():
