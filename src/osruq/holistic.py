@@ -85,6 +85,8 @@ def self_log_density(d: int, kappa):
     return vmf.log_c_d(d, kappa) + kappa
 
 
+# at a tiny temperature 1/T times a term overflows; the callers' KlComponents rejects the inf or NaN
+@np.errstate(over="ignore", invalid="ignore")
 def kl_from_terms(model: GalleryModel, terms: np.ndarray, log_self, temperature: float):
     """(kl1, kl2) arrays for (N, K+1) log_joint_terms rows and the probes' self_log_density.
 
@@ -129,6 +131,8 @@ def kl_components(model: GalleryModel, z, kappa, temperature: float = DEFAULT_TE
     return KlComponents(kl1=kl1, kl2=kl2, temperature=float(temperature))
 
 
+# components near the float limit overflow the sums; CalibrationStats rejects the inf or NaN
+@np.errstate(over="ignore", invalid="ignore")
 def fit_stats(components: KlComponents) -> CalibrationStats:
     """Mean/std (ddof=1) of each component over a calibration split."""
     kl1, kl2 = np.atleast_1d(components.kl1), np.atleast_1d(components.kl2)

@@ -175,7 +175,9 @@ def _deviation(a, b, floor: float = 1.0) -> float:
     return float(np.max(np.abs(a - b) / np.maximum(floor, np.abs(b))))
 
 
-def _check_bessel_half_integer() -> dict:
+# every check takes the seed; the four deterministic ones ignore it
+
+def _check_bessel_half_integer(seed: int) -> dict:
     x = np.logspace(-3, 3, 121)
     dev = float(np.max([
         _deviation(vmf.log_bessel_i(0.5, x), _log_i_half(x)),
@@ -184,7 +186,7 @@ def _check_bessel_half_integer() -> dict:
     return {"name": "bessel_half_integer", "max_deviation": dev, "tolerance": 1e-10}
 
 
-def _check_bessel_series_consistency() -> dict:
+def _check_bessel_series_consistency(seed: int) -> dict:
     # both the scaled-Bessel path and the power series are valid here
     dev = 0.0
     for order in (2.0, 17.0, 50.0, 127.5):
@@ -195,7 +197,7 @@ def _check_bessel_series_consistency() -> dict:
     return {"name": "bessel_series_consistency", "max_deviation": dev, "tolerance": 1e-11}
 
 
-def _check_normalizer_quadrature() -> dict:
+def _check_normalizer_quadrature(seed: int) -> dict:
     dev = 0.0
     for d in (2, 3):
         for kappa in (0.1, 1.0, 10.0, 100.0):
@@ -203,7 +205,7 @@ def _check_normalizer_quadrature() -> dict:
     return {"name": "normalizer_quadrature", "max_deviation": dev, "tolerance": 1e-8}
 
 
-def _check_normalizer_identity() -> dict:
+def _check_normalizer_identity(seed: int) -> dict:
     dev = 0.0
     for d in (2, 3, 8, 64, 256, 512):
         log_s = vmf.log_surface_area(d)
@@ -213,16 +215,13 @@ def _check_normalizer_identity() -> dict:
     return {"name": "normalizer_identity", "max_deviation": dev, "tolerance": 1e-10}
 
 
-def _random_unit(rng: np.random.Generator, d: int) -> np.ndarray:
-    return vmf._unit_rows(rng.standard_normal((1, d)), rng)[0]
-
-
 @functools.cache
 def _class_ids(k: int) -> tuple:
     return tuple(f"c{i}" for i in range(k))
 
 
-_LOG_KAPPA_MIN = np.log(1e-2)  # concentrations are drawn log-uniform on [1e-2, kappa_max]
+# concentrations are drawn log-uniform on [1e-2, kappa_max]
+_LOG_KAPPA_MIN, _LOG_KAPPA_MAX = np.log(1e-2), np.log(ENVELOPE["kappa_max"])
 
 
 def _random_model(rng: np.random.Generator, d: int, k: int, log_kappa_max: float) -> GalleryModel:
@@ -230,6 +229,17 @@ def _random_model(rng: np.random.Generator, d: int, k: int, log_kappa_max: float
     kappa = float(np.exp(rng.uniform(_LOG_KAPPA_MIN, log_kappa_max)))
     beta = float(rng.uniform(0.05, 0.95))
     return GalleryModel(gallery=Gallery(class_ids=_class_ids(k), means=means), kappa=kappa, beta=beta)
+
+
+def _random_cases(rng: np.random.Generator, cases: int, dims=(2, 3, 5, 8),
+                  ks=range(1, ENVELOPE["k_max"] + 1), log_kappa_max: float = _LOG_KAPPA_MAX):
+    """(model, unit probe) pairs, by default inside the envelope; each case draws d from dims,
+    K from ks, the model, then the probe. (...)[rng.integers(n)] takes rng.choice's draws.
+    The caller may draw from rng between cases."""
+    for _ in range(cases):
+        d = dims[rng.integers(len(dims))]
+        model = _random_model(rng, d, ks[rng.integers(len(ks))], log_kappa_max)
+        yield model, vmf._unit_rows(rng.standard_normal((1, d)), rng)[0]
 
 
 def _check_marginal_mc(seed: int) -> dict:
@@ -246,14 +256,8 @@ def _check_marginal_mc(seed: int) -> dict:
 
 
 def _check_posterior_linear(seed: int, cases: int = 1000) -> dict:
-    rng = np.random.default_rng([seed, 202])
-    log_kappa_max = np.log(ENVELOPE["kappa_max"])
     dev = 0.0
-    for _ in range(cases):
-        d = (2, 3, 5, 8)[rng.integers(4)]  # the draws of rng.choice([2, 3, 5, 8])
-        k = int(rng.integers(1, ENVELOPE["k_max"] + 1))
-        model = _random_model(rng, d, k, log_kappa_max)
-        z = _random_unit(rng, d)
+    for model, z in _random_cases(np.random.default_rng([seed, 202]), cases):
         ours, ref = gallery_mod.posterior(model, z), independent_posterior(model, z)
         dev = max(dev, float(np.max(np.abs(ours - ref))))
     return {"name": "posterior_linear", "max_deviation": dev, "tolerance": 1e-9}
@@ -261,14 +265,9 @@ def _check_posterior_linear(seed: int, cases: int = 1000) -> dict:
 
 def _check_kl_t1_linear(seed: int, cases: int = 200) -> dict:
     rng = np.random.default_rng([seed, 303])
-    log_kappa_max = np.log(ENVELOPE["kappa_max"])
     dev = 0.0
-    for _ in range(cases):
-        d = (2, 3, 5, 8)[rng.integers(4)]
-        k = int(rng.integers(1, ENVELOPE["k_max"] + 1))
-        model = _random_model(rng, d, k, log_kappa_max)
-        z = _random_unit(rng, d)
-        kappa = float(np.exp(rng.uniform(_LOG_KAPPA_MIN, log_kappa_max)))
+    for model, z in _random_cases(rng, cases):
+        kappa = float(np.exp(rng.uniform(_LOG_KAPPA_MIN, _LOG_KAPPA_MAX)))
         comp = holistic_mod.kl_components(model, z, kappa, temperature=1.0)
         ref1, ref2 = independent_kl_components(model, z, kappa)
         dev = max(dev, abs(comp.kl1 - ref1), abs(comp.kl2 - ref2))
@@ -276,14 +275,9 @@ def _check_kl_t1_linear(seed: int, cases: int = 200) -> dict:
 
 
 def _check_decision_equivalence(seed: int, cases: int = 2000) -> dict:
-    rng = np.random.default_rng([seed, 404])
-    log_kappa_max = np.log(1e3)
     disagreements = 0
-    for _ in range(cases):
-        d = (2, 16, 128)[rng.integers(3)]
-        k = (1, 10, 100)[rng.integers(3)]
-        model = _random_model(rng, d, k, log_kappa_max)
-        z = _random_unit(rng, d)
+    rng = np.random.default_rng([seed, 404])
+    for model, z in _random_cases(rng, cases, dims=(2, 16, 128), ks=(1, 10, 100), log_kappa_max=np.log(1e3)):
         decided = int(gallery_mod.decision_index(gallery_mod.posterior(model, z)))
         tau = gallery_mod.equivalent_threshold(model)
         best = int(np.argmax(model.gallery.means @ z))
@@ -292,15 +286,15 @@ def _check_decision_equivalence(seed: int, cases: int = 2000) -> dict:
     return {"name": "decision_equivalence", "max_deviation": float(disagreements), "tolerance": 0.0}
 
 
+# scope -> its checks; "all" runs every scope's checks in this order
 SCOPES = {
-    "bessel": ("bessel_half_integer", "bessel_series_consistency"),
-    "quadrature": ("normalizer_quadrature", "normalizer_identity"),
-    "marginal": ("marginal_mc",),
-    "posterior": ("posterior_linear", "kl_t1_linear"),
-    "equivalence": ("decision_equivalence",),
+    "bessel": (_check_bessel_half_integer, _check_bessel_series_consistency),
+    "quadrature": (_check_normalizer_quadrature, _check_normalizer_identity),
+    "marginal": (_check_marginal_mc,),
+    "posterior": (_check_posterior_linear, _check_kl_t1_linear),
+    "equivalence": (_check_decision_equivalence,),
 }
-SCOPES["all"] = tuple(name for scope in ("bessel", "quadrature", "marginal", "posterior", "equivalence")
-                      for name in SCOPES[scope])
+SCOPES["all"] = tuple(check for checks in SCOPES.values() for check in checks)
 
 
 def run_verification(scope: str = "all", seed: int = 0) -> dict:
@@ -309,19 +303,9 @@ def run_verification(scope: str = "all", seed: int = 0) -> dict:
         raise ValueError(f"unknown scope {scope!r}; available: {sorted(SCOPES)}")
     if not seed >= 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    runners = {
-        "bessel_half_integer": lambda: _check_bessel_half_integer(),
-        "bessel_series_consistency": lambda: _check_bessel_series_consistency(),
-        "normalizer_quadrature": lambda: _check_normalizer_quadrature(),
-        "normalizer_identity": lambda: _check_normalizer_identity(),
-        "marginal_mc": lambda: _check_marginal_mc(seed),
-        "posterior_linear": lambda: _check_posterior_linear(seed),
-        "kl_t1_linear": lambda: _check_kl_t1_linear(seed),
-        "decision_equivalence": lambda: _check_decision_equivalence(seed),
-    }
     checks = []
-    for name in SCOPES[scope]:
-        result = runners[name]()
+    for check in SCOPES[scope]:
+        result = check(seed)
         result["status"] = "pass" if result["max_deviation"] <= result["tolerance"] else "fail"
         checks.append(result)
     return {

@@ -81,6 +81,9 @@ class SynthConfig:
             raise ValueError(f"class_kappa must be > 0, got {self.class_kappa!r}")
         if not (np.isfinite(qlo) and np.isfinite(qhi) and 0.0 < qlo <= qhi):
             raise ValueError(f"invalid quality_kappa_range {self.quality_kappa_range!r}")
+        for name, kappa in (("class_kappa", self.class_kappa), ("quality_kappa_range[1]", qhi)):
+            if np.isfinite(kappa) and not vmf.samplable(kappa, self.d):
+                raise ValueError(f"{name} is too large for the vMF sampler at d={self.d}, got {kappa!r}")
         if not 0.0 <= self.ambiguity <= 1.0:
             raise ValueError(f"ambiguity must be in [0, 1], got {self.ambiguity!r}")
         object.__setattr__(self, "samples_per_identity", (lo, hi))

@@ -248,6 +248,14 @@ def _radial_envelope(kappa: float, d: int):
     return b, x0, kappa * x0 + dim * np.log(1.0 - x0 * x0)
 
 
+def samplable(kappa: float, d: int) -> bool:
+    """Whether sample_vmf can draw at a finite kappa in R^d: the envelope needs 1 - x0**2 > 0,
+    which rounds to 0 from about kappa = 1e15.7 at d=2, 1e16.8 at d=16 and 1e18.4 at d=512."""
+    with np.errstate(divide="ignore"):  # log(0) in the envelope's constant, where it collapses
+        _, x0, _ = _radial_envelope(kappa, d)
+    return bool(1.0 - x0 * x0 > 0.0)
+
+
 def _radial_proposals(rng: np.random.Generator, d: int, m: int):
     # The sampler's RNG calls for m candidates: m beta draws, then m uniforms.
     half = 0.5 * (d - 1.0)

@@ -309,6 +309,32 @@ def test_eval_scores_a_subnormal_pfe_variance_without_a_warning(tmp_path):
     assert cli.main(["eval", "--bundle", bundle, "--out", out, "--fpir", "0.1"]) == 0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("temperature, stage", [("1e-200", "calibration"), ("1e-310", "scoring")])
+def test_eval_with_a_tiny_temperature_fails_in_its_stage_without_a_warning(tmp_path, capsys, temperature, stage):
+    # 1/T times a joint term overflows: at 1e-200 the components' sum of squares, at 1e-310 1/T itself
+    bundle = make_bundle(tmp_path)
+    out = os.path.join(tmp_path, "eval")
+    assert cli.main(["eval", "--bundle", bundle, "--out", out, "--fpir", "0.2",
+                     "--temperature", temperature]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: fpir=0.2: {stage}: ") and err.count("\n") == 1, err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("fields, name", [
+    ({"preset": "mixed", "class_kappa": 1e20}, "class_kappa"),
+    ({"preset": "degraded", "quality_kappa_range": [2, 1e20]}, "quality_kappa_range[1]"),
+])
+def test_gen_rejects_a_concentration_the_sampler_cannot_draw(tmp_path, capsys, fields, name):
+    out = os.path.join(tmp_path, "bundle")
+    assert cli.main(["gen", "--config", write_config(tmp_path, **fields), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid config: {name} ") and err.count("\n") == 1, err
+    assert not os.path.exists(out)
+
+
 def pristine_bundle(tmp_path):
     """Every decision comes out correct: mated probes sit exactly on their
     class means and non-mated probes stay below any reachable threshold."""

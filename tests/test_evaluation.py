@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 
-from osruq import baselines, evaluation as ev, gallery as ga, metrics as mt, protocol as pr
+from osruq import baselines, cli, evaluation as ev, gallery as ga, metrics as mt, protocol as pr
+from osruq.bundle import write_bundle
 from osruq.gallery import GalleryModel, equivalent_threshold
 from osruq.holistic import TrainingConfig
 
@@ -139,7 +141,7 @@ def stage_of(call):
     return info.value.stage
 
 
-def test_failures_name_their_stage():
+def test_failures_name_their_stage(tmp_path, capsys):
     proto = small_protocol()
     assert stage_of(lambda: ev.run_evaluation(proto, 1.0)) == "arguments"
     assert stage_of(lambda: ev.run_evaluation(proto, 0.999)) == "operating point"
@@ -158,6 +160,23 @@ def test_failures_name_their_stage():
     assert len(correct) >= 2
     assert stage_of(lambda: ev.run_evaluation(with_validation(proto, correct), 0.1,
                                               methods=("HolUE",), mlp_config=FAST_MLP)) == "training"
+
+    # d=512, with the concentrations x64 so that kappa/d stays as above: twin validation probes and
+    # an unreachable target name their stage, and through the CLI each exits 2 with that stage,
+    # not as an arguments or a bundle error
+    big = small_protocol(d=512, class_kappa=6400.0, quality_kappa_range=(320.0, 12800.0))
+    t = big.probes
+    mated_val = np.flatnonzero(t.mated & t.validation)
+    twins = with_validation(big, mated_val[[0, 0]], ids=[t.ids[mated_val[0]], "twin"])
+    for case, target, method, stage in ((twins, 0.1, "HolUE-sum", "calibration"),
+                                        (big, 0.999, "AccScr", "operating point")):
+        assert stage_of(lambda: ev.run_evaluation(case, target, methods=(method,))) == stage
+        bundle, out = str(tmp_path / f"{method}_bundle"), str(tmp_path / f"{method}_eval")
+        write_bundle(case, bundle)
+        assert cli.main(["eval", "--bundle", bundle, "--fpir", str(target), "--methods", method, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: fpir={target:g}: {stage}: ") and err.count("\n") == 1, err
+        assert not os.path.exists(out)
 
 
 def test_holue_with_test_stats_split_fails_in_arguments_stage(monkeypatch):

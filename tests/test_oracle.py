@@ -54,14 +54,16 @@ def test_mc_marginal_check_integrates_to_one(rng):
 
 
 def test_scopes_cover_all_checks():
-    assert set(orc.SCOPES) == {"bessel", "quadrature", "marginal", "posterior",
-                               "equivalence", "all"}
-    names = set()
-    for scope, check_names in orc.SCOPES.items():
-        if scope != "all":
-            names.update(check_names)
-    assert set(orc.SCOPES["all"]) == names
-    assert len(orc.SCOPES["all"]) == 8
+    # each scope reports exactly its slice of "all", in the same order; the eight names are distinct
+    assert list(orc.SCOPES) == ["bessel", "quadrature", "marginal", "posterior", "equivalence", "all"]
+    names = [c["name"] for c in orc.run_verification("all", seed=1)["checks"]]
+    assert len(set(names)) == len(names) == 8
+    start = 0
+    for scope in list(orc.SCOPES)[:-1]:
+        scoped = [c["name"] for c in orc.run_verification(scope, seed=1)["checks"]]
+        assert scoped and scoped == names[start:start + len(scoped)], scope
+        start += len(scoped)
+    assert start == len(names)
 
 
 def test_run_verification_all_passes():
@@ -133,4 +135,19 @@ def test_tuple_index_draws_equal_rng_choice(options):
     for _ in range(10000):
         got = options[ours.integers(len(options))]
         assert type(got) is int and got == int(theirs.choice(list(options)))
+        assert ours.uniform() == theirs.uniform()
+
+
+def test_random_cases_draw_as_one_loop_per_check_did():
+    # d by rng.choice, K by rng.integers(1, k_max + 1), the model, then the probe; the
+    # caller's own draws between cases (the KL check's probe kappa) come from the same stream
+    ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
+    for model, z in orc._random_cases(ours, 200):
+        d = int(theirs.choice([2, 3, 5, 8]))
+        k = int(theirs.integers(1, orc.ENVELOPE["k_max"] + 1))
+        ref = orc._random_model(theirs, d, k, np.log(orc.ENVELOPE["kappa_max"]))
+        ref_z = vmf._unit_rows(theirs.standard_normal((1, d)), theirs)[0]
+        assert (model.kappa, model.beta, model.gallery.class_ids) == (ref.kappa, ref.beta, ref.gallery.class_ids)
+        np.testing.assert_array_equal(model.gallery.means, ref.gallery.means)
+        np.testing.assert_array_equal(z, ref_z)
         assert ours.uniform() == theirs.uniform()

@@ -33,6 +33,28 @@ def test_config_validation():
     small_config(class_kappa=float("inf"))
 
 
+@pytest.mark.parametrize("d, log10_limit", [(2, 15.65), (16, 16.83), (512, 18.36)])
+def test_a_concentration_the_sampler_cannot_draw_is_a_config_error(d, log10_limit):
+    def holds(kappa):  # the radial envelope's 1 - x0**2 has not rounded to 0
+        with np.errstate(divide="ignore"):
+            x0 = vmf._radial_envelope(kappa, d)[1]
+        return 1.0 - x0 * x0 > 0.0
+
+    lo, hi = 1e10, 1e25  # bisect down to adjacent floats: the envelope holds at lo, not at hi
+    while hi > np.nextafter(lo, np.inf):
+        mid = max(np.nextafter(lo, np.inf), min(np.sqrt(lo) * np.sqrt(hi), np.nextafter(hi, 0.0)))
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    assert math.log10(hi) == pytest.approx(log10_limit, abs=0.01)
+    with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="failed to converge"):
+        vmf._sample_radial(np.random.default_rng(0), hi, d, 1)
+    for fields in ({"class_kappa": lo}, {"quality_kappa_range": (2.0, lo)}):
+        pr.generate_protocol(small_config(d=d, n_identities=6, **fields))
+    for fields, name in (({"class_kappa": hi}, "class_kappa"),
+                         ({"quality_kappa_range": (2.0, hi)}, r"quality_kappa_range\[1\]")):
+        with pytest.raises(ValueError, match=f"^{name} is too large for the vMF sampler at d={d}"):
+            small_config(d=d, **fields)
+
+
 def test_gen_synthetic_shapes_and_determinism():
     cfg = small_config()
     store = pr.gen_synthetic(cfg)
