@@ -12,9 +12,9 @@ from .vmf import VmfParams, log_alpha, log_bessel_i, log_c_d, log_surface_area, 
 from .gallery import (Gallery, GalleryModel, aggregate_template, cosines, decision_index,
                       equivalent_threshold, galue_score, kappa_for_threshold, log_joint_terms,
                       log_marginal, posterior, softmax)
-from .holistic import (CalibrationStats, KlComponents, MlpCalibrator, TrainingConfig, fit_mlp,
-                       fit_stats, holue_sum, kl_components, kl_from_terms, mlp_predict, normalize,
-                       scaled_gallery_posterior, self_log_density)
+from .holistic import (CalibrationStats, KlComponents, MlpCalibrator, fit_mlp, fit_stats, holue_sum,
+                       kl_components, kl_from_terms, mlp_predict, normalize, scaled_gallery_posterior,
+                       self_log_density)
 from .baselines import METHOD_NAMES, q_accscr, q_pfe, q_scf, q_sf
 from .metrics import (EvalReport, RejectionCurve, class_counts, curve_auc, decision_correct,
                       osr_metrics, outcome_classes, prr, reference_curve_sets, rejection_curves,

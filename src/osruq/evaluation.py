@@ -17,8 +17,7 @@ import numpy as np
 from . import baselines, holistic, metrics
 from .gallery import (GalleryModel, cosines, decision_index, galue_score, kappa_for_threshold,
                       row_blocks, softmax, terms_from_cosines)
-from .holistic import (KlComponents, TrainingConfig, fit_mlp, fit_stats, kl_from_terms,
-                       normalize, self_log_density)
+from .holistic import KlComponents, fit_mlp, fit_stats, kl_from_terms, normalize, self_log_density
 from .metrics import EvalReport, MethodReport, UndefinedPrrError
 from .protocol import OsrProtocol, ProbeTable
 
@@ -112,7 +111,6 @@ def run_evaluation(
     max_reject_fraction: float = 0.5,
     seed: int = 0,
     stats_split: str = "validation",
-    mlp_config: TrainingConfig = TrainingConfig(),
 ) -> EvalReport:
     """Evaluate every requested method on the test split of a protocol.
 
@@ -175,7 +173,7 @@ def run_evaluation(
                 val_classes = metrics.outcome_classes(val_truth >= 0, val_decided >= 0, val_decided == val_truth)
                 labels = metrics.decision_correct(val_classes).astype(np.float64)
                 features = np.column_stack(normalize(val_components, stats))
-                calibrator = fit_mlp(features, labels, config=mlp_config, seed=seed)
+                calibrator = fit_mlp(features, labels, seed=seed)
                 scores["HolUE"] = holistic.mlp_predict(calibrator, kl1n, kl2n)
 
     tp, fn, fp, n_nonmated = metrics.class_counts(classes)

@@ -62,12 +62,17 @@ class CalibrationStats:
             raise ValueError("stds must be > 0")
 
 
+# at a tiny temperature 1/T, or 1/T times a term, overflows; the check below rejects the result
+@np.errstate(over="ignore", invalid="ignore")
 def _tempered_log_posterior(terms: np.ndarray, temperature: float) -> np.ndarray:
     """log P_T over the K+1 outcomes: every joint term tempered by 1/T, renormalized per row."""
     if not temperature > 0.0:
         raise ValueError(f"temperature must be > 0, got {temperature!r}")
     scaled = terms * (1.0 / float(temperature))
-    return scaled - vmf.logsumexp(scaled, keepdims=True)
+    log_norm = vmf.logsumexp(scaled, keepdims=True)
+    if not np.all(np.isfinite(log_norm)):
+        raise ValueError(f"the tempered posterior is not finite at temperature {temperature!r}")
+    return scaled - log_norm
 
 
 def scaled_gallery_posterior(model: GalleryModel, z, temperature: float) -> np.ndarray:
@@ -85,7 +90,7 @@ def self_log_density(d: int, kappa):
     return vmf.log_c_d(d, kappa) + kappa
 
 
-# at a tiny temperature 1/T times a term overflows; the callers' KlComponents rejects the inf or NaN
+# near the float limit a tempered term can still overflow kl2's bracket; KlComponents rejects the inf or NaN
 @np.errstate(over="ignore", invalid="ignore")
 def kl_from_terms(model: GalleryModel, terms: np.ndarray, log_self, temperature: float):
     """(kl1, kl2) arrays for (N, K+1) log_joint_terms rows and the probes' self_log_density.
@@ -158,26 +163,16 @@ def holue_sum(kl1n, kl2n):
     return kl1n + kl2n
 
 
-@dataclass(frozen=True)
-class TrainingConfig:
-    learning_rate: float = 0.05
-    epochs: int = 2000
-    momentum: float = 0.9
-    init_scale: float = 0.5
-    hidden: tuple[int, ...] = (16, 16)  # () trains a logistic regression
-
-    def __post_init__(self):
-        object.__setattr__(self, "hidden", tuple(self.hidden))  # a list would leave the config unhashable
-        # a chained comparison is False for NaN, so NaN fails every range check
-        if not (0.0 < self.learning_rate < np.inf and 0.0 < self.init_scale < np.inf
-                and 0.0 <= self.momentum < 1.0
-                and all(isinstance(v, (int, np.integer)) and v > 0 for v in (self.epochs, *self.hidden))):
-            raise ValueError(f"invalid training configuration: {self}")
+LAYER_SIZES = (2, 16, 16, 1)  # the calibrator: (kl1n, kl2n) in, two tanh hidden layers, a sigmoid output
+EPOCHS = 2000
+LEARNING_RATE = 0.05
+MOMENTUM = 0.9
+INIT_SCALE = 0.5  # initial weights and biases are uniform on [-INIT_SCALE, INIT_SCALE]
 
 
 @dataclass
 class MlpCalibrator:
-    """2 -> 16 -> 16 -> 1 network: tanh hidden layers, sigmoid output.
+    """2 -> 16 -> 16 -> 1 network (LAYER_SIZES): tanh hidden layers, sigmoid output.
 
     Trained with full-batch gradient descent plus momentum to predict the
     probability that a decision is correct from (kl1n, kl2n). weights[l] is
@@ -187,12 +182,8 @@ class MlpCalibrator:
 
     weights: list
     biases: list
-    config: TrainingConfig
     seed: int
     final_loss: float = field(default=float("nan"))
-
-    def layer_sizes(self) -> list:
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
 
 
 def _init_params(sizes, rng: np.random.Generator, scale: float):
@@ -203,11 +194,23 @@ def _init_params(sizes, rng: np.random.Generator, scale: float):
     return weights, biases
 
 
-def _forward(weights, biases, x: np.ndarray) -> np.ndarray:
-    a = x
-    for w, b in zip(weights[:-1], biases[:-1]):
-        a = np.tanh(a @ w + b)
-    return a @ weights[-1] + biases[-1]
+def _blocks(weights, biases) -> list:
+    """Each layer as one (n_out, n_in + 1) block [W^T | b], C-ordered: np.dot rounds F-ordered ones differently."""
+    return [np.ascontiguousarray(np.column_stack([w.T, b])) for w, b in zip(weights, biases)]
+
+
+def _activations(blocks, x: np.ndarray) -> list:
+    """Each layer's (n_in + 1, N) input buffer for (N, n_in) features x; its row of ones folds in the bias."""
+    acts = [np.ones((block.shape[1], x.shape[0])) for block in blocks]
+    acts[0][:-1] = x.T
+    return acts
+
+
+def _forward(blocks, acts) -> np.ndarray:
+    """(1, N) logits of the blocks on acts[0]; each hidden layer's tanh fills the next layer's buffer."""
+    for block, a, h in zip(blocks, acts, acts[1:]):
+        np.tanh(np.dot(block, a, out=h[:-1]), out=h[:-1])
+    return np.dot(blocks[-1], acts[-1])
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -224,18 +227,15 @@ def _train(weights, biases, x: np.ndarray, y: np.ndarray, epochs: int,
     gradients and the loss of its forward pass, before its update. The default
     zero step leaves the parameters as given.
     """
-    params = np.concatenate([np.column_stack([w.T, b]).ravel() for w, b in zip(weights, biases)])
+    params = np.concatenate([block.ravel() for block in _blocks(weights, biases)])
     grads, velocity = np.zeros_like(params), np.zeros_like(params)
     cuts = np.cumsum([b.size * (w.shape[0] + 1) for w, b in zip(weights, biases)])[:-1]
     blocks, grad_blocks = ([part.reshape(b.size, -1) for part, b in zip(np.split(flat, cuts), biases)]
                            for flat in (params, grads))
-    acts = [np.ones((w.shape[0] + 1, x.shape[0])) for w in weights]
-    acts[0][:-1] = x.T
-    deltas = [np.empty((b.size, x.shape[0])) for b in biases]
+    acts = _activations(blocks, x)
+    deltas = [np.empty((block.shape[0], x.shape[0])) for block in blocks]
     for _ in range(epochs):
-        for block, a, h in zip(blocks, acts, acts[1:]):  # the hidden layers
-            np.tanh(np.dot(block, a, out=h[:-1]), out=h[:-1])
-        logits = np.dot(blocks[-1], acts[-1])
+        logits = _forward(blocks, acts)
         np.divide(_sigmoid(logits) - y, y.shape[1], out=deltas[-1])
         for layer in range(len(blocks) - 1, -1, -1):
             np.dot(deltas[layer], acts[layer].T, out=grad_blocks[layer])
@@ -264,14 +264,13 @@ def loss_and_gradients(weights, biases, features: np.ndarray, labels: np.ndarray
     return loss, grad_w, grad_b
 
 
-def fit_mlp(features, labels, config: TrainingConfig = TrainingConfig(), seed: int = 0) -> MlpCalibrator:
-    """Train the calibrator on normalized components; deterministic per seed.
+def fit_mlp(features, labels, seed: int = 0) -> MlpCalibrator:
+    """Train the calibrator on normalized components for EPOCHS epochs; deterministic per seed.
 
     Parameters live in one flat vector in which layer l is an (n_out, n_in + 1)
-    block [W^T | b]; gradients and momentum share that layout. Activations are
-    feature-major, (n_in + 1, N), with a trailing row of ones that folds each
-    bias into its layer's product; every buffer is allocated once per fit.
-    final_loss is the mean BCE of the last epoch's forward pass, before its update.
+    block [W^T | b]; gradients and momentum share that layout, and every buffer
+    is allocated once per fit. final_loss is the mean BCE of the last epoch's
+    forward pass, before its update.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64).reshape(1, -1)
@@ -284,15 +283,15 @@ def fit_mlp(features, labels, config: TrainingConfig = TrainingConfig(), seed: i
     if y.min() == y.max():
         raise TrainingError("need at least one correct and one error example")
 
-    initial = _init_params([2, *config.hidden, 1], np.random.default_rng(seed), config.init_scale)
-    (weights, biases), _, loss = _train(*initial, x, y, config.epochs, config.learning_rate, config.momentum)
-    return MlpCalibrator(weights=weights, biases=biases, config=config, seed=int(seed), final_loss=loss)
+    initial = _init_params(LAYER_SIZES, np.random.default_rng(seed), INIT_SCALE)
+    (weights, biases), _, loss = _train(*initial, x, y, EPOCHS, LEARNING_RATE, MOMENTUM)
+    return MlpCalibrator(weights=weights, biases=biases, seed=int(seed), final_loss=loss)
 
 
 def mlp_predict(calibrator: MlpCalibrator, kl1n, kl2n) -> float | np.ndarray:
-    """Predicted probability that the decision is correct, in (0, 1)."""
+    """Predicted probability that the decision is correct, in (0, 1): the trainer's forward pass."""
     x = np.column_stack([np.atleast_1d(np.asarray(kl1n, dtype=np.float64)),
                          np.atleast_1d(np.asarray(kl2n, dtype=np.float64))])
-    probs = np.clip(_sigmoid(_forward(calibrator.weights, calibrator.biases, x)[:, 0]), 1e-12, 1.0 - 1e-12)
+    blocks = _blocks(calibrator.weights, calibrator.biases)
+    probs = np.clip(_sigmoid(_forward(blocks, _activations(blocks, x))[0]), 1e-12, 1.0 - 1e-12)
     return float(probs[0]) if np.ndim(kl1n) == 0 else probs
-

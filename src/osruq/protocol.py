@@ -21,6 +21,7 @@ never depends on the block size.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -71,6 +72,8 @@ class SynthConfig:
                             ("quality_kappa_range[0]", qlo), ("quality_kappa_range[1]", qhi)):
             if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
                 raise ValueError(f"{name} must be a number, got {value!r}")
+            if isinstance(value, int) and abs(value) > sys.float_info.max:  # float(value) would overflow
+                raise ValueError(f"{name} must be a number in the float range, got a {value.bit_length()}-bit integer")
         if not 0.0 < self.oog_fraction < 1.0:
             raise ValueError(f"oog_fraction must be in (0, 1), got {self.oog_fraction!r}")
         if not 0.0 <= self.val_fraction < 1.0:

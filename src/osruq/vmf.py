@@ -19,11 +19,11 @@ LOG_2PI = np.log(2.0 * np.pi)
 _SERIES_TERMS = 1024
 
 
-def as_unit_vector(v, atol: float = UNIT_NORM_ATOL) -> np.ndarray:
+def as_unit_vector(v) -> np.ndarray:
     """Validate and return a 1-d unit vector as float64.
 
-    Rejects vectors whose norm deviates from 1 by more than ``atol``; callers
-    that want renormalization must do it explicitly.
+    Rejects vectors whose norm deviates from 1 by more than UNIT_NORM_ATOL;
+    callers that want renormalization must do it explicitly.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:
@@ -31,17 +31,17 @@ def as_unit_vector(v, atol: float = UNIT_NORM_ATOL) -> np.ndarray:
     if v.shape[0] < 2:
         raise ValueError(f"dimension must be >= 2, got {v.shape[0]}")
     norm = float(row_norms(v))
-    if not np.isfinite(norm) or abs(norm - 1.0) > atol:
-        raise ValueError(f"vector norm {norm!r} is not 1 within {atol}")
+    if not np.isfinite(norm) or abs(norm - 1.0) > UNIT_NORM_ATOL:
+        raise ValueError(f"vector norm {norm!r} is not 1 within {UNIT_NORM_ATOL}")
     return v
 
 
-def as_unit_rows(v, atol: float = UNIT_NORM_ATOL) -> np.ndarray:
+def as_unit_rows(v) -> np.ndarray:
     """as_unit_vector for one vector (d,) or for every row of a stack (N, d)."""
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 2:
-        return as_unit_vector(v, atol)
-    bad = ~(np.abs(row_norms(v) - 1.0) <= atol)
+        return as_unit_vector(v)
+    bad = ~(np.abs(row_norms(v) - 1.0) <= UNIT_NORM_ATOL)
     if np.any(bad):
         raise ValueError(f"rows {np.flatnonzero(bad)[:5].tolist()} of {v.shape} are not unit vectors")
     return v

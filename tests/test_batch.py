@@ -177,7 +177,7 @@ def test_mlp_predict_batch_equals_single_calls():
     rng = np.random.default_rng(4)
     features = rng.standard_normal((200, 2))
     labels = (features[:, 0] + 0.5 * rng.standard_normal(200) > 0).astype(float)
-    calib = ho.fit_mlp(features, labels, config=ho.TrainingConfig(epochs=100), seed=1)
+    calib = ho.fit_mlp(features, labels, seed=1)
     kl1n, kl2n = rng.standard_normal(500), rng.standard_normal(500)
     batch = ho.mlp_predict(calib, kl1n, kl2n)
     agree(batch, [ho.mlp_predict(calib, a, b) for a, b in zip(kl1n, kl2n)])

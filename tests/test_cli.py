@@ -335,6 +335,20 @@ def test_gen_rejects_a_concentration_the_sampler_cannot_draw(tmp_path, capsys, f
     assert not os.path.exists(out)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("fields, name", [
+    ({"preset": "mixed", "class_kappa": 10**400}, "class_kappa"),
+    ({"preset": "degraded", "quality_kappa_range": [2, 10**400]}, "quality_kappa_range[1]"),
+])
+def test_gen_rejects_an_integer_beyond_the_float_range(tmp_path, capsys, fields, name):
+    # JSON integers are exact, so 1 followed by 400 zeros reaches SynthConfig as an int
+    out = os.path.join(tmp_path, "bundle")
+    assert cli.main(["gen", "--config", write_config(tmp_path, **fields), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid config: {name} must be a number") and err.count("\n") == 1, err
+    assert not os.path.exists(out)
+
+
 def pristine_bundle(tmp_path):
     """Every decision comes out correct: mated probes sit exactly on their
     class means and non-mated probes stay below any reachable threshold."""

@@ -8,7 +8,6 @@ import pytest
 from osruq import baselines, cli, evaluation as ev, gallery as ga, metrics as mt, protocol as pr
 from osruq.bundle import write_bundle
 from osruq.gallery import GalleryModel, equivalent_threshold
-from osruq.holistic import TrainingConfig
 
 
 def small_protocol(val_fraction=0.3, **overrides):
@@ -18,12 +17,9 @@ def small_protocol(val_fraction=0.3, **overrides):
     return pr.generate_protocol(pr.SynthConfig(**base, val_fraction=val_fraction))
 
 
-FAST_MLP = TrainingConfig(epochs=150)
-
-
 def test_report_structure_and_operating_point():
     proto = small_protocol()
-    report = ev.run_evaluation(proto, 0.2, mlp_config=FAST_MLP)
+    report = ev.run_evaluation(proto, 0.2)
 
     assert report.target_fpir == 0.2
     n_nonmated = report.counts["nonmated_test"]
@@ -50,8 +46,8 @@ def test_report_structure_and_operating_point():
 
 def test_determinism():
     proto = small_protocol()
-    a = ev.run_evaluation(proto, 0.1, mlp_config=FAST_MLP, seed=3)
-    b = ev.run_evaluation(proto, 0.1, mlp_config=FAST_MLP, seed=3)
+    a = ev.run_evaluation(proto, 0.1, seed=3)
+    b = ev.run_evaluation(proto, 0.1, seed=3)
     for name in baselines.METHOD_NAMES:
         assert a.methods[name].prr == b.methods[name].prr
         np.testing.assert_array_equal(a.methods[name].curves["F1"].values,
@@ -159,7 +155,7 @@ def test_failures_name_their_stage(tmp_path, capsys):
     correct = mated_val[decided == t.class_index[mated_val]]
     assert len(correct) >= 2
     assert stage_of(lambda: ev.run_evaluation(with_validation(proto, correct), 0.1,
-                                              methods=("HolUE",), mlp_config=FAST_MLP)) == "training"
+                                              methods=("HolUE",))) == "training"
 
     # d=512, with the concentrations x64 so that kappa/d stays as above: twin validation probes and
     # an unreachable target name their stage, and through the CLI each exits 2 with that stage,
@@ -215,8 +211,8 @@ def test_a_table_built_from_shuffled_rows_is_the_sorted_table():
     for f in dataclasses.fields(t):
         a, b = getattr(t, f.name), getattr(shuffled, f.name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tolist() == b.tolist(), f.name
-    a = ev.run_evaluation(proto, 0.1, mlp_config=FAST_MLP, seed=2)
-    b = ev.run_evaluation(dataclasses.replace(proto, probes=shuffled), 0.1, mlp_config=FAST_MLP, seed=2)
+    a = ev.run_evaluation(proto, 0.1, seed=2)
+    b = ev.run_evaluation(dataclasses.replace(proto, probes=shuffled), 0.1, seed=2)
     assert a.tau == b.tau and a.kappa == b.kappa and a.counts == b.counts and a.base == b.base
     for name in a.methods:
         assert a.methods[name].prr == b.methods[name].prr

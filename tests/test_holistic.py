@@ -73,6 +73,19 @@ def test_scaled_posterior_flattens_at_high_temperature():
     assert post[-1] == pytest.approx(0.5, abs=1e-5)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_scaled_posterior_rejects_a_temperature_whose_reciprocal_overflows():
+    # 1/1e-310 is inf: every (negative) term tempers to -inf, and so does their normalizer
+    model = ga.GalleryModel(ga.Gallery(("a", "b"), np.eye(3)[:2]), kappa=1.0, beta=0.5)
+    z = np.array([0.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="temperature 1e-310"):
+        ho.scaled_gallery_posterior(model, z, 1e-310)
+    with pytest.raises(ValueError, match="temperature 1e-310"):
+        ho.kl_components(model, z, 5.0, temperature=1e-310)
+    # 1/1e-300 is finite: the posterior puts all its mass on the largest term
+    assert ho.scaled_gallery_posterior(model, z, 1e-300).tolist() == [0.0, 0.0, 1.0]
+
+
 @pytest.mark.parametrize("d", [2, 16, 128])
 @pytest.mark.parametrize("k", [1, 7, 50])
 @pytest.mark.parametrize("temperature", [1.0, 20.0])
@@ -192,22 +205,12 @@ def test_holue_sum_ranking_invariant_under_shift(rng):
                                   np.argsort(shifted, kind="stable"))
 
 
-def test_training_config_validation():
-    with pytest.raises(ValueError):
-        ho.TrainingConfig(learning_rate=0.0)
-    with pytest.raises(ValueError):
-        ho.TrainingConfig(epochs=0)
-    with pytest.raises(ValueError):
-        ho.TrainingConfig(momentum=1.0)
-
-
 def test_zero_initialized_network_predicts_half():
-    sizes = [2, 16, 16, 1]
+    sizes = ho.LAYER_SIZES
     weights = [np.zeros((a, b)) for a, b in zip(sizes[:-1], sizes[1:])]
     biases = [np.zeros(b) for b in sizes[1:]]
-    calib = ho.MlpCalibrator(weights=weights, biases=biases, config=ho.TrainingConfig(), seed=0)
+    calib = ho.MlpCalibrator(weights=weights, biases=biases, seed=0)
     assert ho.mlp_predict(calib, 0.7, -2.0) == 0.5
-    assert calib.layer_sizes() == sizes
 
 
 def test_gradients_match_finite_differences():
@@ -246,7 +249,7 @@ def test_fit_mlp_learns_separable_toy():
     x = np.vstack([rng.normal(loc=(-2.0, -2.0), scale=0.3, size=(n // 2, 2)),
                    rng.normal(loc=(2.0, 2.0), scale=0.3, size=(n // 2, 2))])
     y = np.concatenate([np.zeros(n // 2), np.ones(n // 2)])
-    calib = ho.fit_mlp(x, y, config=ho.TrainingConfig(epochs=600), seed=1)
+    calib = ho.fit_mlp(x, y, seed=1)
     probs = ho.mlp_predict(calib, x[:, 0], x[:, 1])
     accuracy = float(np.mean((probs >= 0.5) == (y == 1.0)))
     assert accuracy >= 0.99
@@ -257,12 +260,11 @@ def test_fit_mlp_deterministic():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((40, 2))
     y = (x.sum(axis=1) > 0).astype(float)
-    cfg = ho.TrainingConfig(epochs=50)
-    a = ho.fit_mlp(x, y, config=cfg, seed=7)
-    b = ho.fit_mlp(x, y, config=cfg, seed=7)
+    a = ho.fit_mlp(x, y, seed=7)
+    b = ho.fit_mlp(x, y, seed=7)
     for wa, wb in zip(a.weights, b.weights):
         np.testing.assert_array_equal(wa, wb)
-    c = ho.fit_mlp(x, y, config=cfg, seed=8)
+    c = ho.fit_mlp(x, y, seed=8)
     assert any(not np.array_equal(wa, wc) for wa, wc in zip(a.weights, c.weights))
 
 
@@ -279,11 +281,11 @@ def test_fit_mlp_input_validation():
 
 
 def test_mlp_predict_shapes_and_clipping():
-    sizes = [2, 16, 16, 1]
+    sizes = ho.LAYER_SIZES
     weights = [np.zeros((a, b)) for a, b in zip(sizes[:-1], sizes[1:])]
     biases = [np.zeros(b) for b in sizes[1:]]
     biases[-1] = np.array([1000.0])
-    calib = ho.MlpCalibrator(weights=weights, biases=biases, config=ho.TrainingConfig(), seed=0)
+    calib = ho.MlpCalibrator(weights=weights, biases=biases, seed=0)
     out = ho.mlp_predict(calib, 0.0, 0.0)
     assert isinstance(out, float)
     assert out == 1.0 - 1e-12
@@ -291,28 +293,13 @@ def test_mlp_predict_shapes_and_clipping():
     assert arr.shape == (3,)
 
 
-def test_training_config_validates_every_field():
-    for bad in (dict(hidden=(0, 16)), dict(hidden=(2.5,)), dict(hidden=(-3,)), dict(epochs=2.5),
-                dict(learning_rate=float("nan")), dict(learning_rate=float("inf")),
-                dict(init_scale=float("nan")), dict(init_scale=0.0), dict(init_scale=-0.5),
-                dict(momentum=float("nan"))):
-        with pytest.raises(ValueError):
-            ho.TrainingConfig(**bad)
-    assert ho.TrainingConfig(hidden=()).hidden == ()  # logistic regression
-    assert ho.TrainingConfig(hidden=(np.int64(8), 4)).hidden == (8, 4)
-    from_list = ho.TrainingConfig(hidden=[8, 4])
-    assert from_list == ho.TrainingConfig(hidden=(8, 4))
-    assert hash(from_list) == hash(ho.TrainingConfig(hidden=(8, 4)))
-
-
-def reference_fit(x, y, config, seed):
+def reference_fit(x, y, seed):
     """Referee: a plain list-of-layers trainer with (N, n) activations and one bias add per layer."""
-    sizes = [2, *config.hidden, 1]
-    weights, biases = ho._init_params(sizes, np.random.default_rng(seed), config.init_scale)
+    weights, biases = ho._init_params(ho.LAYER_SIZES, np.random.default_rng(seed), ho.INIT_SCALE)
     vel_w = [np.zeros_like(w) for w in weights]
     vel_b = [np.zeros_like(b) for b in biases]
     y = y.reshape(-1, 1)
-    for _ in range(config.epochs):
+    for _ in range(ho.EPOCHS):
         activations = [x]
         for w, b in zip(weights[:-1], biases[:-1]):
             activations.append(np.tanh(activations[-1] @ w + b))
@@ -330,32 +317,51 @@ def reference_fit(x, y, config, seed):
             if layer > 0:
                 delta = (delta @ weights[layer].T) * (1.0 - activations[layer] ** 2)
         for i in range(len(weights)):
-            vel_w[i] = config.momentum * vel_w[i] - config.learning_rate * grad_w[i]
-            vel_b[i] = config.momentum * vel_b[i] - config.learning_rate * grad_b[i]
+            vel_w[i] = ho.MOMENTUM * vel_w[i] - ho.LEARNING_RATE * grad_w[i]
+            vel_b[i] = ho.MOMENTUM * vel_b[i] - ho.LEARNING_RATE * grad_b[i]
             weights[i] = weights[i] + vel_w[i]
             biases[i] = biases[i] + vel_b[i]
     return weights, biases, loss
 
 
-@pytest.mark.parametrize("n", [66, 500])
-@pytest.mark.parametrize("hidden", [(16, 16), (8, 4), ()], ids=["16-16", "8-4", "none"])
-def test_fit_mlp_matches_reference_trainer(n, hidden):
+def noisy_labels(n):
     rng = np.random.default_rng(n)
     x = rng.standard_normal((n, 2))
-    y = (x.sum(axis=1) + 0.5 * rng.standard_normal(n) > 0).astype(float)
-    config = ho.TrainingConfig(hidden=hidden)
-    calib = ho.fit_mlp(x, y, config=config, seed=3)
-    weights, biases, loss = reference_fit(x, y, config, seed=3)
-    assert calib.layer_sizes() == [2, *hidden, 1]
+    return x, (x.sum(axis=1) + 0.5 * rng.standard_normal(n) > 0).astype(float)
+
+
+@pytest.mark.parametrize("n", [66, 500], ids=lambda n: f"16-16-{n}")  # the hidden layers, then N
+def test_fit_mlp_matches_reference_trainer(n):
+    x, y = noisy_labels(n)
+    calib = ho.fit_mlp(x, y, seed=3)
+    weights, biases, loss = reference_fit(x, y, seed=3)
     for got, want in zip(calib.weights + calib.biases, weights + biases):
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
     assert calib.final_loss == pytest.approx(loss, rel=1e-12)
 
-    again = ho.fit_mlp(x, y, config=config, seed=3)
+    again = ho.fit_mlp(x, y, seed=3)
     assert all(a.tobytes() == b.tobytes()
                for a, b in zip(calib.weights + calib.biases, again.weights + again.biases))
     assert again.final_loss == calib.final_loss
+
+
+def test_mlp_predict_is_the_sigmoid_of_the_trainers_logits(monkeypatch):
+    # one forward pass: the trainer's logits on the fitted weights, captured from one zero-step
+    # epoch, are the logits mlp_predict turns into probabilities, bit for bit
+    x, y = noisy_labels(500)
+    calib = ho.fit_mlp(x, y, seed=3)
+    captured, forward = [], ho._forward
+
+    def recording(*args):
+        captured.append(forward(*args))
+        return captured[-1]
+    monkeypatch.setattr(ho, "_forward", recording)
+    ho.loss_and_gradients(calib.weights, calib.biases, x, y)
+    monkeypatch.undo()
+    assert len(captured) == 1
+    want = np.clip(ho._sigmoid(captured[0][0]), 1e-12, 1.0 - 1e-12)
+    assert ho.mlp_predict(calib, x[:, 0], x[:, 1]).tobytes() == want.tobytes()
 
 
 # --- posterior, kl1 and kl2 at large d against an mpmath reference ---

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,20 @@ def test_config_validation():
         small_config(class_kappa=0.0)
     # an infinite class concentration (no within-identity drift) is allowed
     small_config(class_kappa=float("inf"))
+
+
+# each number field, and the field its error names, at an integer that float() cannot hold
+BEYOND_FLOATS = {"oog_fraction": {"oog_fraction": 10**400}, "val_fraction": {"val_fraction": -10**400},
+                 "class_kappa": {"class_kappa": 10**400}, "ambiguity": {"ambiguity": 10**400},
+                 "quality_kappa_range[0]": {"quality_kappa_range": (10**400, 10**401)},
+                 "quality_kappa_range[1]": {"quality_kappa_range": (2, 10**400)}}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name, fields", BEYOND_FLOATS.items(), ids=list(BEYOND_FLOATS))
+def test_an_integer_beyond_the_float_range_is_a_config_error(name, fields):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a number in the float range"):
+        small_config(**fields)
 
 
 @pytest.mark.parametrize("d, log10_limit", [(2, 15.65), (16, 16.83), (512, 18.36)])
