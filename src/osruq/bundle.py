@@ -93,6 +93,13 @@ def _row_texts(column: np.ndarray, rows, what: str):
 _OPTIONAL = ("kappa", "pfe_sigma2", "sf_scale")  # in the order of the record line
 
 
+def _counts(gallery: Gallery, probes: ProbeTable) -> dict:
+    """The manifest's record counts: write_bundle writes them and read_bundle checks the records against them."""
+    return {"gallery": gallery.k, "mated_probes": int(probes.mated.sum()),
+            "nonmated_probes": int((~probes.mated).sum()), "validation_probes": int(probes.validation.sum()),
+            "test_probes": int((~probes.validation).sum())}
+
+
 def write_bundle(protocol: OsrProtocol, path: str) -> None:
     """Write a protocol to ``path`` (a directory, created if needed); a failed write writes no file."""
     gal, t = protocol.gallery, protocol.probes
@@ -105,13 +112,7 @@ def write_bundle(protocol: OsrProtocol, path: str) -> None:
     manifest = dumps_canonical({
         "schema_version": SCHEMA_VERSION,
         "d": int(gal.d),
-        "counts": {
-            "gallery": gal.k,
-            "mated_probes": int(t.mated.sum()),
-            "nonmated_probes": int((~t.mated).sum()),
-            "validation_probes": int(t.validation.sum()),
-            "test_probes": int((~t.validation).sum()),
-        },
+        "counts": _counts(gal, t),
         "seeds": {k: v for k, v in protocol.meta.items()},
         "gallery_members": {k: list(v) for k, v in sorted(protocol.gallery_members.items())},
     }) + "\n"
@@ -208,7 +209,7 @@ def read_bundle(path: str) -> OsrProtocol:
     # orders them, so the table of a file written in id order makes no copy.
     gallery_rows, seen = {}, set()
     groups = {mated: tuple([] for _ in range(10)) for mated in (True, False)}
-    no_sigma2 = np.zeros(d)
+    no_sigma2 = None  # the zero row of a probe without pfe_sigma2, made once a vector has confirmed d
     for line_no, line in enumerate(_lines(records_path), start=1):
         if not line.isascii():  # a non-ASCII byte reads as a lone surrogate
             raise BundleError("schema", f"line {line_no}: not ASCII text")
@@ -258,6 +259,8 @@ def read_bundle(path: str) -> OsrProtocol:
             if template_id in seen:
                 raise BundleError("duplicate_id", f"line {line_no}: duplicate probe template_id {template_id!r}")
             seen.add(template_id)
+            if sigma2 is None and no_sigma2 is None:
+                no_sigma2 = np.zeros(d)
             row = (template_id, subject_id, vec, 0.0 if kappa is None else kappa, kappa is not None,
                    0.0 if sf_scale is None else sf_scale, sf_scale is not None,
                    no_sigma2 if sigma2 is None else sigma2, sigma2 is not None, split == "validation")
@@ -284,10 +287,7 @@ def read_bundle(path: str) -> OsrProtocol:
                         *quality, np.reshape(pfe_sigma2, (-1, d)), has_pfe_sigma2, validation)
 
     counts = sections["counts"]
-    expected = {"gallery": gallery.k, "mated_probes": int(probes.mated.sum()),
-                "nonmated_probes": int((~probes.mated).sum()),
-                "validation_probes": int(probes.validation.sum()), "test_probes": int((~probes.validation).sum())}
-    for key, value in expected.items():
+    for key, value in _counts(gallery, probes).items():
         if key in counts and counts[key] != value:
             raise BundleError("schema", f"manifest counts[{key!r}]={counts[key]} but records contain {value}")
     return OsrProtocol(

@@ -44,8 +44,10 @@ def _load_config(path: str) -> SynthConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer literal past the interpreter's int-from-text digit limit
+        raise ConfigError(f"config {path} holds an integer longer than {sys.get_int_max_str_digits()} digits") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(raw) - _CONFIG_KEYS

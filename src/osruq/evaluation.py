@@ -10,6 +10,7 @@ they differ only in how they order probes for rejection.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -76,7 +77,7 @@ def _score(model: GalleryModel, probes: ProbeTable, rows: np.ndarray, temperatur
         galue[block] = galue_score(probs)
         if components:
             kl1[block], kl2[block] = kl_from_terms(model, terms, log_self[block], temperature)
-    return best, decided, galue, (KlComponents(kl1, kl2, temperature) if components else None)
+    return best, decided, galue, (KlComponents(kl1, kl2) if components else None)
 
 
 def check_arguments(target_fpir: float, methods, temperature: float, beta: float,
@@ -92,7 +93,7 @@ def check_arguments(target_fpir: float, methods, temperature: float, beta: float
         _require(m not in methods[:i], ValueError, f"method {m!r} is given twice")
     _require(len(methods) > 0, ValueError, f"no method given; available: {available}")
     _require(0.0 < target_fpir < 1.0, ValueError, f"target_fpir must be in (0, 1), got {target_fpir!r}")
-    _require(temperature > 0.0, ValueError, f"temperature must be > 0, got {temperature!r}")
+    _require(0.0 < temperature < math.inf, ValueError, f"temperature must be finite and > 0, got {temperature!r}")
     _require(0.0 < beta < 1.0, ValueError, f"beta must be in (0, 1), got {beta!r}")
     _require(0.0 < max_reject_fraction <= 1.0, ValueError,
              f"max_fraction must be in (0, 1], got {max_reject_fraction!r}")
@@ -203,7 +204,6 @@ def run_evaluation(
         tau=float(tau),
         kappa=float(kappa),
         beta=float(beta),
-        temperature=float(temperature),
         base={"fpir": fpir, "fnir": fnir, "f1": f1},
         counts={
             "gallery": gal.k,
@@ -215,5 +215,4 @@ def run_evaluation(
         methods=method_reports,
         reference_curves=reference_curves,
         reference_auc=reference_auc,
-        seeds={**protocol.meta, "shuffle_seed": int(seed), "mlp_seed": int(seed)},
     )

@@ -36,13 +36,10 @@ class KlComponents:
 
     kl1: float | np.ndarray
     kl2: float | np.ndarray
-    temperature: float
 
     def __post_init__(self):
         if not (np.all(np.isfinite(self.kl1)) and np.all(np.isfinite(self.kl2))):
             raise ValueError("KL components must be finite")
-        if not self.temperature > 0.0:
-            raise ValueError("temperature must be > 0")
 
 
 @dataclass(frozen=True)
@@ -133,7 +130,7 @@ def kl_components(model: GalleryModel, z, kappa, temperature: float = DEFAULT_TE
     kl1, kl2 = kl_from_terms(model, log_joint_terms(model, np.atleast_2d(z)), log_self, temperature)
     if z.ndim == 1:
         kl1, kl2 = float(kl1[0]), float(kl2[0])
-    return KlComponents(kl1=kl1, kl2=kl2, temperature=float(temperature))
+    return KlComponents(kl1=kl1, kl2=kl2)
 
 
 # components near the float limit overflow the sums; CalibrationStats rejects the inf or NaN
@@ -182,7 +179,6 @@ class MlpCalibrator:
 
     weights: list
     biases: list
-    seed: int
     final_loss: float = field(default=float("nan"))
 
 
@@ -285,7 +281,7 @@ def fit_mlp(features, labels, seed: int = 0) -> MlpCalibrator:
 
     initial = _init_params(LAYER_SIZES, np.random.default_rng(seed), INIT_SCALE)
     (weights, biases), _, loss = _train(*initial, x, y, EPOCHS, LEARNING_RATE, MOMENTUM)
-    return MlpCalibrator(weights=weights, biases=biases, seed=int(seed), final_loss=loss)
+    return MlpCalibrator(weights=weights, biases=biases, final_loss=loss)
 
 
 def mlp_predict(calibrator: MlpCalibrator, kl1n, kl2n) -> float | np.ndarray:

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 METRIC_NAMES = ("F1", "FPIR", "FNIR")
+CURVE_POINTS = 101  # every curve's grid on [0, max_fraction]
+SHUFFLES = 100  # seeded removal orders the random reference averages
 
 
 class UndefinedPrrError(ValueError):
@@ -112,15 +114,13 @@ class RejectionCurve:
             raise ValueError(f"unknown metric {self.metric!r}")
 
 
-def _drop_grid(n: int, max_fraction: float, n_points: int) -> tuple[np.ndarray, np.ndarray]:
+def _drop_grid(n: int, max_fraction: float) -> tuple[np.ndarray, np.ndarray]:
     """The rejected fractions and how many probes each one removes."""
     if n < 1:
         raise ValueError("need at least one probe outcome")
     if not 0.0 < max_fraction <= 1.0:
         raise ValueError(f"max_fraction must be in (0, 1], got {max_fraction!r}")
-    if n_points < 2:
-        raise ValueError(f"need at least 2 grid points, got {n_points!r}")
-    fractions = np.linspace(0.0, max_fraction, n_points)
+    fractions = np.linspace(0.0, max_fraction, CURVE_POINTS)
     drops = np.floor(fractions * n).astype(np.intp)
     if drops[-1] >= n:
         raise CurveTruncationError(f"fraction {fractions[np.argmax(drops >= n)]} removes every probe")
@@ -136,8 +136,7 @@ def _curve_from_order(classes: np.ndarray, order: np.ndarray, drops: np.ndarray)
     return {"F1": f1, "FPIR": fpir, "FNIR": fnir}
 
 
-def rejection_curves(classes, scores, probe_ids, max_fraction: float = 0.5,
-                     n_points: int = 101) -> dict:
+def rejection_curves(classes, scores, probe_ids, max_fraction: float = 0.5) -> dict:
     """Curves of every metric, dropping the lowest-score probes first.
 
     Probes are removed in ascending (score, probe_id) order; at fraction r the
@@ -145,32 +144,29 @@ def rejection_curves(classes, scores, probe_ids, max_fraction: float = 0.5,
     Decisions stay fixed.
     """
     classes = np.asarray(classes)
-    fractions, drops = _drop_grid(classes.shape[0], max_fraction, n_points)
+    fractions, drops = _drop_grid(classes.shape[0], max_fraction)
     order = np.lexsort((np.asarray(probe_ids), np.asarray(scores, dtype=np.float64)))
     return _curves(fractions, _curve_from_order(classes, order, drops))
 
 
-def reference_curve_sets(classes, probe_ids, max_fraction: float = 0.5, n_points: int = 101,
-                         n_shuffles: int = 100, seed: int = 0) -> tuple[dict, dict]:
+def reference_curve_sets(classes, probe_ids, max_fraction: float = 0.5, seed: int = 0) -> tuple[dict, dict]:
     """(oracle, random) reference curves of every metric on the same grid.
 
     The oracle removes erroneous probes first (ties by probe_id); the random
-    reference averages the curve over seeded shuffles of the removal order.
+    reference averages the curve over SHUFFLES seeded shuffles of the removal order.
     """
     classes = np.asarray(classes)
     n = classes.shape[0]
-    fractions, drops = _drop_grid(n, max_fraction, n_points)
-    if n_shuffles < 1:
-        raise ValueError("need at least one shuffle")
+    fractions, drops = _drop_grid(n, max_fraction)
     errors_first = np.lexsort((np.asarray(probe_ids), decision_correct(classes)))
     oracle = _curve_from_order(classes, errors_first, drops)
 
-    total = {metric: np.zeros(n_points) for metric in METRIC_NAMES}
-    for s in range(n_shuffles):
+    total = {metric: np.zeros(CURVE_POINTS) for metric in METRIC_NAMES}
+    for s in range(SHUFFLES):
         order = np.random.default_rng([int(seed), s]).permutation(n)
         for metric, values in _curve_from_order(classes, order, drops).items():
             total[metric] += values
-    return _curves(fractions, oracle), _curves(fractions, {m: v / n_shuffles for m, v in total.items()})
+    return _curves(fractions, oracle), _curves(fractions, {m: v / SHUFFLES for m, v in total.items()})
 
 
 def _curves(fractions: np.ndarray, values: dict) -> dict:
@@ -213,10 +209,8 @@ class EvalReport:
     tau: float
     kappa: float
     beta: float
-    temperature: float
     base: dict
     counts: dict
     methods: dict = field(default_factory=dict)
     reference_curves: dict = field(default_factory=dict)
     reference_auc: dict = field(default_factory=dict)
-    seeds: dict = field(default_factory=dict)

@@ -101,20 +101,21 @@ def independent_kl_components(model: GalleryModel, z, kappa: float) -> tuple[flo
     return kl1, float(kl2)
 
 
-def mc_marginal_check(model: GalleryModel, n: int = 20000, seed: int = 0) -> dict:
+MC_SAMPLES = 20000  # draws of mc_marginal_check
+
+
+def mc_marginal_check(model: GalleryModel, seed: int = 0) -> dict:
     """Importance-style normalization check of the engine marginal.
 
-    Draws probes from the generative mixture and averages uniform_density /
+    Draws MC_SAMPLES probes from the generative mixture and averages uniform_density /
     marginal_density; the expectation is exactly 1 when the engine marginal
-    integrates to 1. Returns the estimate, its standard error, and a pass
-    flag at three standard errors.
+    integrates to 1. Returns the estimate and its standard error; the verify
+    check passes within three standard errors.
     """
-    if n < 1000:
-        raise ValueError("need at least 1000 samples for a meaningful check")
     rng = np.random.default_rng(seed)
     gal = model.gallery
-    branch = rng.uniform(size=n)
-    points = np.empty((n, gal.d))
+    branch = rng.uniform(size=MC_SAMPLES)
+    points = np.empty((MC_SAMPLES, gal.d))
     oog = branch < model.beta
     n_oog = int(oog.sum())
     if n_oog:
@@ -128,15 +129,8 @@ def mc_marginal_check(model: GalleryModel, n: int = 20000, seed: int = 0) -> dic
             points[rows] = vmf.sample_vmf(params, rng, rows.size)
     log_s = vmf.log_surface_area(gal.d)
     ratios = np.exp(-log_s - np.concatenate([gallery_mod.log_marginal(model, points[rows])
-                                             for rows in gallery_mod.row_blocks(n, gal.k)]))
-    estimate = float(np.mean(ratios))
-    stderr = float(np.std(ratios, ddof=1) / math.sqrt(n))
-    return {
-        "estimate": estimate,
-        "stderr": stderr,
-        "n": int(n),
-        "ok": bool(abs(estimate - 1.0) <= 3.0 * stderr),
-    }
+                                             for rows in gallery_mod.row_blocks(MC_SAMPLES, gal.k)]))
+    return {"estimate": float(np.mean(ratios)), "stderr": float(np.std(ratios, ddof=1) / math.sqrt(MC_SAMPLES))}
 
 
 # stable closed forms for half-integer orders, used by the verify command
@@ -247,7 +241,7 @@ def _check_marginal_mc(seed: int) -> dict:
     for i, (d, k, kappa) in enumerate([(3, 5, 20.0), (8, 3, 5.0)]):
         rng = np.random.default_rng([seed, 101, i])
         model = _random_model(rng, d, k, np.log(kappa))
-        res = mc_marginal_check(model, n=20000, seed=int(rng.integers(2**31)))
+        res = mc_marginal_check(model, seed=int(rng.integers(2**31)))
         dev = abs(res["estimate"] - 1.0) / (3.0 * res["stderr"])
         if worst is None or dev > worst["max_deviation"]:
             worst = {"name": "marginal_mc", "max_deviation": dev, "tolerance": 1.0,

@@ -105,14 +105,11 @@ class SampleStore:
 
 @dataclass(frozen=True)
 class ProbeRecord:
-    """One row of a ProbeTable, as OsrProtocol.mated_probes and nonmated_probes give it."""
+    """The id, mean and pfe_sigma2 (None where absent) of one ProbeTable row, as
+    OsrProtocol.mated_probes and nonmated_probes give it."""
     probe_id: str
-    class_id: str | None  # None marks a non-mated probe
     mean: np.ndarray
-    kappa: float | None
     pfe_sigma2: np.ndarray | None
-    sf_scale: float | None
-    split: str  # "validation" or "test"
 
 
 _COLUMN_TYPES = {"ids": object, "class_index": np.intp, "has_kappa": bool, "has_sf_scale": bool,
@@ -171,11 +168,8 @@ class OsrProtocol:
 
     def _records(self, mated: bool) -> tuple:
         t = self.probes
-        return tuple(ProbeRecord(
-            t.ids[i], self.gallery.class_ids[t.class_index[i]] if mated else None, t.means[i],
-            float(t.kappa[i]) if t.has_kappa[i] else None, t.pfe_sigma2[i] if t.has_pfe_sigma2[i] else None,
-            float(t.sf_scale[i]) if t.has_sf_scale[i] else None, "validation" if t.validation[i] else "test")
-            for i in np.flatnonzero(t.mated == mated))
+        return tuple(ProbeRecord(t.ids[i], t.means[i], t.pfe_sigma2[i] if t.has_pfe_sigma2[i] else None)
+                     for i in np.flatnonzero(t.mated == mated))
 
     @property
     def mated_probes(self) -> tuple:

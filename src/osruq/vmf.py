@@ -19,31 +19,19 @@ LOG_2PI = np.log(2.0 * np.pi)
 _SERIES_TERMS = 1024
 
 
-def as_unit_vector(v) -> np.ndarray:
-    """Validate and return a 1-d unit vector as float64.
+def as_unit_rows(v) -> np.ndarray:
+    """Validate and return one unit vector (d,) or a stack of them (N, d) as float64, d >= 2.
 
-    Rejects vectors whose norm deviates from 1 by more than UNIT_NORM_ATOL;
-    callers that want renormalization must do it explicitly.
+    Rejects every row whose norm, on row_norms' measure, deviates from 1 by more
+    than UNIT_NORM_ATOL; callers that want renormalization must do it explicitly.
     """
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
-    if v.shape[0] < 2:
-        raise ValueError(f"dimension must be >= 2, got {v.shape[0]}")
-    norm = float(row_norms(v))
-    if not np.isfinite(norm) or abs(norm - 1.0) > UNIT_NORM_ATOL:
-        raise ValueError(f"vector norm {norm!r} is not 1 within {UNIT_NORM_ATOL}")
-    return v
-
-
-def as_unit_rows(v) -> np.ndarray:
-    """as_unit_vector for one vector (d,) or for every row of a stack (N, d)."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 2:
-        return as_unit_vector(v)
-    bad = ~(np.abs(row_norms(v) - 1.0) <= UNIT_NORM_ATOL)
-    if np.any(bad):
-        raise ValueError(f"rows {np.flatnonzero(bad)[:5].tolist()} of {v.shape} are not unit vectors")
+    if v.ndim not in (1, 2) or v.shape[-1] < 2:
+        raise ValueError(f"expected a vector (d,) or a stack (N, d) with d >= 2, got shape {v.shape}")
+    ok = abs(row_norms(v) - 1.0) <= UNIT_NORM_ATOL  # a NaN norm is not
+    if not ok.all():
+        raise ValueError(f"rows {np.flatnonzero(~ok)[:5].tolist()} of {v.shape} are not unit vectors "
+                         f"within {UNIT_NORM_ATOL}")
     return v
 
 
@@ -61,7 +49,10 @@ class VmfParams:
     kappa: float
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", as_unit_vector(self.mean))
+        mean = as_unit_rows(self.mean)
+        if mean.ndim != 1:
+            raise ValueError(f"the mean must be one vector, got shape {mean.shape}")
+        object.__setattr__(self, "mean", mean)
         kappa = float(self.kappa)
         if not np.isfinite(kappa) or kappa < 0.0:
             raise ValueError(f"kappa must be finite and >= 0, got {self.kappa!r}")
@@ -84,18 +75,18 @@ def log_surface_area(d: int) -> float:
     return float(np.log(2.0) + 0.5 * d * np.log(np.pi) - gammaln(0.5 * d))
 
 
-def logsumexp(a, axis: int = -1, keepdims: bool = False):
-    """log(sum(exp(a))) over one axis, shifted by each row's maximum (0 where it is not finite).
+def logsumexp(a, keepdims: bool = False):
+    """log(sum(exp(a))) over the last axis, shifted by each row's maximum (0 where it is not finite).
 
     Callers use it as an absolute log-domain offset, which this form gets within an ulp; a row
     holding inf, NaN or only -inf gets scipy.special.logsumexp's value, with no RuntimeWarning.
     """
     a = np.asarray(a, dtype=np.float64)
-    a_max = a.max(axis=axis, keepdims=True)
+    a_max = a.max(axis=-1, keepdims=True)
     shift = np.where(np.isfinite(a_max), a_max, 0.0)
     with np.errstate(over="ignore", divide="ignore"):  # exp(800) -> inf, log(0) -> -inf on those rows
-        out = np.log(np.exp(a - shift).sum(axis=axis, keepdims=True)) + shift
-    out = out if keepdims else np.squeeze(out, axis=axis)
+        out = np.log(np.exp(a - shift).sum(axis=-1, keepdims=True)) + shift
+    out = out if keepdims else out[..., 0]
     return out[()] if out.ndim == 0 else out
 
 
@@ -167,10 +158,7 @@ def log_bessel_i(order: float, x) -> float | np.ndarray:
 
 
 def _over_kappa(formula, kappa, at_zero: float) -> float | np.ndarray:
-    # formula(kappa) directly for a finite float kappa > 0; any other input is
-    # validated as an array, kappa == 0 gets the analytic limit at_zero
-    if isinstance(kappa, float) and 0.0 < kappa < np.inf:
-        return float(formula(kappa))
+    # formula(kappa) on the validated kappa > 0 as an array; kappa == 0 gets the analytic limit at_zero
     kappa_in = np.asarray(kappa, dtype=np.float64)
     if not np.all(np.isfinite(kappa_in)) or np.any(kappa_in < 0.0):
         raise ValueError("kappa must be finite and >= 0")
@@ -183,7 +171,7 @@ def _over_kappa(formula, kappa, at_zero: float) -> float | np.ndarray:
 
 
 def _log_normalizers(d: int, k):
-    # (log_c_d(d, k), log_alpha(d, k)) unchecked, for k > 0 (float or array), from one Bessel evaluation;
+    # (log_c_d(d, k), log_alpha(d, k)) unchecked, for an array k > 0, from one Bessel evaluation;
     # the shared (order * log k) product makes log_alpha + log_surface_area + log_c_d cancel cleanly
     n = 0.5 * d
     order = n - 1.0
@@ -196,8 +184,8 @@ def _log_normalizers(d: int, k):
 def log_c_d(d: int, kappa) -> float | np.ndarray:
     """log normalizing constant of the vMF density in R^d.
 
-    kappa == 0 returns the analytic uniform limit -log_surface_area(d). A
-    finite float kappa > 0 is evaluated directly; other inputs run on arrays.
+    kappa == 0 returns the analytic uniform limit -log_surface_area(d); a
+    scalar kappa gives a float, an array kappa an array of its shape.
     """
     d = _check_dimension(d)
     return _over_kappa(lambda k: _log_normalizers(d, k)[0], kappa, -log_surface_area(d))
@@ -207,7 +195,7 @@ def log_alpha(d: int, kappa) -> float | np.ndarray:
     """log of the uniform-to-vMF density ratio at the mode.
 
     alpha(kappa) = 1 / (surface_area * C_d(kappa)); equals Gamma(d/2) times
-    (2/kappa)^(d/2-1) I_{d/2-1}(kappa), and 1 at kappa == 0 (paths as log_c_d).
+    (2/kappa)^(d/2-1) I_{d/2-1}(kappa), and 1 at kappa == 0 (shapes as log_c_d).
     """
     d = _check_dimension(d)
     return _over_kappa(lambda k: _log_normalizers(d, k)[1], kappa, 0.0)
@@ -215,9 +203,9 @@ def log_alpha(d: int, kappa) -> float | np.ndarray:
 
 def vmf_log_pdf(params: VmfParams, z) -> float:
     """Log density of the vMF distribution at unit vector z."""
-    z = as_unit_vector(z)
-    if z.shape[0] != params.d:
-        raise ValueError(f"dimension mismatch: params d={params.d}, z d={z.shape[0]}")
+    z = as_unit_rows(z)
+    if z.shape != (params.d,):
+        raise ValueError(f"dimension mismatch: params d={params.d}, z must be one vector, got shape {z.shape}")
     return float(log_c_d(params.d, params.kappa) + params.kappa * float(params.mean @ z))
 
 

@@ -128,10 +128,9 @@ def brute_curve(ordered, fractions):
 
 def test_reference_curves_match_brute_force():
     outs = random_outcomes()
-    n, n_shuffles, seed = len(outs), 7, 3
+    n, seed = len(outs), 3
     oracle, rand = mt.reference_curve_sets(classes_of(outs), [pid for pid, _, _ in outs],
-                                           max_fraction=0.5, n_points=11,
-                                           n_shuffles=n_shuffles, seed=seed)
+                                           max_fraction=0.5, seed=seed)
     fractions = oracle["F1"].fractions
 
     def error(o):
@@ -141,7 +140,7 @@ def test_reference_curves_match_brute_force():
     errors_first = sorted(outs, key=lambda o: (not error(o), o[0]))
     expected_oracle = brute_curve(errors_first, fractions)
     expected_random = {m: np.zeros(len(fractions)) for m in mt.METRIC_NAMES}
-    for s in range(n_shuffles):
+    for s in range(mt.SHUFFLES):
         perm = np.random.default_rng([seed, s]).permutation(n)
         values = brute_curve([outs[j] for j in perm], fractions)
         for m in mt.METRIC_NAMES:
@@ -149,15 +148,14 @@ def test_reference_curves_match_brute_force():
 
     for m in mt.METRIC_NAMES:
         assert oracle[m].values.tolist() == [v[m] for v in expected_oracle]
-        assert rand[m].values.tolist() == (expected_random[m] / n_shuffles).tolist()
+        assert rand[m].values.tolist() == (expected_random[m] / mt.SHUFFLES).tolist()
 
 
 def test_rejection_curves_give_every_metric_of_one_order():
     outs = random_outcomes()
     rng = np.random.default_rng(2)
     scores = rng.integers(0, 5, size=len(outs)).astype(float)  # many ties
-    curves = mt.rejection_curves(classes_of(outs), scores, [pid for pid, _, _ in outs],
-                                 max_fraction=0.5, n_points=11)
+    curves = mt.rejection_curves(classes_of(outs), scores, [pid for pid, _, _ in outs], max_fraction=0.5)
     order = sorted(range(len(outs)), key=lambda i: (scores[i], outs[i][0]))
     expected = brute_curve([outs[i] for i in order], curves["F1"].fractions)
     assert list(curves) == list(mt.METRIC_NAMES)

@@ -9,7 +9,6 @@ import pytest
 
 from osruq import cli, vmf
 from osruq.bundle import read_bundle, write_bundle
-from osruq.evaluation import run_evaluation
 from osruq.protocol import SynthConfig, generate_protocol, preset_config
 
 
@@ -104,6 +103,22 @@ def test_gen_rejects_bools_in_number_fields(tmp_path, capsys, fields):
     out = os.path.join(tmp_path, "bundle")
     assert cli.main(["gen", "--config", config, "--out", out]) == 2
     assert next(iter(fields)) in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("text", ['{"preset": "degraded", "class_kappa": 1' + "0" * 5000 + "}",
+                                  '{"preset": ' + "[" * 100000 + "]" * 100000 + "}"], ids=["long-integer", "deep"])
+def test_gen_names_a_config_the_json_module_cannot_read(tmp_path, capsys, text):
+    # json.load raises a plain ValueError past the int-from-text digit limit (4300 by default)
+    # and a RecursionError past its nesting depth
+    config = os.path.join(tmp_path, "config.json")
+    with open(config, "w") as fh:
+        fh.write(text)
+    out = os.path.join(tmp_path, "bundle")
+    assert cli.main(["gen", "--config", config, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {config} ") and err.count("\n") == 1, err
+    assert "set_int_max_str_digits" not in err
     assert not os.path.exists(out)
 
 
@@ -548,12 +563,14 @@ def test_verify_unwritable_out_is_an_io_error(tmp_path, capsys):
 @pytest.mark.parametrize("flags", [
     ["--temperature", "0"],
     ["--temperature", "0", "--methods", "AccScr"],
+    ["--temperature", "inf", "--methods", "AccScr,GalUE"],
     ["--beta", "1.5"],
     ["--max-reject-fraction", "2"],
     ["--seed", "-1"],
     ["--fpir", "1"],
     ["--methods", "AccScr,AccScr"],
-], ids=["temperature", "temperature-AccScr", "beta", "max-reject-fraction", "seed", "fpir", "repeated-method"])
+], ids=["temperature", "temperature-AccScr", "temperature-inf", "beta", "max-reject-fraction", "seed", "fpir",
+        "repeated-method"])
 def test_eval_flag_errors_fail_in_the_arguments_stage(tmp_path, capsys, monkeypatch, flags):
     bundle = make_bundle(tmp_path)
     out = os.path.join(tmp_path, "eval")
@@ -572,6 +589,22 @@ def test_eval_rejects_an_empty_method_list(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_eval_checks_a_huge_manifest_dimension_before_allocating_by_it(tmp_path, capsys):
+    # nothing is sized by the manifest's d before a record's vector confirms it; here that would be 7.28 TiB
+    bundle = make_bundle(tmp_path)
+    manifest_path = os.path.join(bundle, "manifest.json")
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
+    manifest["d"] = 10**12
+    with open(manifest_path, "w") as fh:
+        json.dump(manifest, fh)
+    out = os.path.join(tmp_path, "eval")
+    assert cli.main(["eval", "--bundle", bundle, "--out", out, "--fpir", "0.2"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error [dimension_mismatch]: line 1: vector has dimension 8, manifest says {10**12}\n"
+    assert not os.path.exists(out)
+
+
 def test_run_seeds_override_the_bundles_seeds(tmp_path):
     bundle = make_bundle(tmp_path)
     manifest_path = os.path.join(bundle, "manifest.json")
@@ -585,8 +618,6 @@ def test_run_seeds_override_the_bundles_seeds(tmp_path):
                      "--seed", "3"]) == 0
     with open(os.path.join(out, "report.json")) as fh:
         assert json.load(fh)["seeds"]["cli_seed"] == 3
-    report = run_evaluation(read_bundle(bundle), 0.2, methods=("AccScr",), seed=3)
-    assert report.seeds["shuffle_seed"] == report.seeds["mlp_seed"] == 3
 
 
 def test_eval_accepts_a_probe_beyond_scipys_bessel_range(tmp_path):

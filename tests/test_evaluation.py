@@ -40,8 +40,6 @@ def test_report_structure_and_operating_point():
             assert curve.fractions[-1] == 0.5
         assert mr.prr is None or math.isfinite(mr.prr)
     assert set(report.reference_curves) == {"FPIR", "FNIR", "F1"}
-    assert report.seeds["shuffle_seed"] == 0
-    assert report.seeds["generator_seed"] == 5
 
 
 def test_determinism():
@@ -173,6 +171,15 @@ def test_failures_name_their_stage(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"error: fpir={target:g}: {stage}: ") and err.count("\n") == 1, err
         assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("temperature", [math.inf, math.nan])
+def test_temperature_must_be_finite_and_positive(monkeypatch, temperature):
+    # report.json cannot hold a non-finite temperature, so the arguments stage rejects it before any scoring
+    monkeypatch.setattr(ev, "_score", lambda *args: pytest.fail("scored before the arguments were checked"))
+    with pytest.raises(ValueError, match="temperature must be finite and > 0") as info:
+        ev.run_evaluation(small_protocol(), 0.1, methods=("AccScr", "GalUE"), temperature=temperature)
+    assert info.value.stage == "arguments"
 
 
 def test_holue_with_test_stats_split_fails_in_arguments_stage(monkeypatch):

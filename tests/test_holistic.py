@@ -115,7 +115,10 @@ def test_kl_components_hand_values():
 
 def test_kl_components_default_temperature():
     comps = ho.kl_components(hand_model(), HAND_MEAN, 5.0)
-    assert comps.temperature == 20.0
+    assert ho.DEFAULT_TEMPERATURE == 20.0
+    at_20 = ho.kl_components(hand_model(), HAND_MEAN, 5.0, temperature=20.0)
+    assert (comps.kl1, comps.kl2) == (at_20.kl1, at_20.kl2)
+    assert comps.kl1 != ho.kl_components(hand_model(), HAND_MEAN, 5.0, temperature=1.0).kl1
 
 
 def test_kl1_zero_for_uninformative_gallery():
@@ -167,7 +170,7 @@ def test_kl_components_validation():
 
 
 def comps_from(values1, values2):
-    return ho.KlComponents(kl1=np.array(values1), kl2=np.array(values2), temperature=20.0)
+    return ho.KlComponents(kl1=np.array(values1), kl2=np.array(values2))
 
 
 def test_fit_stats_values():
@@ -188,7 +191,7 @@ def test_fit_stats_errors():
 
 def test_normalize_and_sum():
     stats = ho.CalibrationStats(mean1=1.0, std1=2.0, mean2=-1.0, std2=0.5)
-    comps = ho.KlComponents(kl1=3.0, kl2=0.0, temperature=20.0)
+    comps = ho.KlComponents(kl1=3.0, kl2=0.0)
     kl1n, kl2n = ho.normalize(comps, stats)
     assert kl1n == pytest.approx(1.0)
     assert kl2n == pytest.approx(2.0)
@@ -209,7 +212,7 @@ def test_zero_initialized_network_predicts_half():
     sizes = ho.LAYER_SIZES
     weights = [np.zeros((a, b)) for a, b in zip(sizes[:-1], sizes[1:])]
     biases = [np.zeros(b) for b in sizes[1:]]
-    calib = ho.MlpCalibrator(weights=weights, biases=biases, seed=0)
+    calib = ho.MlpCalibrator(weights=weights, biases=biases)
     assert ho.mlp_predict(calib, 0.7, -2.0) == 0.5
 
 
@@ -285,7 +288,7 @@ def test_mlp_predict_shapes_and_clipping():
     weights = [np.zeros((a, b)) for a, b in zip(sizes[:-1], sizes[1:])]
     biases = [np.zeros(b) for b in sizes[1:]]
     biases[-1] = np.array([1000.0])
-    calib = ho.MlpCalibrator(weights=weights, biases=biases, seed=0)
+    calib = ho.MlpCalibrator(weights=weights, biases=biases)
     out = ho.mlp_predict(calib, 0.0, 0.0)
     assert isinstance(out, float)
     assert out == 1.0 - 1e-12

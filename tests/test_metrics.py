@@ -106,7 +106,7 @@ def test_rejection_curve_matches_brute_force(metric):
         rows.append((true, cid))
         ids.append(f"p{i:03d}")
         scores.append(float(rng.standard_normal()))
-    curve = mt.rejection_curves(classes_of(rows), scores, ids, max_fraction=0.5, n_points=11)[metric]
+    curve = mt.rejection_curves(classes_of(rows), scores, ids, max_fraction=0.5)[metric]
     ordered = [rows[j] for j in sorted(range(60), key=lambda j: (scores[j], ids[j]))]
     for r, v in zip(curve.fractions, curve.values):
         assert v == pytest.approx(brute_force_value(ordered, math.floor(r * 60), metric), abs=1e-12)
@@ -114,8 +114,8 @@ def test_rejection_curve_matches_brute_force(metric):
 
 def test_rejection_curve_grid():
     classes, ids = hand_outcomes()
-    curve = mt.rejection_curves(classes, np.zeros(len(ids)), ids, max_fraction=0.5, n_points=101)["F1"]
-    assert curve.fractions.shape == (101,)
+    curve = mt.rejection_curves(classes, np.zeros(len(ids)), ids, max_fraction=0.5)["F1"]
+    assert curve.fractions.shape == (mt.CURVE_POINTS,) == (101,)
     assert curve.fractions[0] == 0.0
     assert curve.fractions[-1] == 0.5
     np.testing.assert_allclose(np.diff(curve.fractions), 0.005, atol=1e-15)
@@ -124,22 +124,23 @@ def test_rejection_curve_grid():
 def test_rejection_curve_ties_break_by_probe_id():
     # b is a TP, a the false positive, c and d true rejections; all tie on score
     classes = classes_of([("a", "a"), (None, "a"), (None, None), (None, None)])
-    curves = mt.rejection_curves(classes, np.ones(4), ["b", "a", "c", "d"], max_fraction=0.5, n_points=3)
-    # at 25% the probe with the lexicographically smallest id is removed
-    assert curves["FPIR"].values[0] == pytest.approx(1.0 / 3.0)
-    assert curves["FPIR"].values[1] == pytest.approx(0.0)
+    fpir = mt.rejection_curves(classes, np.ones(4), ["b", "a", "c", "d"], max_fraction=0.5)["FPIR"]
+    # at 25%, grid point 50, the probe with the lexicographically smallest id is removed
+    assert fpir.fractions[50] == 0.25
+    assert fpir.values[0] == fpir.values[49] == pytest.approx(1.0 / 3.0)
+    assert fpir.values[50] == pytest.approx(0.0)
 
 
 def test_curve_truncation_error():
     classes, ids = hand_outcomes()
     with pytest.raises(mt.CurveTruncationError):
-        mt.rejection_curves(classes[:2], np.zeros(2), ids[:2], max_fraction=1.0, n_points=3)
+        mt.rejection_curves(classes[:2], np.zeros(2), ids[:2], max_fraction=1.0)
 
 
 def test_reference_curves_oracle_removes_errors_first():
     classes, ids = hand_outcomes()
     n_errors = int(np.sum(~mt.decision_correct(classes)))
-    oracle = mt.reference_curve_sets(classes, ids, max_fraction=0.5, n_points=101)[0]["F1"]
+    oracle = mt.reference_curve_sets(classes, ids, max_fraction=0.5)[0]["F1"]
     # once every error is rejected the F1 of the remainder is exactly 1
     for r, v in zip(oracle.fractions, oracle.values):
         if math.floor(r * len(ids)) >= n_errors:
@@ -149,10 +150,10 @@ def test_reference_curves_oracle_removes_errors_first():
 
 def test_reference_curves_random_is_deterministic():
     classes, ids = hand_outcomes()
-    rand_a = mt.reference_curve_sets(classes, ids, n_shuffles=10, seed=4)[1]["F1"]
-    rand_b = mt.reference_curve_sets(classes, ids, n_shuffles=10, seed=4)[1]["F1"]
+    rand_a = mt.reference_curve_sets(classes, ids, seed=4)[1]["F1"]
+    rand_b = mt.reference_curve_sets(classes, ids, seed=4)[1]["F1"]
     np.testing.assert_array_equal(rand_a.values, rand_b.values)
-    rand_c = mt.reference_curve_sets(classes, ids, n_shuffles=10, seed=5)[1]["F1"]
+    rand_c = mt.reference_curve_sets(classes, ids, seed=5)[1]["F1"]
     assert not np.array_equal(rand_a.values, rand_c.values)
 
 

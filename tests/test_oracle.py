@@ -47,10 +47,8 @@ def test_independent_kl_components_agree(rng):
 
 def test_mc_marginal_check_integrates_to_one(rng):
     model = random_model(rng, k=3, d=4, kappa_max=10.0)
-    result = orc.mc_marginal_check(model, n=20000, seed=1)
+    result = orc.mc_marginal_check(model, seed=1)
     assert abs(result["estimate"] - 1.0) <= 3.0 * result["stderr"] + 1e-3
-    with pytest.raises(ValueError):
-        orc.mc_marginal_check(model, n=10)
 
 
 def test_scopes_cover_all_checks():

@@ -168,14 +168,11 @@ def test_record_view_gives_what_the_benchmark_check_reads():
     records = proto.mated_probes + proto.nonmated_probes
     assert isinstance(proto.mated_probes, tuple)
     assert [p.probe_id for p in records] == ["p1", "p9", "n2", "n5"]
-    assert [p.class_id for p in records] == ["g0", "g1", None, None]
     for p, row in zip(records, ([1.0, 0.0], [0.6, 0.8], [0.8, 0.6], [0.0, 1.0])):
         assert p.mean.tobytes() == np.array(row).tobytes()
     assert [p.pfe_sigma2 is None for p in records] == [False, False, False, True]
     assert records[0].pfe_sigma2.tobytes() == np.full(2, 0.5).tobytes()
     assert not records[0].mean.flags.writeable and not records[0].pfe_sigma2.flags.writeable
-    assert [p.kappa for p in records] == [1.0, None, 1.0, 1.0]
-    assert [p.split for p in records] == ["test", "validation", "validation", "test"]
 
 
 def test_build_protocol_partition():

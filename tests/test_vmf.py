@@ -93,6 +93,16 @@ def test_log_c_d_large_arguments_finite():
     assert math.isfinite(vmf.log_c_d(512, 1e5))
 
 
+@pytest.mark.parametrize("d", [2, 16, 128, 512])
+def test_float_kappa_has_the_bits_of_a_one_element_array(d):
+    # a float kappa and its one-element array give the same bits, so no float-only path is needed
+    for kappa in np.logspace(-3, 5, 81).tolist():
+        for fn in (vmf.log_c_d, vmf.log_alpha):
+            got = fn(d, kappa)
+            assert type(got) is float
+            assert same_bits(got, fn(d, np.array([kappa]))[0]), (fn.__name__, kappa)
+
+
 @given(d=st.integers(min_value=2, max_value=256),
        log_kappa=st.floats(min_value=-4.0, max_value=5.0))
 @settings(max_examples=200, deadline=None)
@@ -132,22 +142,27 @@ def test_vmf_params_validation():
         vmf.VmfParams(mean=mean, kappa=-1.0)
     with pytest.raises(ValueError):
         vmf.VmfParams(mean=mean * 2.0, kappa=1.0)
+    # as_unit_rows takes a stack too, but a mean and a density's argument are one vector
+    with pytest.raises(ValueError, match="one vector"):
+        vmf.VmfParams(mean=mean[None], kappa=1.0)
+    with pytest.raises(ValueError, match="one vector"):
+        vmf.vmf_log_pdf(vmf.VmfParams(mean=mean, kappa=1.0), mean[None])
 
 
-def test_as_unit_vector_tolerance():
+def test_as_unit_rows_tolerance():
     v = np.array([1.0, 0.0, 0.0])
-    out = vmf.as_unit_vector(v * (1.0 + 1e-12))
+    out = vmf.as_unit_rows(v * (1.0 + 1e-12))
     np.testing.assert_allclose(out, v, atol=1e-10)
     with pytest.raises(ValueError):
-        vmf.as_unit_vector(v * 1.001)
+        vmf.as_unit_rows(v * 1.001)
     with pytest.raises(ValueError):
-        vmf.as_unit_vector(np.zeros(3))
+        vmf.as_unit_rows(np.zeros(3))
     # one measure for a vector and a stack: this one is just past the tolerance
     # on row_norms and inside it on a 1-d np.linalg.norm
     w = np.random.default_rng(0).standard_normal((31, 16))[30]
     edge = w / vmf.row_norms(w[None])[0] * (1.0 + 1e-6 + 2.2e-16)
     assert np.linalg.norm(edge) - 1.0 <= vmf.UNIT_NORM_ATOL
-    for check in (vmf.as_unit_vector, lambda v: vmf.as_unit_rows(v[None])):
+    for check in (vmf.as_unit_rows, lambda v: vmf.as_unit_rows(v[None])):
         with pytest.raises(ValueError):
             check(edge)
 
@@ -376,7 +391,7 @@ def test_logsumexp_is_bit_equal_to_scipy(keepdims):
     # No np.errstate around vmf.logsumexp: an overflow inside it is a RuntimeWarning, which fails the test
     for a in lse_cases() + [np.array([np.inf, 800.0])]:
         with np.errstate(all="ignore"):
-            want = scipy_logsumexp(a, axis=-1, keepdims=keepdims)
+            want = scipy_logsumexp(a, -1, keepdims=keepdims)
         got = vmf.logsumexp(a, keepdims=keepdims)
         assert type(got) is type(want) and np.shape(got) == np.shape(want)
         special = ~np.isfinite(np.max(a, axis=-1, keepdims=keepdims))
@@ -391,10 +406,10 @@ def test_logsumexp_is_bit_equal_to_scipy_on_a_scoring_block():
     terms[10] = -np.inf
     terms[20, 3], terms[30, 9], terms[40, :2], terms[50, :2] = np.inf, np.nan, [np.inf, -np.inf], [np.inf, 800.0]
     with np.errstate(all="ignore"):
-        want = scipy_logsumexp(terms, axis=-1, keepdims=True)
+        want = scipy_logsumexp(terms, -1, keepdims=True)
     got = vmf.logsumexp(terms, keepdims=True)
     assert same_bits(got[special], want[special])
-    assert same_bits(vmf.logsumexp(terms, axis=1), got[:, 0])
+    assert same_bits(vmf.logsumexp(terms), got[:, 0])
     assert np.isfinite(np.delete(got, special)).all()
 
 
