@@ -97,25 +97,37 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _write_target(out_dir: str, tag: str, report) -> dict:
-    """Write one target's curve CSVs under curves/<tag>; return its report.json block."""
+def _target_files(tag: str, report, files: dict) -> dict:
+    """Add one target's curve CSVs under curves/<tag> to ``files`` (path under --out: text);
+    return its report.json block."""
     base = os.path.join("curves", tag)
-    os.makedirs(os.path.join(out_dir, base), exist_ok=True)
 
-    def write(label: str, metric: str, curve) -> str:
+    def csv(label: str, metric: str, curve) -> str:
         rel = os.path.join(base, f"{label}_{metric}.csv")
-        with open(os.path.join(out_dir, rel), "w", encoding="ascii") as fh:
-            fh.write("fraction,value\n" + "".join(
-                "%.17g,%.17g\n" % row for row in zip(curve.fractions.tolist(), curve.values.tolist())))
+        files[rel] = "fraction,value\n" + "".join(
+            "%.17g,%.17g\n" % row for row in zip(curve.fractions.tolist(), curve.values.tolist()))
         return rel
 
     block = {key: getattr(report, key) for key in ("target_fpir", "tau", "kappa", "base", "counts", "reference_auc")}
     block["methods"] = {name: {"prr": m.prr, "auc": m.auc,
-                               "curves": {metric: write(name, metric, c) for metric, c in m.curves.items()}}
+                               "curves": {metric: csv(name, metric, c) for metric, c in m.curves.items()}}
                         for name, m in report.methods.items()}
-    block["reference_curves"] = {metric: {kind: write(kind, metric, c) for kind, c in pair.items()}
+    block["reference_curves"] = {metric: {kind: csv(kind, metric, c) for kind, c in pair.items()}
                                  for metric, pair in report.reference_curves.items()}
     return block
+
+
+def _write_files(out: str, files: dict) -> int | None:
+    """Write each text of ``files`` to its path under ``out``, in order; an exit code on failure."""
+    try:
+        for rel, text in files.items():
+            path = os.path.join(out, rel)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "w", encoding="ascii") as fh:
+                fh.write(text)
+    except OSError as exc:
+        return _out_error(out, exc)
+    return None
 
 
 def _target_error(target: float, stage: str, exc: ValueError) -> int:
@@ -153,24 +165,23 @@ def cmd_eval(args) -> int:
         except ValueError as exc:
             return _target_error(target, getattr(exc, "stage", "evaluation"), exc)
 
-    report_path = os.path.join(args.out, "report.json")
+    # every output text is built before the first write; report.json is written last
+    files = {}
     payload = {"tool": "osruq", "version": __version__, "beta": args.beta, "temperature": args.temperature,
                "max_reject_fraction": args.max_reject_fraction, "methods": list(settings["methods"]),
                "metrics": list(METRIC_NAMES), "stats_split": args.stats_split,
-               "seeds": {**protocol.meta, "cli_seed": args.seed}}
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        payload["evaluations"] = [_write_target(args.out, tag, r) for tag, r in zip(tags, reports)]
-        with open(report_path, "w", encoding="ascii") as fh:
-            fh.write(dumps_canonical(payload) + "\n")
-    except OSError as exc:
-        return _out_error(args.out, exc)
+               "seeds": {**protocol.meta, "cli_seed": args.seed},
+               "evaluations": [_target_files(tag, r, files) for tag, r in zip(tags, reports)]}
+    files["report.json"] = dumps_canonical(payload) + "\n"
+    failed = _write_files(args.out, files)
+    if failed is not None:
+        return failed
     for report in reports:
         summary = " ".join(f"{name}={m.prr:.4f}" if m.prr is not None else f"{name}=undefined"
                            for name, m in report.methods.items())
         print(f"fpir={report.target_fpir:g} tau={report.tau:.6f} kappa={report.kappa:.4f} "
               f"f1={report.base['f1']:.4f} prr: {summary}")
-    print(f"wrote {report_path}")
+    print(f"wrote {os.path.join(args.out, 'report.json')}")
     if any(m.prr is None for report in reports for m in report.methods.values()):
         print("error: prediction rejection ratio undefined (no errors to reject)", file=sys.stderr)
         return EXIT_UNDEFINED_PRR
@@ -183,17 +194,13 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out_path = os.path.join(args.out, "verify.json")
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        with open(out_path, "w", encoding="ascii") as fh:
-            fh.write(dumps_canonical(report) + "\n")
-    except OSError as exc:
-        return _out_error(args.out, exc)
+    failed = _write_files(args.out, {"verify.json": dumps_canonical(report) + "\n"})
+    if failed is not None:
+        return failed
     for check in report["checks"]:
         print(f"{check['status']:4s} {check['name']}: max deviation "
               f"{check['max_deviation']:.3g} (tolerance {check['tolerance']:g})")
-    print(f"wrote {out_path}")
+    print(f"wrote {os.path.join(args.out, 'verify.json')}")
     return EXIT_OK if report["passed"] else EXIT_VERIFY_FAILED
 
 

@@ -15,9 +15,9 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from . import baselines, holistic, metrics
+from . import baselines, holistic, metrics, vmf
 from .gallery import (GalleryModel, cosines, decision_index, galue_score, kappa_for_threshold,
-                      row_blocks, softmax, terms_from_cosines)
+                      row_blocks, softmax_given, terms_from_cosines)
 from .holistic import KlComponents, fit_mlp, fit_stats, kl_from_terms, normalize, self_log_density
 from .metrics import EvalReport, MethodReport, UndefinedPrrError
 from .protocol import OsrProtocol, ProbeTable
@@ -71,12 +71,13 @@ def _score(model: GalleryModel, probes: ProbeTable, rows: np.ndarray, temperatur
     for block in row_blocks(n, model.gallery.k):
         cos = cosines(model.gallery, probes.means[rows[block]])
         terms = terms_from_cosines(model, cos)
-        probs = softmax(terms)
+        log_marg = vmf.logsumexp(terms, keepdims=True)  # one logsumexp serves the posterior and kl2
+        probs = softmax_given(terms, log_marg)
         best[block] = cos.max(axis=1)
         decided[block] = decision_index(probs)
         galue[block] = galue_score(probs)
         if components:
-            kl1[block], kl2[block] = kl_from_terms(model, terms, log_self[block], temperature)
+            kl1[block], kl2[block] = kl_from_terms(model, terms, log_marg[:, 0], log_self[block], temperature)
     return best, decided, galue, (KlComponents(kl1, kl2) if components else None)
 
 

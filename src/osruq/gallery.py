@@ -161,7 +161,12 @@ def log_marginal(model: GalleryModel, z) -> float | np.ndarray:
 
 def softmax(terms: np.ndarray) -> np.ndarray:
     """Normalize log terms over the last axis into probabilities that sum to one."""
-    probs = np.exp(terms - vmf.logsumexp(terms, keepdims=True))
+    return softmax_given(terms, vmf.logsumexp(terms, keepdims=True))
+
+
+def softmax_given(terms: np.ndarray, log_norm: np.ndarray) -> np.ndarray:
+    """softmax(terms) from the terms' own logsumexp over the last axis, with keepdims."""
+    probs = np.exp(terms - log_norm)
     probs /= probs.sum(axis=-1, keepdims=True)
     return probs
 

@@ -89,8 +89,9 @@ def self_log_density(d: int, kappa):
 
 # near the float limit a tempered term can still overflow kl2's bracket; KlComponents rejects the inf or NaN
 @np.errstate(over="ignore", invalid="ignore")
-def kl_from_terms(model: GalleryModel, terms: np.ndarray, log_self, temperature: float):
-    """(kl1, kl2) arrays for (N, K+1) log_joint_terms rows and the probes' self_log_density.
+def kl_from_terms(model: GalleryModel, terms: np.ndarray, log_marg: np.ndarray, log_self, temperature: float):
+    """(kl1, kl2) arrays for (N, K+1) log_joint_terms rows, their (N,) logsumexp (the log
+    marginal) and the probes' self_log_density.
 
     kl1 sums P_T(c|x) log(P_T(c|x) / prior(c)) over gallery classes only; it
     can be negative because the gallery block of the posterior is a
@@ -101,8 +102,6 @@ def kl_from_terms(model: GalleryModel, terms: np.ndarray, log_self, temperature:
     one constant per model, which z-normalization cancels; at T=1 it is 1.
     """
     log_post_t = _tempered_log_posterior(terms, temperature)[:, :-1]
-    log_marg = vmf.logsumexp(terms)
-
     log_prior = np.log((1.0 - model.beta) / model.gallery.k)
     kl1 = (np.exp(log_post_t) * (log_post_t - log_prior)).sum(axis=1)  # underflowed entries add exact zeros
 
@@ -127,7 +126,8 @@ def kl_components(model: GalleryModel, z, kappa, temperature: float = DEFAULT_TE
     if not np.all(np.isfinite(kappa)) or np.any(kappa <= 0.0):
         raise ValueError("every kappa must be finite and > 0")
     log_self = self_log_density(model.gallery.d, np.atleast_1d(kappa))
-    kl1, kl2 = kl_from_terms(model, log_joint_terms(model, np.atleast_2d(z)), log_self, temperature)
+    terms = log_joint_terms(model, np.atleast_2d(z))
+    kl1, kl2 = kl_from_terms(model, terms, vmf.logsumexp(terms), log_self, temperature)
     if z.ndim == 1:
         kl1, kl2 = float(kl1[0]), float(kl2[0])
     return KlComponents(kl1=kl1, kl2=kl2)

@@ -13,7 +13,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import iv
 
 from . import vmf
 from . import gallery as gallery_mod
@@ -64,6 +63,7 @@ def _surface_area(d: int) -> float:
 def _linear_c(d: int, kappa: float) -> float:
     if kappa == 0.0:
         return 1.0 / _surface_area(d)
+    from scipy.special import iv  # a local import, as in vmf
     n = 0.5 * d
     return kappa ** (n - 1.0) / ((2.0 * math.pi) ** n * float(iv(n - 1.0, kappa)))
 

@@ -5,7 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ive
+
+# scipy.special is imported inside the functions that call gammaln or ive: its import takes about
+# 0.25 s, which gen, --help, --version and every argument or config error would pay for nothing
 
 # Tolerance for vectors that claim to be unit norm already, on row_norms'
 # measure: the bundle reader's accept tier and Gallery's and cosines' check.
@@ -71,6 +73,7 @@ def _check_dimension(d: int) -> int:
 
 def log_surface_area(d: int) -> float:
     """log of the surface area of the unit sphere in R^d."""
+    from scipy.special import gammaln
     d = _check_dimension(d)
     return float(np.log(2.0) + 0.5 * d * np.log(np.pi) - gammaln(0.5 * d))
 
@@ -94,6 +97,7 @@ def _log_bessel_series(order: float, x: np.ndarray) -> np.ndarray:
     # sum_m (x/2)^(2m + order) / (m! Gamma(m + order + 1)), evaluated as a
     # logsumexp so huge orders cannot underflow. Only reached for x small
     # relative to order, where the series converges in a few hundred terms.
+    from scipy.special import gammaln
     m = np.arange(_SERIES_TERMS, dtype=np.float64)
     with np.errstate(divide="ignore"):  # x/2 underflows to 0 only for the least subnormal x
         log_half_x = np.log(0.5 * x)[..., None]
@@ -125,6 +129,7 @@ def log_bessel_i(order: float, x) -> float | np.ndarray:
     scaling underflows (large order, small x). A finite float x >= 0 on the scaled branch skips
     the array machinery.
     """
+    from scipy.special import ive
     order = float(order)
     if not np.isfinite(order) or order < 0.0:
         raise ValueError(f"order must be finite and >= 0, got {order!r}")
@@ -173,6 +178,7 @@ def _over_kappa(formula, kappa, at_zero: float) -> float | np.ndarray:
 def _log_normalizers(d: int, k):
     # (log_c_d(d, k), log_alpha(d, k)) unchecked, for an array k > 0, from one Bessel evaluation;
     # the shared (order * log k) product makes log_alpha + log_surface_area + log_c_d cancel cleanly
+    from scipy.special import gammaln
     n = 0.5 * d
     order = n - 1.0
     order_log_k = order * np.log(k)

@@ -37,7 +37,7 @@ def test_batch_rows_equal_scalar_calls(d, kappa):
     log_marg = ga.log_marginal(model, z_all)
     probs = ga.softmax(terms)
     decided = ga.decision_index(probs)
-    kl1, kl2 = ho.kl_from_terms(model, terms, ho.self_log_density(d, kappas), 20.0)
+    kl1, kl2 = ho.kl_from_terms(model, terms, log_marg, ho.self_log_density(d, kappas), 20.0)
     assert terms.shape == (len(z_all), gal.k + 1)
     assert np.array_equal(ga.posterior(model, z_all), probs)
     stacked = ho.kl_components(model, z_all, kappas, temperature=20.0)
@@ -74,7 +74,7 @@ def test_kl1_with_underflowed_posterior_entries_matches_scalar():
     gal, z_all, kappas = preset_probes(16, n_identities=300)
     model = ga.GalleryModel(gallery=gal, kappa=500.0, beta=0.5)
     terms = ga.log_joint_terms(model, z_all)
-    kl1, kl2 = ho.kl_from_terms(model, terms, ho.self_log_density(16, kappas), 1.0)
+    kl1, kl2 = ho.kl_from_terms(model, terms, ga.log_marginal(model, z_all), ho.self_log_density(16, kappas), 1.0)
 
     underflowed = ~np.all(ga.softmax(terms)[:, :-1] > 0.0, axis=1)
     assert 0 < underflowed.sum() < len(z_all)

@@ -551,6 +551,24 @@ def test_eval_unwritable_out_writes_nothing(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "report.json"))
 
 
+def test_a_failed_serialization_writes_nothing(tmp_path, monkeypatch):
+    # every output text is built before the first write, so nothing under --out exists
+    bundle = make_bundle(tmp_path)
+
+    def broken(value):
+        raise ValueError("cannot serialize")
+
+    monkeypatch.setattr(cli, "dumps_canonical", broken)
+    out = os.path.join(tmp_path, "eval")
+    with pytest.raises(ValueError, match="cannot serialize"):
+        cli.main(["eval", "--bundle", bundle, "--out", out, "--fpir", "0.2", "--methods", "AccScr"])
+    assert not os.path.exists(out)
+    out = os.path.join(tmp_path, "verify")
+    with pytest.raises(ValueError, match="cannot serialize"):
+        cli.main(["verify", "--scope", "bessel", "--out", out])
+    assert not os.path.exists(out)
+
+
 def test_verify_unwritable_out_is_an_io_error(tmp_path, capsys):
     taken = a_file(os.path.join(tmp_path, "taken"))
     assert cli.main(["verify", "--scope", "bessel", "--out", taken]) == 2
