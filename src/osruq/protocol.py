@@ -3,10 +3,11 @@
 Generation is two-stage: each identity gets a latent mean on the sphere, each
 sample first drifts within its identity cluster (class_kappa) and is then
 observed under its own quality concentration kappa(x) drawn log-uniformly
-from quality_kappa_range. Auxiliary per-sample qualities (a variance vector
-and a log-scale) are derived monotonically from kappa(x) with seeded noise so
-every baseline has something to read. All draws come from one seeded stream,
-so identical seeds give identical corpora.
+from quality_kappa_range. Two auxiliary per-sample qualities give every
+baseline something to read: a variance vector (1/kappa(x)) (1 + U(-0.1, 0.1)),
+the only one with seeded noise, and a log-scale that is exactly log kappa(x).
+All draws come from one seeded stream, so identical seeds give identical
+corpora.
 
 The generator works one block of identities at a time. It makes the block's
 RNG calls in stream order, then computes the block's vMF geometry (the radial

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-
-# scipy.special is imported inside the functions that call gammaln or ive: its import takes about
-# 0.25 s, which gen, --help, --version and every argument or config error would pay for nothing
 
 # Tolerance for vectors that claim to be unit norm already, on row_norms'
 # measure: the bundle reader's accept tier and Gallery's and cosines' check.
@@ -65,6 +63,14 @@ class VmfParams:
         return self.mean.shape[0]
 
 
+@functools.cache
+def _special():
+    """scipy.special, imported on the first call: its import takes about 0.25 s, which gen, --help,
+    --version and every argument or config error would pay for nothing."""
+    import scipy.special
+    return scipy.special
+
+
 def _check_dimension(d: int) -> int:
     if int(d) != d or d < 2:
         raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
@@ -73,9 +79,8 @@ def _check_dimension(d: int) -> int:
 
 def log_surface_area(d: int) -> float:
     """log of the surface area of the unit sphere in R^d."""
-    from scipy.special import gammaln
     d = _check_dimension(d)
-    return float(np.log(2.0) + 0.5 * d * np.log(np.pi) - gammaln(0.5 * d))
+    return float(np.log(2.0) + 0.5 * d * np.log(np.pi) - _special().gammaln(0.5 * d))
 
 
 def logsumexp(a, keepdims: bool = False):
@@ -97,7 +102,7 @@ def _log_bessel_series(order: float, x: np.ndarray) -> np.ndarray:
     # sum_m (x/2)^(2m + order) / (m! Gamma(m + order + 1)), evaluated as a
     # logsumexp so huge orders cannot underflow. Only reached for x small
     # relative to order, where the series converges in a few hundred terms.
-    from scipy.special import gammaln
+    gammaln = _special().gammaln
     m = np.arange(_SERIES_TERMS, dtype=np.float64)
     with np.errstate(divide="ignore"):  # x/2 underflows to 0 only for the least subnormal x
         log_half_x = np.log(0.5 * x)[..., None]
@@ -129,7 +134,7 @@ def log_bessel_i(order: float, x) -> float | np.ndarray:
     scaling underflows (large order, small x). A finite float x >= 0 on the scaled branch skips
     the array machinery.
     """
-    from scipy.special import ive
+    ive = _special().ive
     order = float(order)
     if not np.isfinite(order) or order < 0.0:
         raise ValueError(f"order must be finite and >= 0, got {order!r}")
@@ -178,13 +183,12 @@ def _over_kappa(formula, kappa, at_zero: float) -> float | np.ndarray:
 def _log_normalizers(d: int, k):
     # (log_c_d(d, k), log_alpha(d, k)) unchecked, for an array k > 0, from one Bessel evaluation;
     # the shared (order * log k) product makes log_alpha + log_surface_area + log_c_d cancel cleanly
-    from scipy.special import gammaln
     n = 0.5 * d
     order = n - 1.0
     order_log_k = order * np.log(k)
     log_i = log_bessel_i(order, k)
     return (order_log_k - n * LOG_2PI - log_i,
-            gammaln(n) + order * np.log(2.0) - order_log_k + log_i)
+            _special().gammaln(n) + order * np.log(2.0) - order_log_k + log_i)
 
 
 def log_c_d(d: int, kappa) -> float | np.ndarray:

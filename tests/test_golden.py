@@ -8,6 +8,9 @@ and matrix products (through the BLAS its wheel bundles) and of scipy's
 ``ive`` and ``gammaln``, as well as on this code, so CI pins the numpy and
 scipy versions. The ``records.jsonl`` hashes also depend on orjson's float
 text (shortest round trip), so CI pins orjson too.
+
+The d=128 config also carries the paper's headline as a check: there HolUE
+ranks recognition errors better than every baseline.
 """
 
 import hashlib
@@ -18,6 +21,8 @@ import pytest
 
 from osruq import cli
 from osruq.bundle import MANIFEST_NAME, RECORDS_NAME
+from osruq.evaluation import run_evaluation
+from osruq.protocol import SynthConfig, generate_protocol
 
 GOLDEN = {
     "ambiguous": {
@@ -47,8 +52,10 @@ D128_GOLDEN = {
     RECORDS_NAME: "2c222f2148cad492feecbf207e26c87958b8cd1c3336773ee560cc1a9ad145e5",
 }
 # verify.json of `osruq verify --scope all --seed 0`; the plain max-shifted vmf.logsumexp
-# moved its bessel_series_consistency deviation from 2.138e-14 to 2.155e-14
-VERIFY_GOLDEN = "b4d60ad46677b0645fa67d4f11b75704d85281295009b2df06cb7635c9462fd8"
+# moved its bessel_series_consistency deviation from 2.138e-14 to 2.155e-14, and the numpy
+# Gauss-Legendre quadrature oracle, in place of scipy.integrate.quad, moved its
+# normalizer_quadrature deviation from 3.51e-16 to 8.25e-16
+VERIFY_GOLDEN = "6dfaccc3e21bd66553378c82a6f945af49a860cf1418a8e56e440d7f7e3a2bee"
 
 
 def sha256(path):
@@ -77,6 +84,17 @@ def test_d128_bundle_bytes(tmp_path):
     bundle = os.path.join(tmp_path, "bundle")
     assert cli.main(["gen", "--config", config, "--out", bundle]) == 0
     assert {name: sha256(os.path.join(bundle, name)) for name in D128_GOLDEN} == D128_GOLDEN
+
+
+def test_holue_beats_every_baseline_at_d128():
+    # the paper's claim that HolUE identifies recognition errors better than the quality-only
+    # and gallery-only scores; it holds on this d=128 config, not on the d=16 presets (README)
+    baselines = ("AccScr", "SCF", "PFE", "SF", "GalUE")
+    report = run_evaluation(generate_protocol(SynthConfig(**D128_CONFIG)), 0.1, methods=baselines + ("HolUE",))
+    prr = {name: method.prr for name, method in report.methods.items()}
+    for name in baselines:
+        margin = prr["HolUE"] - prr[name]
+        assert margin > 0.0, f"HolUE PRR {prr['HolUE']:.3f} trails {name} {prr[name]:.3f} by {-margin:.3f}"
 
 
 def test_verify_bytes(tmp_path):

@@ -1,5 +1,6 @@
 """Which scipy modules each command loads: gen, --version and a config error load none,
-eval loads scipy.special, and only verify's quadrature check loads scipy.integrate.
+eval and verify load scipy.special, and no command loads scipy.integrate (verify's
+quadrature oracle is numpy's Gauss-Legendre rule).
 
 The checks run in a fresh interpreter, where no other test's imports can hide a
 module that osruq itself pulls in.
@@ -47,14 +48,29 @@ SCRIPT = textwrap.dedent("""
                            os.path.join(out, "eval")]) == 0
     assert loaded("scipy.special"), "eval"
     assert not loaded("scipy.integrate"), "gen and eval"
+""")
 
-    assert osruq.cli.main(["verify", "--scope", "quadrature", "--out", os.path.join(out, "v")]) == 0
-    assert loaded("scipy.integrate"), "verify --scope quadrature"
+# in an interpreter of its own, so that eval's import of scipy.special cannot stand in for verify's
+VERIFY_SCRIPT = textwrap.dedent("""
+    import sys
+    import osruq.cli
+
+    assert osruq.cli.main(["verify", "--scope", "all", "--out", sys.argv[1]]) == 0
+    assert "scipy.special" in sys.modules, "verify --scope all"
+    assert "scipy.integrate" not in sys.modules, "verify --scope all"
 """)
 
 
-def test_scipy_loads_only_in_the_commands_that_compute_with_it(tmp_path):
+def run_fresh(script, out):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], env=env,
+    run = subprocess.run([sys.executable, "-c", script, str(out)], env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
+
+
+def test_scipy_loads_only_in_the_commands_that_compute_with_it(tmp_path):
+    run_fresh(SCRIPT, tmp_path)
+
+
+def test_verify_loads_scipy_special_and_never_scipy_integrate(tmp_path):
+    run_fresh(VERIFY_SCRIPT, tmp_path)

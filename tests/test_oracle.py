@@ -19,6 +19,26 @@ def test_quad_log_c_d_matches_engine():
         orc.quad_log_c_d(4, 1.0)
 
 
+def _mp_log_c_d(d, kappa):
+    # closed forms: C_2 = 1 / (2 pi I_0(kappa)), C_3 = kappa / (4 pi sinh kappa), both kept e^-kappa-scaled
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(50):
+        k = mp.mpf(kappa)
+        if d == 2:
+            return float(-k - mp.log(2 * mp.pi * mp.exp(-k) * mp.besseli(0, k)))
+        if k == 0:
+            return float(-mp.log(4 * mp.pi))
+        return float(-k - mp.log(2 * mp.pi * (1 - mp.exp(-2 * k)) / k))
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_quad_log_c_d_matches_mpmath(d):
+    # past the README's 1e5 the bound mostly checks that the quadrature finds the narrow peak at t = 0
+    # at all, and at 1.7e308 that kappa * 2 sin(t/2)**2 overflows to a zero integrand without a warning
+    for kappa in (0.0, 1e-3, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e8, 1e300, 1.7e308):
+        assert orc.quad_log_c_d(d, kappa) == pytest.approx(_mp_log_c_d(d, kappa), rel=1e-13), kappa
+
+
 def test_independent_posterior_agrees(rng):
     for _ in range(25):
         model = random_model(rng, k=int(rng.integers(1, 10)), d=5, kappa_max=30.0)
