@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -67,7 +66,7 @@ class GalleryModel:
 
     kappa == 0 is allowed as the exact uniform limit (posterior equals the
     prior for every probe). The normalizers log C_d(kappa) and log alpha(kappa)
-    come from one Bessel evaluation per model, cached on first use.
+    come from one Bessel evaluation per model, at construction.
     """
 
     gallery: Gallery
@@ -83,20 +82,13 @@ class GalleryModel:
             raise ValueError(f"beta must be in (0, 1), got {self.beta!r}")
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "beta", beta)
-
-    @cached_property
-    def _log_normalizers(self) -> tuple[float, float]:
-        """(log C_d, log alpha) at this model's kappa and d, from one Bessel evaluation."""
-        if self.kappa == 0.0:  # the analytic uniform limits
-            return vmf.log_c_d(self.gallery.d, 0.0), vmf.log_alpha(self.gallery.d, 0.0)
-        return vmf._log_normalizers(self.gallery.d, self.kappa)
-
-    @cached_property
-    def _term_offsets(self) -> tuple[float, float]:
-        """(class offset, out-of-gallery term) of log_joint_terms, from one Bessel evaluation per model."""
-        log_c, log_a = self._log_normalizers
-        return (np.log((1.0 - self.beta) / self.gallery.k) + log_c,
-                np.log(self.beta) + log_a + log_c)
+        # (log C_d, log alpha) from one Bessel evaluation (the analytic uniform limits at kappa == 0),
+        # and from them log_joint_terms' (class offset, out-of-gallery term)
+        d = self.gallery.d
+        log_c, log_a = (vmf.log_c_d(d, 0.0), vmf.log_alpha(d, 0.0)) if kappa == 0.0 else vmf._log_normalizers(d, kappa)
+        object.__setattr__(self, "_log_normalizers", (log_c, log_a))
+        object.__setattr__(self, "_term_offsets", (np.log((1.0 - beta) / self.gallery.k) + log_c,
+                                                   np.log(beta) + log_a + log_c))
 
 
 def aggregate_template(samples) -> np.ndarray:

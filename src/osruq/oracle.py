@@ -107,16 +107,23 @@ def _linear_posterior(model: GalleryModel, z: np.ndarray) -> tuple[np.ndarray, f
     c = _linear_c(gal.d, model.kappa)
     s = _surface_area(gal.d)
     prior = (1.0 - model.beta) / gal.k
-    lik = np.array([c * math.exp(model.kappa * float(mu @ z)) for mu in gal.means])
+    lik = c * np.exp(model.kappa * (gal.means @ z))
     marginal = prior * float(np.sum(lik)) + model.beta / s
     return prior * lik / marginal, (model.beta / s) / marginal, marginal
+
+
+def _one_probe(gal: Gallery, z) -> np.ndarray:
+    z = vmf.as_unit_rows(z)  # the engine's unit-norm check
+    if z.shape != (gal.d,):
+        raise ValueError(f"the oracle takes one probe of the gallery's d={gal.d}, got z of shape {z.shape}")
+    return z
 
 
 def independent_posterior(model: GalleryModel, z) -> np.ndarray:
     """Linear-domain twin of the gallery posterior (restricted envelope): (K+1,), out-of-gallery last."""
     gal = model.gallery
     _check_envelope(gal.d, model.kappa, gal.k)
-    post, oog, _ = _linear_posterior(model, np.asarray(z, dtype=np.float64))
+    post, oog, _ = _linear_posterior(model, _one_probe(gal, z))
     return np.append(post, oog)
 
 
@@ -124,8 +131,10 @@ def independent_kl_components(model: GalleryModel, z, kappa: float) -> tuple[flo
     """Unscaled (T=1) KL components of a probe (mean z, concentration kappa) in linear arithmetic."""
     gal = model.gallery
     kappa = float(kappa)
+    if not math.isfinite(kappa) or kappa <= 0.0:
+        raise ValueError(f"kappa must be finite and > 0, got {kappa!r}")
     _check_envelope(gal.d, max(model.kappa, kappa), gal.k)
-    post, oog, marginal = _linear_posterior(model, np.asarray(z, dtype=np.float64))
+    post, oog, marginal = _linear_posterior(model, _one_probe(gal, z))
     prior = (1.0 - model.beta) / gal.k
     kl1 = float(sum(p * math.log(p / prior) for p in post if p > 0.0))
     self_density = _linear_c(gal.d, kappa) * math.exp(kappa)
@@ -259,13 +268,21 @@ def _random_model(rng: np.random.Generator, d: int, k: int, log_kappa_max: float
 
 def _random_cases(rng: np.random.Generator, cases: int, dims=(2, 3, 5, 8),
                   ks=range(1, ENVELOPE["k_max"] + 1), log_kappa_max: float = _LOG_KAPPA_MAX):
-    """(model, unit probe) pairs, by default inside the envelope; each case draws d from dims,
-    K from ks, the model, then the probe. (...)[rng.integers(n)] takes rng.choice's draws.
-    The caller may draw from rng between cases."""
-    for _ in range(cases):
-        d = dims[rng.integers(len(dims))]
-        model = _random_model(rng, d, ks[rng.integers(len(ks))], log_kappa_max)
-        yield model, vmf._unit_rows(rng.standard_normal((1, d)), rng)[0]
+    """(model, unit probe) pairs, by default inside the envelope, drawn by column: every case's d index,
+    K index, log kappa and beta in one call each, then for each (d, K) group in sorted order the means and
+    the probes of a block of its cases (about gallery._BLOCK_ELEMENTS mean entries) at a time, drawn when
+    the caller reaches the block. Cases are yielded group by group."""
+    groups = rng.integers(len(dims), size=cases) * len(ks) + rng.integers(len(ks), size=cases)  # d, then K
+    kappas, betas = np.exp(rng.uniform(_LOG_KAPPA_MIN, log_kappa_max, size=cases)), rng.uniform(0.05, 0.95, size=cases)
+    for group in np.unique(groups):
+        d, k = dims[group // len(ks)], ks[group % len(ks)]
+        rows = np.flatnonzero(groups == group)
+        step = max(1, gallery_mod._BLOCK_ELEMENTS // (k * d))
+        for block in (rows[i:i + step] for i in range(0, rows.size, step)):
+            means = vmf._unit_rows(rng.standard_normal((block.size * k, d)), rng).reshape(block.size, k, d)
+            probes = vmf._unit_rows(rng.standard_normal((block.size, d)), rng)
+            for case, case_means, z in zip(block, means, probes):
+                yield GalleryModel(Gallery(_class_ids(k), case_means), float(kappas[case]), float(betas[case])), z
 
 
 def _check_marginal_mc(seed: int) -> dict:
@@ -290,10 +307,11 @@ def _check_posterior_linear(seed: int) -> dict:
 
 
 def _check_kl_t1_linear(seed: int) -> dict:
+    """kl_components at T=1 against the linear twin on 200 cases; the probe kappas are one column drawn first."""
     rng = np.random.default_rng([seed, 303])
+    probe_kappas = np.exp(rng.uniform(_LOG_KAPPA_MIN, _LOG_KAPPA_MAX, size=200))
     dev = 0.0
-    for model, z in _random_cases(rng, 200):
-        kappa = float(np.exp(rng.uniform(_LOG_KAPPA_MIN, _LOG_KAPPA_MAX)))
+    for (model, z), kappa in zip(_random_cases(rng, 200), probe_kappas.tolist()):
         comp = holistic_mod.kl_components(model, z, kappa, temperature=1.0)
         ref1, ref2 = independent_kl_components(model, z, kappa)
         dev = max(dev, abs(comp.kl1 - ref1), abs(comp.kl2 - ref2))

@@ -156,16 +156,99 @@ def test_tuple_index_draws_equal_rng_choice(options):
         assert ours.uniform() == theirs.uniform()
 
 
-def test_random_cases_draw_as_one_loop_per_check_did():
-    # d by rng.choice, K by rng.integers(1, k_max + 1), the model, then the probe; the
-    # caller's own draws between cases (the KL check's probe kappa) come from the same stream
+def _twin_cases(rng, cases, dims, ks, log_kappa_max):
+    # the column order written out: every case's d index, K index, log kappa and beta; then for each
+    # (d, K) in sorted order, blocks of at most 2**15 // (K d) cases, each drawing its means then its probes
+    d_at = np.array(dims)[rng.integers(len(dims), size=cases)]
+    k_at = np.array(ks)[rng.integers(len(ks), size=cases)]
+    kappas = np.exp(rng.uniform(np.log(1e-2), log_kappa_max, size=cases))
+    betas = rng.uniform(0.05, 0.95, size=cases)
+    for d, k in sorted(set(zip(d_at.tolist(), k_at.tolist()))):
+        group = np.flatnonzero((d_at == d) & (k_at == k))
+        step = max(1, 2**15 // (k * d))
+        for start in range(0, group.size, step):
+            block = group[start:start + step]
+            means = vmf._unit_rows(rng.standard_normal((block.size * k, d)), rng)
+            probes = vmf._unit_rows(rng.standard_normal((block.size, d)), rng)
+            for j, case in enumerate(block):
+                yield float(kappas[case]), float(betas[case]), means[j * k:(j + 1) * k], probes[j]
+
+
+@pytest.mark.parametrize("cases, dims, ks, log_kappa_max", [
+    (200, (2, 3, 5, 8), range(1, 21), np.log(50.0)),  # the posterior scope's grid: one block per group
+    (60, (2, 16, 128), (1, 10, 100), np.log(1e3)),  # the equivalence grid: d=128, K=100 takes blocks of 2
+], ids=["posterior-grid", "equivalence-grid"])
+def test_random_cases_draw_by_column(cases, dims, ks, log_kappa_max):
     ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
-    for model, z in orc._random_cases(ours, 200):
-        d = int(theirs.choice([2, 3, 5, 8]))
-        k = int(theirs.integers(1, orc.ENVELOPE["k_max"] + 1))
-        ref = orc._random_model(theirs, d, k, np.log(orc.ENVELOPE["kappa_max"]))
-        ref_z = vmf._unit_rows(theirs.standard_normal((1, d)), theirs)[0]
-        assert (model.kappa, model.beta, model.gallery.class_ids) == (ref.kappa, ref.beta, ref.gallery.class_ids)
-        np.testing.assert_array_equal(model.gallery.means, ref.gallery.means)
-        np.testing.assert_array_equal(z, ref_z)
-        assert ours.uniform() == theirs.uniform()
+    got = list(orc._random_cases(ours, cases, dims, ks, log_kappa_max))
+    want = list(_twin_cases(theirs, cases, dims, ks, log_kappa_max))
+    assert len(got) == len(want) == cases
+    for (model, z), (kappa, beta, means, probe) in zip(got, want):
+        k = means.shape[0]
+        assert (model.kappa, model.beta, model.gallery.class_ids) == (kappa, beta, tuple(f"c{i}" for i in range(k)))
+        np.testing.assert_array_equal(model.gallery.means, means)
+        np.testing.assert_array_equal(z, probe)
+    assert ours.uniform() == theirs.uniform()
+
+
+class _RecordingRng:
+    """Passes every call to a real Generator and notes the size of each array it returns."""
+
+    def __init__(self, rng):
+        self._rng, self.sizes = rng, []
+
+    def __getattr__(self, name):
+        draw = getattr(self._rng, name)
+
+        def recorded(*args, **kwargs):
+            out = draw(*args, **kwargs)
+            self.sizes.append(np.size(out))
+            return out
+        return recorded
+
+
+def test_random_cases_draw_no_block_past_the_cap():
+    # the equivalence grid's d=128, K=100 cases hold 12,800 mean entries each; unblocked, the group
+    # of about 33 cases would be one 420,000-entry draw
+    rng = _RecordingRng(np.random.default_rng(3))
+    for _ in orc._random_cases(rng, 300, dims=(2, 16, 128), ks=(1, 10, 100), log_kappa_max=np.log(1e3)):
+        pass
+    assert max(rng.sizes) <= ga._BLOCK_ELEMENTS == 2**15
+    assert sum(rng.sizes) > 10 * ga._BLOCK_ELEMENTS
+
+
+def test_marginal_mc_fails_at_seed_330_and_passes_at_seed_0():
+    # a 3-sigma test fails on about 0.35% of seeds with no fault in the code; the README names seed 330
+    assert orc.run_verification("marginal", seed=330)["passed"] is False
+    assert orc.run_verification("marginal", seed=0)["passed"] is True
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_random_case_scopes_pass_across_seeds(seed):
+    for scope in ("posterior", "equivalence"):
+        report = orc.run_verification(scope, seed=seed)
+        assert report["passed"] is True, report["checks"]
+
+
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, -1.0, 0.0])
+def test_independent_kl_components_rejects_a_kappa_the_engine_rejects(rng, kappa):
+    model, z = random_model(rng, k=3, d=4), random_unit(rng, 4)
+    with pytest.raises(ValueError, match="finite and > 0"):
+        ho.kl_components(model, z, kappa, temperature=1.0)
+    with pytest.raises(ValueError, match="finite and > 0"):
+        orc.independent_kl_components(model, z, kappa)
+
+
+def test_oracle_twins_reject_a_probe_the_engine_rejects(rng):
+    model, z = random_model(rng, k=3, d=5), random_unit(rng, 5)
+    twins = (lambda v: orc.independent_posterior(model, v), lambda v: orc.independent_kl_components(model, v, 2.0))
+    for bad, message in ((2.0 * z, "not unit vectors"), (random_unit(rng, 3), r"d=5, got z of shape \(3,\)")):
+        with pytest.raises(ValueError):
+            ga.posterior(model, bad)
+        for twin in twins:
+            with pytest.raises(ValueError, match=message):
+                twin(bad)
+    # the twins take one probe: a stack is an error, where the engine would score each row
+    for twin in twins:
+        with pytest.raises(ValueError, match="one probe"):
+            twin(np.stack([z, z]))
