@@ -33,26 +33,22 @@ DEFAULT_FPIRS = (0.05, 0.1, 0.2)
 _CONFIG_KEYS = {f.name for f in dataclasses.fields(SynthConfig)} | {"preset"}
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _load_config(path: str) -> SynthConfig:
     """The SynthConfig a JSON config names; SynthConfig checks every value."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
     except ValueError as exc:  # an integer literal past the interpreter's int-from-text digit limit
-        raise ConfigError(f"config {path} holds an integer longer than {sys.get_int_max_str_digits()} digits") from exc
+        raise ValueError(f"config {path} holds an integer longer than {sys.get_int_max_str_digits()} digits") from exc
     if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
     preset = raw.pop("preset", None)
     if "class_kappa" in raw and raw["class_kappa"] is None:
@@ -60,7 +56,7 @@ def _load_config(path: str) -> SynthConfig:
     try:
         return preset_config(preset, **raw) if preset is not None else SynthConfig(**raw)
     except (TypeError, ValueError, KeyError) as exc:
-        raise ConfigError(f"invalid config: {exc}") from exc
+        raise ValueError(f"invalid config: {exc}") from exc
 
 
 def _out_error(path: str, reason) -> int:
@@ -84,7 +80,7 @@ def _unwritable(out: str) -> str | None:
 def cmd_gen(args) -> int:
     try:
         protocol = generate_protocol(_load_config(args.config))
-    except ValueError as exc:  # a ConfigError, or a config that leaves the gallery empty
+    except ValueError as exc:  # a bad config, or one that leaves the gallery empty
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

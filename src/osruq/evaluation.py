@@ -19,16 +19,12 @@ from . import baselines, holistic, metrics, vmf
 from .gallery import (GalleryModel, cosines, decision_index, galue_score, kappa_for_threshold,
                       row_blocks, softmax_given, terms_from_cosines)
 from .holistic import KlComponents, fit_mlp, fit_stats, kl_from_terms, normalize, self_log_density
-from .metrics import EvalReport, MethodReport, UndefinedPrrError
+from .metrics import EvalReport, MethodReport
 from .protocol import OsrProtocol, ProbeTable
 
 
 class MissingValidationError(ValueError):
     """A validation-fitted method was requested but the validation split is empty."""
-
-
-class MissingQualityError(ValueError):
-    """A method needs per-probe quality fields the bundle does not provide."""
 
 
 @contextmanager
@@ -52,7 +48,7 @@ def _quality(probes: ProbeTable, rows: np.ndarray, field: str, method: str, scor
     that row-wise score of it, applied a block of rows at a time."""
     present = getattr(probes, "has_" + field)[rows]
     if not present.all():
-        raise MissingQualityError(f"probe {probes.ids[rows][~present][0]} has no {field} for {method}")
+        raise ValueError(f"probe {probes.ids[rows][~present][0]} has no {field} for {method}")
     column = getattr(probes, field)
     if score is None:
         return column[rows]
@@ -68,7 +64,7 @@ def _score(model: GalleryModel, probes: ProbeTable, rows: np.ndarray, temperatur
     decided = np.empty(n, dtype=np.intp)
     if components:
         log_self = self_log_density(model.gallery.d, _quality(probes, rows, "kappa", "HolUE methods"))
-    for block in row_blocks(n, model.gallery.k):
+    for block in row_blocks(n, model.gallery.k + 1):
         cos = cosines(model.gallery, probes.means[rows[block]])
         terms = terms_from_cosines(model, cos)
         log_marg = vmf.logsumexp(terms, keepdims=True)  # one logsumexp serves the posterior and kl2
@@ -96,9 +92,10 @@ def check_arguments(target_fpir: float, methods, temperature: float, beta: float
     _require(0.0 < target_fpir < 1.0, ValueError, f"target_fpir must be in (0, 1), got {target_fpir!r}")
     _require(0.0 < temperature < math.inf, ValueError, f"temperature must be finite and > 0, got {temperature!r}")
     _require(0.0 < beta < 1.0, ValueError, f"beta must be in (0, 1), got {beta!r}")
-    _require(0.0 < max_reject_fraction <= 1.0, ValueError,
-             f"max_fraction must be in (0, 1], got {max_reject_fraction!r}")
-    _require(seed >= 0, ValueError, f"seed must be a non-negative integer, got {seed!r}")
+    _require(0.0 < max_reject_fraction < 1.0, ValueError,
+             f"max_reject_fraction must be in (0, 1), got {max_reject_fraction!r}")
+    _require(isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0, ValueError,
+             f"seed must be a non-negative integer, got {seed!r}")
     _require(stats_split in ("validation", "test"), ValueError,
              f"stats_split must be validation or test, got {stats_split!r}")
     return methods
@@ -117,8 +114,8 @@ def run_evaluation(
     """Evaluate every requested method on the test split of a protocol.
 
     A ValueError raised here carries a ``stage`` attribute naming the step
-    that failed: arguments, operating point, scoring, calibration, training
-    or curves.
+    that failed: arguments, operating point, scoring, calibration or
+    training.
     """
     probes = protocol.probes
     validation, test = np.flatnonzero(probes.validation), np.flatnonzero(~probes.validation)
@@ -143,7 +140,7 @@ def run_evaluation(
         _require(len(nonmated_test) > 0, ValueError, "test split has no non-mated probes")
         _require(n_mated_test > 0, ValueError, "test split has no mated probes")
         best_nonmated = [cosines(gal, probes.means[nonmated_test[block]]).max(axis=1)
-                         for block in row_blocks(len(nonmated_test), gal.k)]
+                         for block in row_blocks(len(nonmated_test), gal.k + 1)]
         tau = metrics.threshold_for_fpir(np.concatenate(best_nonmated), target_fpir)
         kappa = kappa_for_threshold(tau, beta, gal.k, gal.d)
         model = GalleryModel(gallery=gal, kappa=kappa, beta=beta)
@@ -181,24 +178,16 @@ def run_evaluation(
     tp, fn, fp, n_nonmated = metrics.class_counts(classes)
     fpir, fnir, f1 = metrics.osr_metrics(tp, fn, fp, n_nonmated)
 
-    with _stage("curves"):
-        ids = probes.ids[test].astype(str)  # sorted as fixed-width text: faster than str objects
-        oracle, random_curves = metrics.reference_curve_sets(
-            classes, ids, max_fraction=max_reject_fraction, seed=seed)
-        reference_curves = {m: {"oracle": oracle[m], "random": random_curves[m]}
-                            for m in metrics.METRIC_NAMES}
-        reference_auc = {m: {"oracle": metrics.curve_auc(oracle[m]),
-                             "random": metrics.curve_auc(random_curves[m])}
-                         for m in metrics.METRIC_NAMES}
-        method_reports = {}
-        for name in methods:
-            curves = metrics.rejection_curves(classes, scores[name], ids, max_fraction=max_reject_fraction)
-            try:
-                ratio = metrics.prr(curves["F1"], random_curves["F1"], oracle["F1"])
-            except UndefinedPrrError:
-                ratio = None
-            method_reports[name] = MethodReport(
-                curves=curves, auc={m: metrics.curve_auc(c) for m, c in curves.items()}, prr=ratio)
+    ids = probes.ids[test].astype(str)  # sorted as fixed-width text: faster than str objects
+    oracle, random_curves = metrics.reference_curve_sets(classes, ids, max_fraction=max_reject_fraction, seed=seed)
+    reference_curves = {m: {"oracle": oracle[m], "random": random_curves[m]} for m in metrics.METRIC_NAMES}
+    reference_auc = {m: {"oracle": metrics.curve_auc(oracle[m]), "random": metrics.curve_auc(random_curves[m])}
+                     for m in metrics.METRIC_NAMES}
+    method_reports = {}
+    for name in methods:
+        curves = metrics.rejection_curves(classes, scores[name], ids, max_fraction=max_reject_fraction)
+        method_reports[name] = MethodReport(curves=curves, auc={m: metrics.curve_auc(c) for m, c in curves.items()},
+                                            prr=metrics.prr(curves["F1"], random_curves["F1"], oracle["F1"]))
 
     return EvalReport(
         target_fpir=float(target_fpir),

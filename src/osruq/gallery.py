@@ -16,10 +16,6 @@ import numpy as np
 from . import vmf
 
 
-class DegenerateTemplateError(ValueError):
-    """Template samples cancel out; no direction can be aggregated."""
-
-
 class UnreachableThresholdError(ValueError):
     """No concentration maps to the requested cosine threshold."""
 
@@ -102,18 +98,18 @@ def aggregate_template(samples) -> np.ndarray:
     mean = arr.mean(axis=0)
     norm = float(np.linalg.norm(mean))
     if norm < 1e-12:
-        raise DegenerateTemplateError("sample mean has vanishing norm; cannot aggregate")
+        raise ValueError("sample mean has vanishing norm; cannot aggregate")
     return mean / norm
 
 
-# Scoring a block of probes keeps about ten (rows, K+1) float64 temporaries
-# alive at once; this many elements holds each near 256 KB.
+# Blocked work keeps a few temporaries of (rows, row_elements) float64 alive at
+# once, scoring about ten of (rows, K+1); this many elements holds each near 256 KB.
 _BLOCK_ELEMENTS = 1 << 15
 
 
-def row_blocks(n_rows: int, k: int) -> list:
-    """Slices that cover n_rows probes in blocks sized for a K-class gallery."""
-    step = max(1, _BLOCK_ELEMENTS // (k + 1))
+def row_blocks(n_rows: int, row_elements: int) -> list:
+    """Slices that cover n_rows rows in blocks of about _BLOCK_ELEMENTS elements, row_elements to a row."""
+    step = max(1, _BLOCK_ELEMENTS // row_elements)
     return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 

@@ -22,14 +22,6 @@ from .gallery import GalleryModel, log_joint_terms
 DEFAULT_TEMPERATURE = 20.0
 
 
-class CalibrationError(ValueError):
-    """Normalization statistics cannot be computed from the given components."""
-
-
-class TrainingError(ValueError):
-    """Calibrator training preconditions are not met."""
-
-
 @dataclass(frozen=True)
 class KlComponents:
     """One probe's two components, or (N,) arrays of them for a batch of probes."""
@@ -139,11 +131,11 @@ def fit_stats(components: KlComponents) -> CalibrationStats:
     """Mean/std (ddof=1) of each component over a calibration split."""
     kl1, kl2 = np.atleast_1d(components.kl1), np.atleast_1d(components.kl2)
     if kl1.shape[0] < 2:
-        raise CalibrationError(f"need at least 2 components to fit stats, got {kl1.shape[0]}")
+        raise ValueError(f"need at least 2 components to fit stats, got {kl1.shape[0]}")
     std1 = float(np.std(kl1, ddof=1))
     std2 = float(np.std(kl2, ddof=1))
     if std1 <= 0.0 or std2 <= 0.0:
-        raise CalibrationError("component variance is zero; cannot normalize")
+        raise ValueError("component variance is zero; cannot normalize")
     return CalibrationStats(mean1=float(np.mean(kl1)), std1=std1, mean2=float(np.mean(kl2)), std2=std2)
 
 
@@ -271,13 +263,13 @@ def fit_mlp(features, labels, seed: int = 0) -> MlpCalibrator:
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64).reshape(1, -1)
     if x.ndim != 2 or x.shape[1] != 2:
-        raise TrainingError(f"features must be (n, 2), got {x.shape}")
+        raise ValueError(f"features must be (n, 2), got {x.shape}")
     if y.shape[1] != x.shape[0]:
-        raise TrainingError("features and labels disagree in length")
+        raise ValueError("features and labels disagree in length")
     if not np.all(np.isin(y, (0.0, 1.0))):
-        raise TrainingError("labels must be 0 (error) or 1 (correct)")
+        raise ValueError("labels must be 0 (error) or 1 (correct)")
     if y.min() == y.max():
-        raise TrainingError("need at least one correct and one error example")
+        raise ValueError("need at least one correct and one error example")
 
     initial = _init_params(LAYER_SIZES, np.random.default_rng(seed), INIT_SCALE)
     (weights, biases), _, loss = _train(*initial, x, y, EPOCHS, LEARNING_RATE, MOMENTUM)

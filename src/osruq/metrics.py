@@ -19,14 +19,6 @@ CURVE_POINTS = 101  # every curve's grid on [0, max_fraction]
 SHUFFLES = 100  # seeded removal orders the random reference averages
 
 
-class UndefinedPrrError(ValueError):
-    """Oracle and random references coincide, so the ratio is undefined."""
-
-
-class CurveTruncationError(ValueError):
-    """A requested rejection fraction leaves no probes to evaluate."""
-
-
 # Outcome classes of a probe under its fixed decision.
 TP, FN, FP, TN = range(4)
 
@@ -115,16 +107,13 @@ class RejectionCurve:
 
 
 def _drop_grid(n: int, max_fraction: float) -> tuple[np.ndarray, np.ndarray]:
-    """The rejected fractions and how many probes each one removes."""
+    """The rejected fractions and how many probes each one removes; a fraction below 1 leaves at least one."""
     if n < 1:
         raise ValueError("need at least one probe outcome")
-    if not 0.0 < max_fraction <= 1.0:
-        raise ValueError(f"max_fraction must be in (0, 1], got {max_fraction!r}")
+    if not 0.0 < max_fraction < 1.0:
+        raise ValueError(f"max_fraction must be in (0, 1), got {max_fraction!r}")
     fractions = np.linspace(0.0, max_fraction, CURVE_POINTS)
-    drops = np.floor(fractions * n).astype(np.intp)
-    if drops[-1] >= n:
-        raise CurveTruncationError(f"fraction {fractions[np.argmax(drops >= n)]} removes every probe")
-    return fractions, drops
+    return fractions, np.floor(fractions * n).astype(np.intp)
 
 
 def _curve_from_order(classes: np.ndarray, order: np.ndarray, drops: np.ndarray) -> dict:
@@ -178,8 +167,9 @@ def curve_auc(curve: RejectionCurve) -> float:
     return float(np.trapezoid(curve.values, curve.fractions))
 
 
-def prr(curve: RejectionCurve, random_curve: RejectionCurve, oracle_curve: RejectionCurve) -> float:
-    """Prediction rejection ratio: 1 matches the oracle, 0 matches random."""
+def prr(curve: RejectionCurve, random_curve: RejectionCurve, oracle_curve: RejectionCurve) -> float | None:
+    """Prediction rejection ratio: 1 matches the oracle, 0 matches random; None where
+    the oracle and random areas coincide, so that the ratio is undefined."""
     for other in (random_curve, oracle_curve):
         if other.metric != curve.metric or not np.array_equal(other.fractions, curve.fractions):
             raise ValueError("curves must share the same metric and fraction grid")
@@ -188,7 +178,7 @@ def prr(curve: RejectionCurve, random_curve: RejectionCurve, oracle_curve: Rejec
     auc_oracle = curve_auc(oracle_curve)
     denom = auc_oracle - auc_rand
     if abs(denom) <= 1e-12 * max(1.0, abs(auc_oracle)):
-        raise UndefinedPrrError("oracle and random references coincide; ratio undefined")
+        return None
     return (auc - auc_rand) / denom
 
 

@@ -24,13 +24,9 @@ from .gallery import Gallery, GalleryModel
 ENVELOPE = {"d_max": 8, "kappa_max": 50.0, "k_max": 20}
 
 
-class OracleEnvelopeError(ValueError):
-    """Parameters outside the domain where the linear oracle is reliable."""
-
-
 def _check_envelope(d: int, kappa: float, k: int = 1):
     if d > ENVELOPE["d_max"] or kappa > ENVELOPE["kappa_max"] or k > ENVELOPE["k_max"]:
-        raise OracleEnvelopeError(
+        raise ValueError(
             f"(d={d}, kappa={kappa}, K={k}) outside oracle envelope {ENVELOPE}"
         )
 
@@ -74,7 +70,7 @@ def quad_log_c_d(d: int, kappa: float) -> float:
     and no use of vmf's Bessel path, so a fault there cannot hide here.
     """
     if d not in (2, 3):
-        raise OracleEnvelopeError(f"quadrature oracle supports d in {{2, 3}}, got {d}")
+        raise ValueError(f"quadrature oracle supports d in {{2, 3}}, got {d}")
     kappa = float(kappa)
     if not np.isfinite(kappa) or kappa < 0.0:
         raise ValueError(f"kappa must be finite and >= 0, got {kappa!r}")
@@ -170,7 +166,7 @@ def mc_marginal_check(model: GalleryModel, seed: int = 0) -> dict:
             points[rows] = vmf.sample_vmf(params, rng, rows.size)
     log_s = vmf.log_surface_area(gal.d)
     ratios = np.exp(-log_s - np.concatenate([gallery_mod.log_marginal(model, points[rows])
-                                             for rows in gallery_mod.row_blocks(MC_SAMPLES, gal.k)]))
+                                             for rows in gallery_mod.row_blocks(MC_SAMPLES, gal.k + 1)]))
     return {"estimate": float(np.mean(ratios)), "stderr": float(np.std(ratios, ddof=1) / math.sqrt(MC_SAMPLES))}
 
 
@@ -270,15 +266,14 @@ def _random_cases(rng: np.random.Generator, cases: int, dims=(2, 3, 5, 8),
                   ks=range(1, ENVELOPE["k_max"] + 1), log_kappa_max: float = _LOG_KAPPA_MAX):
     """(model, unit probe) pairs, by default inside the envelope, drawn by column: every case's d index,
     K index, log kappa and beta in one call each, then for each (d, K) group in sorted order the means and
-    the probes of a block of its cases (about gallery._BLOCK_ELEMENTS mean entries) at a time, drawn when
+    the probes of a block of its cases (about 2**15 mean entries, by gallery.row_blocks) at a time, drawn when
     the caller reaches the block. Cases are yielded group by group."""
     groups = rng.integers(len(dims), size=cases) * len(ks) + rng.integers(len(ks), size=cases)  # d, then K
     kappas, betas = np.exp(rng.uniform(_LOG_KAPPA_MIN, log_kappa_max, size=cases)), rng.uniform(0.05, 0.95, size=cases)
     for group in np.unique(groups):
         d, k = dims[group // len(ks)], ks[group % len(ks)]
         rows = np.flatnonzero(groups == group)
-        step = max(1, gallery_mod._BLOCK_ELEMENTS // (k * d))
-        for block in (rows[i:i + step] for i in range(0, rows.size, step)):
+        for block in (rows[s] for s in gallery_mod.row_blocks(rows.size, k * d)):
             means = vmf._unit_rows(rng.standard_normal((block.size * k, d)), rng).reshape(block.size, k, d)
             probes = vmf._unit_rows(rng.standard_normal((block.size, d)), rng)
             for case, case_means, z in zip(block, means, probes):
@@ -345,7 +340,7 @@ def run_verification(scope: str = "all", seed: int = 0) -> dict:
     """Run the requested independent checks and report pass/fail per check."""
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; available: {sorted(SCOPES)}")
-    if not seed >= 0:
+    if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     checks = []
     for check in SCOPES[scope]:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import vmf
-from .gallery import Gallery, aggregate_template
+from .gallery import Gallery, aggregate_template, row_blocks
 
 
 # orjson reads an integer above 2**64 - 1 back as a float; below this, a seed and seed + 1 survive the bundle
@@ -187,12 +187,6 @@ def _planted_pair_count(ambiguity: float, n_identities: int) -> int:
     return math.floor(ambiguity * n_identities / 2.0)
 
 
-# Identities are drawn a block at a time. A block's (samples, d) arrays hold
-# about this many float64 elements (256 KB), so the blocked temporaries stay
-# small whatever the corpus size.
-_BLOCK_ELEMENTS = 1 << 15
-
-
 def _draw_block(rng: np.random.Generator, means: np.ndarray, config: SynthConfig, replay: bool = False):
     """Draw the samples of the identities whose unit means are the rows of ``means``.
 
@@ -271,10 +265,10 @@ def gen_synthetic(config: SynthConfig) -> SampleStore:
             means[b] = target_cos * means[a] + math.sqrt(1.0 - target_cos**2) * tangent
 
     identity_ids = tuple(f"id{i:04d}" for i in range(n))
-    step = max(1, _BLOCK_ELEMENTS // (d * config.samples_per_identity[1]))
     samples = {}
-    for start in range(0, n, step):
-        block = means[start:start + step]
+    # a block's (samples, d) arrays stay near 256 KB whatever the corpus size
+    for span in row_blocks(n, d * config.samples_per_identity[1]):
+        block = means[span]
         state = rng.bit_generator.state
         drawn = _draw_block(rng, block, config)
         if drawn is None:  # a draw needs more of the stream: redo the block one draw at a time
@@ -282,7 +276,7 @@ def gen_synthetic(config: SynthConfig) -> SampleStore:
             drawn = _draw_block(rng, block, config, replay=True)
         counts, kappa, observed, sigma2 = drawn
         r = 0
-        for identity, n_samples in zip(identity_ids[start:start + step], counts):
+        for identity, n_samples in zip(identity_ids[span], counts):
             rows = slice(r, r + n_samples)
             samples[identity] = (observed[rows], kappa[rows], sigma2[rows])
             r += n_samples

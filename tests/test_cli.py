@@ -584,11 +584,12 @@ def test_verify_unwritable_out_is_an_io_error(tmp_path, capsys):
     ["--temperature", "inf", "--methods", "AccScr,GalUE"],
     ["--beta", "1.5"],
     ["--max-reject-fraction", "2"],
+    ["--max-reject-fraction", "1"],
     ["--seed", "-1"],
     ["--fpir", "1"],
     ["--methods", "AccScr,AccScr"],
-], ids=["temperature", "temperature-AccScr", "temperature-inf", "beta", "max-reject-fraction", "seed", "fpir",
-        "repeated-method"])
+], ids=["temperature", "temperature-AccScr", "temperature-inf", "beta", "max-reject-fraction",
+        "max-reject-fraction-1", "seed", "fpir", "repeated-method"])
 def test_eval_flag_errors_fail_in_the_arguments_stage(tmp_path, capsys, monkeypatch, flags):
     bundle = make_bundle(tmp_path)
     out = os.path.join(tmp_path, "eval")

@@ -88,11 +88,11 @@ def test_missing_quality_fields():
     absent = np.zeros(len(proto.probes.ids), dtype=bool)
     stripped = dataclasses.replace(proto, probes=dataclasses.replace(
         proto.probes, has_kappa=absent, has_pfe_sigma2=absent, has_sf_scale=absent))
-    with pytest.raises(ev.MissingQualityError):
+    with pytest.raises(ValueError, match="has no kappa for SCF"):
         ev.run_evaluation(stripped, 0.1, methods=("SCF",))
-    with pytest.raises(ev.MissingQualityError):
+    with pytest.raises(ValueError, match="has no pfe_sigma2 for PFE"):
         ev.run_evaluation(stripped, 0.1, methods=("PFE",))
-    with pytest.raises(ev.MissingQualityError):
+    with pytest.raises(ValueError, match="has no sf_scale for SF"):
         ev.run_evaluation(stripped, 0.1, methods=("SF",))
     # geometry-only methods still run
     report = ev.run_evaluation(stripped, 0.1, methods=("AccScr", "GalUE"))
@@ -140,7 +140,7 @@ def test_failures_name_their_stage(tmp_path, capsys):
     assert stage_of(lambda: ev.run_evaluation(proto, 1.0)) == "arguments"
     assert stage_of(lambda: ev.run_evaluation(proto, 0.999)) == "operating point"
     assert stage_of(lambda: ev.run_evaluation(proto, 0.1, methods=("AccScr",),
-                                              max_reject_fraction=1.0)) == "curves"
+                                              max_reject_fraction=1.0)) == "arguments"
 
     t = proto.probes
     mated_val = np.flatnonzero(t.mated & t.validation)
@@ -180,6 +180,23 @@ def test_temperature_must_be_finite_and_positive(monkeypatch, temperature):
     with pytest.raises(ValueError, match="temperature must be finite and > 0") as info:
         ev.run_evaluation(small_protocol(), 0.1, methods=("AccScr", "GalUE"), temperature=temperature)
     assert info.value.stage == "arguments"
+
+
+@pytest.mark.parametrize("seed", [1.5, True], ids=["float", "bool"])
+def test_seed_must_be_a_non_negative_integer(monkeypatch, seed):
+    # a float seed reached numpy's SeedSequence without a stage, and True ran as seed 1
+    proto = small_protocol()
+    monkeypatch.setattr(ev, "_score", lambda *args: pytest.fail("scored before the arguments were checked"))
+    with pytest.raises(ValueError, match="seed must be a non-negative integer") as info:
+        ev.run_evaluation(proto, 0.1, methods=("AccScr", "HolUE"), seed=seed)
+    assert info.value.stage == "arguments"
+
+
+def test_a_numpy_integer_seed_is_accepted():
+    proto = small_protocol()
+    a = ev.run_evaluation(proto, 0.1, methods=("AccScr",), seed=np.int64(2))
+    b = ev.run_evaluation(proto, 0.1, methods=("AccScr",), seed=2)
+    np.testing.assert_array_equal(a.reference_curves["F1"]["random"].values, b.reference_curves["F1"]["random"].values)
 
 
 def test_holue_with_test_stats_split_fails_in_arguments_stage(monkeypatch):

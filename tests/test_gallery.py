@@ -127,7 +127,7 @@ def test_aggregate_template_mean_direction():
     samples = np.array([[1.0, 0.0], [0.0, 1.0]])
     out = ga.aggregate_template(samples)
     np.testing.assert_allclose(out, np.array([1.0, 1.0]) / math.sqrt(2.0), atol=1e-14)
-    with pytest.raises(ga.DegenerateTemplateError):
+    with pytest.raises(ValueError, match="sample mean has vanishing norm"):
         ga.aggregate_template(np.array([[1.0, 0.0], [-1.0, 0.0]]))
 
 

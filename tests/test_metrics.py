@@ -131,10 +131,14 @@ def test_rejection_curve_ties_break_by_probe_id():
     assert fpir.values[50] == pytest.approx(0.0)
 
 
-def test_curve_truncation_error():
+def test_a_fraction_of_one_is_rejected():
+    # floor(1.0 * N) would remove every probe; any fraction below 1 leaves at least one, here a TP
     classes, ids = hand_outcomes()
-    with pytest.raises(mt.CurveTruncationError):
-        mt.rejection_curves(classes[:2], np.zeros(2), ids[:2], max_fraction=1.0)
+    for f1_curve in (lambda f: mt.rejection_curves(classes[:2], np.zeros(2), ids[:2], max_fraction=f)["F1"],
+                     lambda f: mt.reference_curve_sets(classes[:2], ids[:2], max_fraction=f)[0]["F1"]):
+        with pytest.raises(ValueError, match=r"max_fraction must be in \(0, 1\), got 1.0"):
+            f1_curve(1.0)
+        assert f1_curve(np.nextafter(1.0, 0.0)).values[-1] == 1.0
 
 
 def test_reference_curves_oracle_removes_errors_first():
@@ -187,5 +191,4 @@ def test_prr_grid_mismatch():
 def test_prr_undefined_when_no_errors():
     classes = classes_of([("a", "a")] * 6 + [(None, None)] * 4)
     oracle, rand = f1_references(classes, [f"p{i}" for i in range(6)] + [f"n{i}" for i in range(4)])
-    with pytest.raises(mt.UndefinedPrrError):
-        mt.prr(oracle, rand, oracle)
+    assert mt.prr(oracle, rand, oracle) is None

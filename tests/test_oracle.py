@@ -15,7 +15,7 @@ def test_quad_log_c_d_matches_engine():
         for kappa in (0.0, 0.1, 1.0, 10.0, 100.0):
             q = orc.quad_log_c_d(d, kappa)
             assert q == pytest.approx(vmf.log_c_d(d, kappa), rel=1e-8)
-    with pytest.raises(orc.OracleEnvelopeError):
+    with pytest.raises(ValueError, match=r"quadrature oracle supports d in \{2, 3\}, got 4"):
         orc.quad_log_c_d(4, 1.0)
 
 
@@ -51,7 +51,7 @@ def test_independent_posterior_agrees(rng):
 def test_independent_posterior_respects_envelope(rng):
     model = random_model(rng, k=2, d=5)
     big = ga.GalleryModel(gallery=model.gallery, kappa=500.0, beta=0.5)
-    with pytest.raises(orc.OracleEnvelopeError):
+    with pytest.raises(ValueError, match="outside oracle envelope"):
         orc.independent_posterior(big, random_unit(rng, 5))
 
 
@@ -215,6 +215,19 @@ def test_random_cases_draw_no_block_past_the_cap():
         pass
     assert max(rng.sizes) <= ga._BLOCK_ELEMENTS == 2**15
     assert sum(rng.sizes) > 10 * ga._BLOCK_ELEMENTS
+
+
+@pytest.mark.parametrize("scope", ["bessel", "marginal"])
+@pytest.mark.parametrize("seed", [1.5, True], ids=["float", "bool"])
+def test_verification_seed_must_be_an_integer(scope, seed):
+    # "bessel" wrote a float seed as "seed": 1, and "marginal" raised a TypeError from numpy
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        orc.run_verification(scope, seed=seed)
+
+
+def test_verification_takes_a_numpy_integer_seed():
+    report = orc.run_verification("bessel", seed=np.int64(3))
+    assert report["seed"] == 3 and type(report["seed"]) is int
 
 
 def test_marginal_mc_fails_at_seed_330_and_passes_at_seed_0():

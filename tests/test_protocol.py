@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from osruq import protocol as pr, vmf
+from osruq import gallery as ga, protocol as pr, vmf
 
 
 def small_config(**overrides):
@@ -330,14 +330,14 @@ def blocked(config, monkeypatch, make_rng=np.random.default_rng):
     return store.identity_means.tobytes(), samples, made[0].bit_generator.state
 
 
-@pytest.mark.parametrize("block_elements", [pr._BLOCK_ELEMENTS, 64], ids=["default-blocks", "small-blocks"])
+@pytest.mark.parametrize("block_elements", [ga._BLOCK_ELEMENTS, 64], ids=["default-blocks", "small-blocks"])
 @pytest.mark.parametrize("class_kappa", [300.0, float("inf")])
 @pytest.mark.parametrize("d", [2, 3, 16, 128, 512])
 def test_blocked_generator_equals_the_per_draw_loop(monkeypatch, d, class_kappa, block_elements):
     config = small_config(d=d, n_identities=30, class_kappa=class_kappa,
                           quality_kappa_range=(2.0, 4000.0), samples_per_identity=(1, 6))
     expected = per_draw_reference(config, np.random.default_rng(config.seed))
-    monkeypatch.setattr(pr, "_BLOCK_ELEMENTS", block_elements)
+    monkeypatch.setattr(ga, "_BLOCK_ELEMENTS", block_elements)
     monkeypatch.setattr(vmf, "sample_vmf", lambda *args: pytest.fail("replayed a block"))
     assert blocked(config, monkeypatch) == expected
 
@@ -380,7 +380,7 @@ class _SpoiledAt(np.random.Generator):
 @pytest.mark.parametrize("class_kappa", [300.0, float("inf")])
 def test_a_draw_that_needs_more_of_the_stream_replays_its_block(monkeypatch, class_kappa, kind):
     config = small_config(d=5, n_identities=24, class_kappa=class_kappa, samples_per_identity=(2, 4))
-    monkeypatch.setattr(pr, "_BLOCK_ELEMENTS", 60)  # three identities a block
+    monkeypatch.setattr(ga, "_BLOCK_ELEMENTS", 60)  # three identities a block
     stream = _SpoiledAt(config.seed, kind)
     per_draw_reference(config, stream)
     at = stream.positions[len(stream.positions) // 2]  # a draw in a middle block
