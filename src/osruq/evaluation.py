@@ -94,8 +94,7 @@ def check_arguments(target_fpir: float, methods, temperature: float, beta: float
     _require(0.0 < beta < 1.0, ValueError, f"beta must be in (0, 1), got {beta!r}")
     _require(0.0 < max_reject_fraction < 1.0, ValueError,
              f"max_reject_fraction must be in (0, 1), got {max_reject_fraction!r}")
-    _require(isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0, ValueError,
-             f"seed must be a non-negative integer, got {seed!r}")
+    holistic.check_seed(seed)
     _require(stats_split in ("validation", "test"), ValueError,
              f"stats_split must be validation or test, got {stats_split!r}")
     return methods

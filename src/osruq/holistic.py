@@ -152,6 +152,12 @@ def holue_sum(kl1n, kl2n):
     return kl1n + kl2n
 
 
+def check_seed(seed) -> None:
+    """A seed is an int or numpy integer >= 0; a bool or a float is an error, not a seed."""
+    if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 LAYER_SIZES = (2, 16, 16, 1)  # the calibrator: (kl1n, kl2n) in, two tanh hidden layers, a sigmoid output
 EPOCHS = 2000
 LEARNING_RATE = 0.05
@@ -187,24 +193,38 @@ def _blocks(weights, biases) -> list:
     return [np.ascontiguousarray(np.column_stack([w.T, b])) for w, b in zip(weights, biases)]
 
 
-def _activations(blocks, x: np.ndarray) -> list:
-    """Each layer's (n_in + 1, N) input buffer for (N, n_in) features x; its row of ones folds in the bias."""
+def _layers(blocks, x: np.ndarray) -> list:
+    """The forward pass of blocks on (N, n_in) features x: per layer (block, input buffer, output).
+
+    Each input buffer is (n_in + 1, N) and its last row of ones folds in the bias. A hidden
+    layer's output is the next input buffer less that row; the last layer's is a (1, N) logits buffer.
+    """
     acts = [np.ones((block.shape[1], x.shape[0])) for block in blocks]
     acts[0][:-1] = x.T
-    return acts
+    outputs = [a[:-1] for a in acts[1:]] + [np.empty((blocks[-1].shape[0], x.shape[0]))]
+    return list(zip(blocks, acts, outputs))
 
 
-def _forward(blocks, acts) -> np.ndarray:
-    """(1, N) logits of the blocks on acts[0]; each hidden layer's tanh fills the next layer's buffer."""
-    for block, a, h in zip(blocks, acts, acts[1:]):
-        np.tanh(np.dot(block, a, out=h[:-1]), out=h[:-1])
-    return np.dot(blocks[-1], acts[-1])
+def _forward(layers) -> np.ndarray:
+    """The (1, N) logits buffer of _layers' layers, filled; each hidden tanh fills the next layer's input."""
+    for block, a, h in layers[:-1]:
+        np.tanh(np.dot(block, a, out=h), out=h)
+    block, a, logits = layers[-1]
+    return np.dot(block, a, out=logits)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-z)) that never overflows: exp(-|z|) / (1 + exp(-|z|)) for z < 0."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+def _sigmoid(z: np.ndarray, e=None, at_least_zero=None, out=None) -> np.ndarray:
+    """1 / (1 + exp(-z)) that never overflows: exp(-|z|) / (1 + exp(-|z|)) for z < 0.
+
+    exp(copysign(z, -1)) is exp(-|z|) bit for bit, and since it is <= 1, its maximum with
+    (z >= 0) is 1 where z >= 0 and itself elsewhere. e, at_least_zero (bool) and out are
+    optional buffers shaped like z; e is left holding 1 + exp(-|z|).
+    """
+    e = np.copysign(z, -1.0, out=e)
+    np.exp(e, out=e)
+    out = np.maximum(e, np.greater_equal(z, 0.0, out=at_least_zero), out=out)
+    e += 1.0
+    return np.divide(out, e, out=out)
 
 
 def _train(weights, biases, x: np.ndarray, y: np.ndarray, epochs: int,
@@ -213,25 +233,34 @@ def _train(weights, biases, x: np.ndarray, y: np.ndarray, epochs: int,
 
     Returns the final (weights, biases), the last epoch's (weights, biases)
     gradients and the loss of its forward pass, before its update. The default
-    zero step leaves the parameters as given.
+    zero step leaves the parameters as given. Every buffer and view the epochs
+    use is made once, before the first; an epoch writes into them through out=.
     """
     params = np.concatenate([block.ravel() for block in _blocks(weights, biases)])
-    grads, velocity = np.zeros_like(params), np.zeros_like(params)
+    grads, velocity, step = np.zeros_like(params), np.zeros_like(params), np.empty_like(params)
     cuts = np.cumsum([b.size * (w.shape[0] + 1) for w, b in zip(weights, biases)])[:-1]
     blocks, grad_blocks = ([part.reshape(b.size, -1) for part, b in zip(np.split(flat, cuts), biases)]
                            for flat in (params, grads))
-    acts = _activations(blocks, x)
-    deltas = [np.empty((block.shape[0], x.shape[0])) for block in blocks]
+    n = x.shape[0]
+    forward = _layers(blocks, x)
+    deltas = [np.empty_like(output) for _, _, output in forward]
+    # per layer, last first: (delta, input.T, grad block, W.T, delta below, hidden input, tanh slope)
+    backward = [(delta, a.T, grad, block[:, :-1].T, below, a[:-1], np.empty_like(below))
+                for (block, a, _), grad, delta, below in zip(forward[1:], grad_blocks[1:], deltas[1:], deltas)]
+    backward = backward[::-1] + [(deltas[0], forward[0][1].T, grad_blocks[0], None, None, None, None)]
+    e, probs, at_least_zero = np.empty((1, n)), np.empty((1, n)), np.empty((1, n), dtype=bool)
     for _ in range(epochs):
-        logits = _forward(blocks, acts)
-        np.divide(_sigmoid(logits) - y, y.shape[1], out=deltas[-1])
-        for layer in range(len(blocks) - 1, -1, -1):
-            np.dot(deltas[layer], acts[layer].T, out=grad_blocks[layer])
-            if layer > 0:
-                below = np.dot(blocks[layer][:, :-1].T, deltas[layer], out=deltas[layer - 1])
-                below *= 1.0 - acts[layer][:-1] ** 2
+        logits = _forward(forward)
+        np.subtract(_sigmoid(logits, e, at_least_zero, probs), y, out=deltas[-1])
+        deltas[-1] /= n
+        for delta, a_t, grad, w_t, below, h, slope in backward:
+            np.dot(delta, a_t, out=grad)
+            if below is not None:
+                np.dot(w_t, delta, out=below)
+                np.subtract(1.0, np.square(h, out=slope), out=slope)
+                below *= slope
         velocity *= momentum
-        velocity -= learning_rate * grads
+        velocity -= np.multiply(grads, learning_rate, out=step)
         params += velocity
 
     def unpack(layers):
@@ -260,15 +289,20 @@ def fit_mlp(features, labels, seed: int = 0) -> MlpCalibrator:
     is allocated once per fit. final_loss is the mean BCE of the last epoch's
     forward pass, before its update.
     """
+    check_seed(seed)
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64).reshape(1, -1)
     if x.ndim != 2 or x.shape[1] != 2:
         raise ValueError(f"features must be (n, 2), got {x.shape}")
     if y.shape[1] != x.shape[0]:
         raise ValueError("features and labels disagree in length")
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(f"features must be finite, row {row} is {x[row].tolist()}")
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise ValueError("labels must be 0 (error) or 1 (correct)")
-    if y.min() == y.max():
+    if not (np.any(y == 0.0) and np.any(y == 1.0)):  # also when there are no rows
         raise ValueError("need at least one correct and one error example")
 
     initial = _init_params(LAYER_SIZES, np.random.default_rng(seed), INIT_SCALE)
@@ -278,8 +312,12 @@ def fit_mlp(features, labels, seed: int = 0) -> MlpCalibrator:
 
 def mlp_predict(calibrator: MlpCalibrator, kl1n, kl2n) -> float | np.ndarray:
     """Predicted probability that the decision is correct, in (0, 1): the trainer's forward pass."""
-    x = np.column_stack([np.atleast_1d(np.asarray(kl1n, dtype=np.float64)),
-                         np.atleast_1d(np.asarray(kl2n, dtype=np.float64))])
+    kl1n, kl2n = np.asarray(kl1n, dtype=np.float64), np.asarray(kl2n, dtype=np.float64)
+    if kl1n.shape != kl2n.shape:
+        raise ValueError(f"kl1n and kl2n must have the same shape, got {kl1n.shape} and {kl2n.shape}")
+    if not (np.all(np.isfinite(kl1n)) and np.all(np.isfinite(kl2n))):
+        raise ValueError("normalized components must be finite")
+    x = np.column_stack([np.atleast_1d(kl1n), np.atleast_1d(kl2n)])
     blocks = _blocks(calibrator.weights, calibrator.biases)
-    probs = np.clip(_sigmoid(_forward(blocks, _activations(blocks, x))[0]), 1e-12, 1.0 - 1e-12)
+    probs = np.clip(_sigmoid(_forward(_layers(blocks, x))[0]), 1e-12, 1.0 - 1e-12)
     return float(probs[0]) if np.ndim(kl1n) == 0 else probs

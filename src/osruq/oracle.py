@@ -340,8 +340,7 @@ def run_verification(scope: str = "all", seed: int = 0) -> dict:
     """Run the requested independent checks and report pass/fail per check."""
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; available: {sorted(SCOPES)}")
-    if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    holistic_mod.check_seed(seed)
     checks = []
     for check in SCOPES[scope]:
         result = check(seed)

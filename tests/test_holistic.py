@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -283,6 +284,45 @@ def test_fit_mlp_input_validation():
         ho.fit_mlp(x, np.ones(4))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fit_mlp_rejects_non_finite_features(bad):
+    x, y = noisy_labels(20)
+    x[7, 1] = x[12, 0] = bad
+    with pytest.raises(ValueError, match=r"features must be finite, row 7 is \[.*, -?(nan|inf)\]"):
+        ho.fit_mlp(x, y)
+
+
+def test_fit_mlp_rejects_no_rows():
+    with pytest.raises(ValueError, match="need at least one correct and one error example"):
+        ho.fit_mlp(np.zeros((0, 2)), [])
+
+
+@pytest.mark.parametrize("seed", [1.5, True, -1], ids=["float", "bool", "negative"])
+def test_fit_mlp_seed_must_be_a_non_negative_integer(seed):
+    x, y = noisy_labels(20)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        ho.fit_mlp(x, y, seed=seed)
+
+
+def zero_calibrator():
+    sizes = ho.LAYER_SIZES
+    return ho.MlpCalibrator(weights=[np.zeros((a, b)) for a, b in zip(sizes[:-1], sizes[1:])],
+                            biases=[np.zeros(b) for b in sizes[1:]])
+
+
+@pytest.mark.parametrize("kl1n, kl2n", [(math.nan, 0.0), (np.array([0.0, 1.0]), np.array([0.5, math.nan])),
+                                        (np.array([math.inf]), np.array([0.0]))],
+                         ids=["scalar-nan", "nan-in-kl2n", "inf"])
+def test_mlp_predict_rejects_non_finite_components(kl1n, kl2n):
+    with pytest.raises(ValueError, match="normalized components must be finite"):
+        ho.mlp_predict(zero_calibrator(), kl1n, kl2n)
+
+
+def test_mlp_predict_rejects_components_of_different_lengths():
+    with pytest.raises(ValueError, match=r"kl1n and kl2n must have the same shape, got \(3,\) and \(2,\)"):
+        ho.mlp_predict(zero_calibrator(), np.zeros(3), np.zeros(2))
+
+
 def test_mlp_predict_shapes_and_clipping():
     sizes = ho.LAYER_SIZES
     weights = [np.zeros((a, b)) for a, b in zip(sizes[:-1], sizes[1:])]
@@ -365,6 +405,54 @@ def test_mlp_predict_is_the_sigmoid_of_the_trainers_logits(monkeypatch):
     assert len(captured) == 1
     want = np.clip(ho._sigmoid(captured[0][0]), 1e-12, 1.0 - 1e-12)
     assert ho.mlp_predict(calib, x[:, 0], x[:, 1]).tobytes() == want.tobytes()
+
+
+# SHA-256 of fit_mlp's weight, bias and final_loss bytes, then of one zero-step epoch's gradient and
+# loss bytes at the seed's initial parameters, on noisy_labels(n) with seed 3; N spans the preset fits
+TRAINER_BITS = {
+    66: ("8f303974c62f2e48ac4c92309cc6d146cf79ee2db3da1cae5a472342390ac7de",
+         "ac5bf617f6d10e1ae1e95a98afb5557b64cbee5f6beadd11739fbfd162c3d025"),
+    367: ("435adaad938d4c18969697571f32c95527b050a069670911fd1c79eb1d3c67fd",
+          "8fd16819f07bd46f68d7c5cf6f41ca0d6256ca630dc59a8cef49d3df148dbf95"),
+    504: ("80e585855668a11aed6dc5d760cbe22c92034834db49b49f0c08285d1e16db71",
+          "9529e4cd10f10a2e95cbfb65168b43a2558fd6b8c2338cbc3c27798c905a9794"),
+    1837: ("94ff35497ec7506171845e74bdb1b296055c8e78f167b748042f21ee8ff11121",
+           "39d90d490988940d1465ca93f1254a46f313387e89da9c282eb97d23ed0a5dca"),
+}
+
+
+def bits(arrays, value):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    h.update(np.float64(value).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("n", sorted(TRAINER_BITS))
+def test_trainer_bits_are_pinned(n):
+    x, y = noisy_labels(n)
+    calib = ho.fit_mlp(x, y, seed=3)
+    weights, biases = ho._init_params(ho.LAYER_SIZES, np.random.default_rng(3), ho.INIT_SCALE)
+    loss, grad_w, grad_b = ho.loss_and_gradients(weights, biases, x, y)
+    assert (bits(calib.weights + calib.biases, calib.final_loss), bits(grad_w + grad_b, loss)) == TRAINER_BITS[n]
+
+
+SIGMOID_EDGES = [0.0, 5e-324, 1e-300, 36.0, 709.8, 745.2, 1e308, math.inf]
+
+
+def test_the_epochs_sigmoid_is_the_plain_one_bit_for_bit():
+    # the trainer's form, exp(copysign(z, -1)) and max(e, z >= 0) into buffers, against
+    # exp(-|z|) and where(z >= 0, 1, e) / (1 + e)
+    edges = np.array(SIGMOID_EDGES)
+    z = np.concatenate([edges, -edges, np.linspace(-800.0, 800.0, 100_001)]).reshape(1, -1)
+    e = np.exp(-np.abs(z))
+    want = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    buffers = np.empty_like(z), np.empty(z.shape, dtype=bool), np.empty_like(z)
+    got = ho._sigmoid(z, *buffers)
+    assert got is buffers[2]
+    assert got.tobytes() == want.tobytes()
+    assert ho._sigmoid(z[0]).tobytes() == want[0].tobytes()
 
 
 # --- posterior, kl1 and kl2 at large d against an mpmath reference ---
