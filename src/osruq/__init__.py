@@ -22,5 +22,5 @@ from .metrics import (EvalReport, RejectionCurve, class_counts, curve_auc, decis
 from .protocol import (OsrProtocol, ProbeRecord, ProbeTable, SynthConfig, build_protocol, gen_synthetic,
                        generate_protocol, preset_config)
 from .bundle import read_bundle, write_bundle
-from .evaluation import run_evaluation
+from .evaluation import run_evaluation, run_evaluations
 from .oracle import independent_kl_components, independent_posterior, mc_marginal_check, quad_log_c_d, run_verification

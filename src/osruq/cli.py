@@ -16,7 +16,7 @@ import sys
 from . import __version__
 from .baselines import METHOD_NAMES
 from .bundle import BundleError, dumps_canonical, read_bundle, write_bundle
-from .evaluation import MissingValidationError, check_arguments, run_evaluation
+from .evaluation import MissingValidationError, check_arguments, run_evaluations
 from .holistic import DEFAULT_TEMPERATURE
 from .metrics import METRIC_NAMES
 from .oracle import SCOPES, run_verification
@@ -126,9 +126,16 @@ def _write_files(out: str, files: dict) -> int | None:
     return None
 
 
-def _target_error(target: float, stage: str, exc: ValueError) -> int:
-    print(f"error: fpir={target:g}: {stage}: {exc}", file=sys.stderr)
-    return EXIT_NO_VALIDATION if isinstance(exc, MissingValidationError) else EXIT_CONFIG
+def _undefined_prr_cause(counts: dict, max_reject_fraction: float) -> str:
+    """Why an evaluation's oracle and random F1 areas coincide, read from its counts."""
+    n_test = counts["mated_test"] + counts["nonmated_test"]
+    if counts["fn"] + counts["fp"] == 0:
+        return "no errors to reject"
+    if counts["tp"] == 0:
+        return "no true positives, so F1 is 0 at every rejected fraction"
+    if max_reject_fraction * n_test < 1:
+        return f"--max-reject-fraction {max_reject_fraction:g} is below 1/{n_test} test probes: none is rejected"
+    return "the oracle and random F1 areas coincide"
 
 
 def cmd_eval(args) -> int:
@@ -137,29 +144,24 @@ def cmd_eval(args) -> int:
                     seed=args.seed, stats_split=args.stats_split)
     targets = tuple(args.fpir) if args.fpir else DEFAULT_FPIRS
     tags = [f"fpir_{t:g}" for t in targets]  # each target's curve directory
-    for i, target in enumerate(targets):
-        first = tags.index(tags[i])
-        try:
-            check_arguments(target, **settings)
-            if first < i:
-                raise ValueError(f"targets {targets[first]!r} and {target!r} share the curve directory "
-                                 f"curves/{tags[i]}")
-        except ValueError as exc:
-            return _target_error(target, "arguments", exc)
+    # every target is evaluated before anything is written, so a failing
+    # target leaves no partial output behind
     try:
+        check_arguments(targets, **settings)
+        clash = next((i for i, tag in enumerate(tags) if tag in tags[:i]), None)
+        if clash is not None:
+            error = ValueError(f"targets {targets[tags.index(tags[clash])]!r} and {targets[clash]!r} share the "
+                               f"curve directory curves/{tags[clash]}")
+            error.stage, error.target_fpir = "arguments", targets[clash]
+            raise error
         protocol = read_bundle(args.bundle)
+        reports = run_evaluations(protocol, targets, **settings)
     except BundleError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    # every target is evaluated before anything is written, so a failing
-    # target leaves no partial output behind
-    reports = []
-    for target in targets:
-        try:
-            reports.append(run_evaluation(protocol, target, **settings))
-        except ValueError as exc:
-            return _target_error(target, getattr(exc, "stage", "evaluation"), exc)
+    except ValueError as exc:
+        print(f"error: fpir={exc.target_fpir:g}: {exc.stage}: {exc}", file=sys.stderr)
+        return EXIT_NO_VALIDATION if isinstance(exc, MissingValidationError) else EXIT_CONFIG
 
     # every output text is built before the first write; report.json is written last
     files = {}
@@ -178,10 +180,11 @@ def cmd_eval(args) -> int:
         print(f"fpir={report.target_fpir:g} tau={report.tau:.6f} kappa={report.kappa:.4f} "
               f"f1={report.base['f1']:.4f} prr: {summary}")
     print(f"wrote {os.path.join(args.out, 'report.json')}")
-    if any(m.prr is None for report in reports for m in report.methods.values()):
-        print("error: prediction rejection ratio undefined (no errors to reject)", file=sys.stderr)
-        return EXIT_UNDEFINED_PRR
-    return EXIT_OK
+    undefined = [r for r in reports if any(m.prr is None for m in r.methods.values())]
+    for report in undefined:
+        print(f"error: fpir={report.target_fpir:g}: prediction rejection ratio undefined "
+              f"({_undefined_prr_cause(report.counts, args.max_reject_fraction)})", file=sys.stderr)
+    return EXIT_UNDEFINED_PRR if undefined else EXIT_OK
 
 
 def cmd_verify(args) -> int:
