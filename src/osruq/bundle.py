@@ -101,7 +101,10 @@ def _counts(gallery: Gallery, probes: ProbeTable) -> dict:
 
 
 def write_bundle(protocol: OsrProtocol, path: str) -> None:
-    """Write a protocol to ``path`` (a directory, created if needed); a failed write writes no file."""
+    """Write a protocol to ``path`` (a directory, created if needed).
+
+    A bad value fails before any file opens; an OSError while records.jsonl is written leaves manifest.json behind.
+    """
     gal, t = protocol.gallery, protocol.probes
     order = sorted(range(gal.k), key=gal.class_ids.__getitem__)
     by_id = np.argsort(t.ids, kind="stable")  # the file lists probes by id
@@ -177,6 +180,11 @@ def _lines(path: str):
         raise BundleError("io", f"cannot read {path}: {exc}") from exc
 
 
+def _shown(value) -> str:
+    """A manifest value as a message names it: a scalar's repr, an array's or object's JSON type."""
+    return "an array" if isinstance(value, list) else "an object" if isinstance(value, dict) else repr(value)
+
+
 def read_bundle(path: str) -> OsrProtocol:
     """Read a bundle directory back into an OsrProtocol (validated)."""
     manifest_path = os.path.join(path, MANIFEST_NAME)
@@ -191,18 +199,21 @@ def read_bundle(path: str) -> OsrProtocol:
         raise BundleError("io", f"cannot read {manifest_path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise BundleError("schema", f"manifest is not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict) or manifest.get("schema_version") != SCHEMA_VERSION:
-        raise BundleError("schema",
-                          f"unsupported schema_version {manifest.get('schema_version')!r}")
+    if not isinstance(manifest, dict):
+        raise BundleError("schema", "manifest must be a JSON object")
+    if manifest.get("schema_version") != SCHEMA_VERSION:
+        raise BundleError("schema", f"unsupported schema_version {_shown(manifest.get('schema_version'))}")
     d = manifest.get("d")
     if not isinstance(d, int) or d < 2:
-        raise BundleError("schema", f"manifest d must be an integer >= 2, got {d!r}")
+        raise BundleError("schema", f"manifest d must be an integer >= 2, got {_shown(d)}")
     sections = {key: manifest.get(key, {}) for key in ("counts", "gallery_members", "seeds")}
     for key, value in sections.items():
         if not isinstance(value, dict):
-            raise BundleError("schema", f"manifest {key} must be a JSON object, got {value!r}")
+            raise BundleError("schema", f"manifest {key} must be a JSON object, got {_shown(value)}")
     if not all(isinstance(v, list) and set(map(type, v)) <= {str} for v in sections["gallery_members"].values()):
         raise BundleError("schema", "manifest gallery_members values must be lists of strings")
+    if not set(map(type, sections["seeds"].values())) <= {str, int, float, bool, type(None)}:
+        raise BundleError("schema", "manifest seeds values must be JSON scalars")  # the report copies them
 
     # probe columns in ProbeTable's field order, with subject ids for class_index and
     # zeros for an absent field. Mated probes are kept apart and go first, as the table
@@ -289,7 +300,7 @@ def read_bundle(path: str) -> OsrProtocol:
     counts = sections["counts"]
     for key, value in _counts(gallery, probes).items():
         if key in counts and counts[key] != value:
-            raise BundleError("schema", f"manifest counts[{key!r}]={counts[key]} but records contain {value}")
+            raise BundleError("schema", f"manifest counts[{key!r}]={_shown(counts[key])} but records contain {value}")
     return OsrProtocol(
         gallery=gallery,
         probes=probes,

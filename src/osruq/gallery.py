@@ -197,8 +197,8 @@ def equivalent_threshold(model: GalleryModel) -> float:
     return float(_threshold(model.kappa, model.beta, model.gallery.k, model._log_normalizers[1]))
 
 
-# kappa_for_threshold's kappa scan range, threshold tolerance, bisection cap and scan points
-_KAPPA_RANGE, _THRESHOLD_TOL, _MAX_BISECTIONS, _SCAN_POINTS = (1e-2, 1e6), 1e-8, 300, 400
+# kappa_for_threshold's kappa scan range, threshold tolerance and scan points
+_KAPPA_RANGE, _THRESHOLD_TOL, _SCAN_POINTS = (1e-2, 1e6), 1e-8, 400
 
 
 def kappa_for_threshold(target_tau: float, beta: float, k: int, d: int) -> float:
@@ -206,14 +206,14 @@ def kappa_for_threshold(target_tau: float, beta: float, k: int, d: int) -> float
 
     The map is not monotone for large K and d (it dips below 1 to a minimum
     and climbs back), so a coarse scan of _SCAN_POINTS over log kappa in
-    _KAPPA_RANGE locates every crossing and bisection refines the one at the
-    largest kappa; that branch is the one whose concentration matches sharply
-    clustered galleries and makes the inversion a true round trip for models
-    on it. The returned kappa is the bracket side whose implied threshold is
-    at or equal to the target from above (within _THRESHOLD_TOL), so a
-    threshold placed just above an order statistic never re-admits the probe
-    that defined it. Raises UnreachableThresholdError with the achievable
-    range when the scan never crosses the target.
+    _KAPPA_RANGE locates every crossing (a scan point equal to the target too)
+    and bisection always refines the one at the largest kappa; that branch
+    matches sharply clustered galleries and makes the inversion a true round
+    trip for models on it. The returned kappa is the bracket side whose
+    implied threshold is at or equal to the target from above (within
+    _THRESHOLD_TOL), so a threshold placed just above an order statistic never
+    re-admits the probe that defined it. Raises UnreachableThresholdError with
+    the achievable range when the scan never crosses the target.
     """
     target_tau = float(target_tau)
     if not -1.0 < target_tau < 1.0:
@@ -230,9 +230,6 @@ def kappa_for_threshold(target_tau: float, beta: float, k: int, d: int) -> float
     log_grid = np.linspace(np.log(lo), np.log(hi), _SCAN_POINTS)
     grid = np.exp(log_grid)
     values = _threshold_from_params(grid, beta, k, d) - target_tau
-    exact = np.flatnonzero(values == 0.0)
-    if exact.size:
-        return float(grid[exact[-1]])
     crossings = np.flatnonzero(np.sign(values[:-1]) != np.sign(values[1:]))
     if crossings.size == 0:
         taus = values + target_tau
@@ -245,9 +242,7 @@ def kappa_for_threshold(target_tau: float, beta: float, k: int, d: int) -> float
     idx = int(crossings[-1])
     log_lo, log_hi = log_grid[idx], log_grid[idx + 1]
     f_lo = float(values[idx])
-    for _ in range(_MAX_BISECTIONS):
-        if log_hi - log_lo < 1e-12:
-            break
+    while log_hi - log_lo >= 1e-12:
         log_mid = 0.5 * (log_lo + log_hi)
         f_mid = f(float(np.exp(log_mid)))
         if np.sign(f_mid) == np.sign(f_lo):

@@ -21,6 +21,7 @@ never depends on the block size.
 
 from __future__ import annotations
 
+import collections
 import math
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -104,13 +105,7 @@ class SampleStore:
     samples: dict
 
 
-@dataclass(frozen=True)
-class ProbeRecord:
-    """The id, mean and pfe_sigma2 (None where absent) of one ProbeTable row, as
-    OsrProtocol.mated_probes and nonmated_probes give it."""
-    probe_id: str
-    mean: np.ndarray
-    pfe_sigma2: np.ndarray | None
+ProbeRecord = collections.namedtuple("ProbeRecord", "probe_id mean pfe_sigma2")  # pfe_sigma2 is None where absent
 
 
 _COLUMN_TYPES = {"ids": object, "class_index": np.intp, "has_kappa": bool, "has_sf_scale": bool,

@@ -483,6 +483,70 @@ def test_eval_reports_bad_manifest_section_as_schema_error(tmp_path, capsys):
     assert "error [schema]: manifest gallery_members must be a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["[]", '"x"', "1", "null"])
+def test_a_manifest_that_is_not_an_object_is_a_schema_error(tmp_path, capsys, text):
+    path = os.path.join(tmp_path, "bundle")
+    write_raw(path, base_manifest(), base_records())
+    with open(os.path.join(path, bd.MANIFEST_NAME), "w") as fh:
+        fh.write(text + "\n")
+    with pytest.raises(bd.BundleError, match="^manifest must be a JSON object$") as exc:
+        bd.read_bundle(path)
+    assert exc.value.code == "schema"
+    out = os.path.join(tmp_path, "out")
+    assert cli.main(["eval", "--bundle", path, "--fpir", "0.1", "--out", out]) == 2
+    assert capsys.readouterr().err == "error [schema]: manifest must be a JSON object\n"
+    assert not os.path.exists(out)
+
+
+DEEP = "[" * 1200 + "]" * 1200  # deeper than the interpreter's recursion limit; orjson parses it
+
+
+def write_deep(path, manifest, proto=None):
+    """A bundle of proto (base_records() if None) whose manifest writes each "DEEP" string as DEEP."""
+    if proto is None:
+        write_raw(path, manifest, base_records())
+    else:
+        bd.write_bundle(proto, path)
+    with open(os.path.join(path, bd.MANIFEST_NAME), "w") as fh:
+        fh.write(json.dumps(manifest).replace('"DEEP"', DEEP) + "\n")
+
+
+@pytest.mark.parametrize("manifest,message", [
+    ({"schema_version": "DEEP"}, "unsupported schema_version an array"),
+    ({"schema_version": {}}, "unsupported schema_version an object"),
+    ({"d": "DEEP"}, "manifest d must be an integer >= 2, got an array"),
+    ({"counts": "DEEP"}, "manifest counts must be a JSON object, got an array"),
+    ({"counts": {"gallery": "DEEP"}}, "manifest counts['gallery']=an array but records contain 1"),
+    ({"seeds": {"x": "DEEP"}}, "manifest seeds values must be JSON scalars"),
+])
+def test_a_manifest_message_names_a_nested_value_by_its_type(tmp_path, manifest, message):
+    path = os.path.join(tmp_path, "bundle")
+    write_deep(path, {**base_manifest(), **manifest})
+    with pytest.raises(bd.BundleError) as exc:
+        bd.read_bundle(path)
+    assert exc.value.code == "schema" and str(exc.value) == message
+
+
+def test_manifest_seeds_values_are_json_scalars(tmp_path):
+    path = os.path.join(tmp_path, "bundle")
+    seeds = {"i": 3, "f": 0.5, "s": "x", "b": True, "n": None}
+    write_raw(path, {**base_manifest(), "seeds": seeds}, base_records())
+    assert bd.read_bundle(path).meta == seeds
+    for value in ([1], {}, {"seed": 1}):
+        expect_code(tmp_path, "schema", manifest={**base_manifest(), "seeds": {**seeds, "x": value}})
+
+
+def test_eval_rejects_a_nested_seeds_value_before_it_writes_a_report(tmp_path, capsys):
+    # the report copies the seeds: a nested one used to fail only once the report was serialized
+    proto = small_protocol()
+    path = os.path.join(tmp_path, "bundle")
+    write_deep(path, {"schema_version": "1", "d": 5, "seeds": {**proto.meta, "x": "DEEP"}}, proto)
+    out = os.path.join(tmp_path, "out")
+    assert cli.main(["eval", "--bundle", path, "--fpir", "0.1", "--out", out]) == 2
+    assert capsys.readouterr().err == "error [schema]: manifest seeds values must be JSON scalars\n"
+    assert not os.path.exists(out)
+
+
 def test_probes_come_back_sorted(tmp_path):
     records = [gallery_row(),
                probe_row("p9"), probe_row("p1"),

@@ -183,6 +183,19 @@ def test_kappa_for_threshold_reproduces_target(rng):
         assert ga.equivalent_threshold(model) == pytest.approx(target, abs=1e-8)
 
 
+def test_kappa_for_threshold_is_continuous_at_a_scan_point():
+    # a target equal to a scan value takes the largest-kappa crossing like its neighbours,
+    # not the scan point it hits (kappa 7.36 on the map's decreasing branch)
+    lo, hi = ga._KAPPA_RANGE
+    log_grid = np.linspace(np.log(lo), np.log(hi), ga._SCAN_POINTS)
+    tau = float(ga._threshold_from_params(np.exp(log_grid), 0.5, 300, 16)[143])
+    assert tau == 0.9867418739567605
+    kappas = [ga.kappa_for_threshold(t, beta=0.5, k=300, d=16)
+              for t in (np.nextafter(tau, -1.0), tau, np.nextafter(tau, 1.0))]
+    assert kappas[0] == kappas[1] == kappas[2]
+    assert kappas[1] == pytest.approx(3195.545, rel=1e-6)
+
+
 def test_kappa_for_threshold_unreachable_reports_range():
     # with beta 0.5 and K=1 the map dips below zero but never reaches -1
     with pytest.raises(ga.UnreachableThresholdError) as exc:
