@@ -299,7 +299,7 @@ def read_bundle(path: str) -> OsrProtocol:
 
     counts = sections["counts"]
     for key, value in _counts(gallery, probes).items():
-        if key in counts and counts[key] != value:
+        if key in counts and (type(counts[key]) is not int or counts[key] != value):  # true and 1.0 are not 1
             raise BundleError("schema", f"manifest counts[{key!r}]={_shown(counts[key])} but records contain {value}")
     return OsrProtocol(
         gallery=gallery,

@@ -2,10 +2,11 @@
 
 Everything here deliberately avoids the log-domain code paths of the engine:
 normalizers come from 1-d adaptive Gauss-Legendre quadrature in numpy, with
-no use of vmf's Bessel path; posteriors and KL components are recomputed in plain
-linear arithmetic inside a restricted parameter envelope; and the mixture
-marginal is checked statistically. The returned verification report feeds the
-verify CLI command.
+no use of vmf's Bessel path; the engine's Bessel function is compared with
+scipy's, a library the engine does not use; posteriors and KL components are
+recomputed in plain linear arithmetic inside a restricted parameter envelope;
+and the mixture marginal is checked statistically. The returned verification
+report feeds the verify CLI command.
 """
 
 from __future__ import annotations
@@ -29,6 +30,14 @@ def _check_envelope(d: int, kappa: float, k: int = 1):
         raise ValueError(
             f"(d={d}, kappa={kappa}, K={k}) outside oracle envelope {ENVELOPE}"
         )
+
+
+@functools.cache
+def _scipy_special():
+    """scipy.special, imported on the first call: verify's reference Bessel functions, which no other
+    command loads."""
+    import scipy.special
+    return scipy.special
 
 
 @functools.cache
@@ -93,7 +102,7 @@ def _linear_c(d: int, kappa: float) -> float:
     if kappa == 0.0:
         return 1.0 / _surface_area(d)
     n = 0.5 * d
-    return kappa ** (n - 1.0) / ((2.0 * math.pi) ** n * float(vmf._special().iv(n - 1.0, kappa)))
+    return kappa ** (n - 1.0) / ((2.0 * math.pi) ** n * float(_scipy_special().iv(n - 1.0, kappa)))
 
 
 def _linear_posterior(model: GalleryModel, z: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -217,15 +226,17 @@ def _check_bessel_half_integer(seed: int) -> dict:
     return {"name": "bessel_half_integer", "max_deviation": dev, "tolerance": 1e-10}
 
 
-def _check_bessel_series_consistency(seed: int) -> dict:
-    # both the scaled-Bessel path and the power series are valid here
+def _check_bessel_scipy_reference(seed: int) -> dict:
+    # every branch of log_bessel_i (the order-20 split and d = 512's order 255 included) against
+    # log(ive(order, x)) + x, where scipy's scaled Bessel is a normal float
+    ive = _scipy_special().ive
+    x = np.logspace(-3, 5, 161)
     dev = 0.0
-    for order in (2.0, 17.0, 50.0, 127.5):
-        x = np.linspace(0.5, order + 10.0, 40)
-        direct = vmf.log_bessel_i(order, x)
-        series = vmf._log_bessel_series(order, x)
-        dev = max(dev, _deviation(direct, series))
-    return {"name": "bessel_series_consistency", "max_deviation": dev, "tolerance": 1e-11}
+    for order in (0.0, 0.5, 7.0, 19.5, 20.0, 63.0, 127.5, 255.0):
+        scaled = ive(order, x)
+        normal = scaled >= np.finfo(np.float64).tiny
+        dev = max(dev, _deviation(vmf.log_bessel_i(order, x[normal]), np.log(scaled[normal]) + x[normal]))
+    return {"name": "bessel_scipy_reference", "max_deviation": dev, "tolerance": 1e-11}
 
 
 def _check_normalizer_quadrature(seed: int) -> dict:
@@ -327,7 +338,7 @@ def _check_decision_equivalence(seed: int) -> dict:
 
 # scope -> its checks; "all" runs every scope's checks in this order
 SCOPES = {
-    "bessel": (_check_bessel_half_integer, _check_bessel_series_consistency),
+    "bessel": (_check_bessel_half_integer, _check_bessel_scipy_reference),
     "quadrature": (_check_normalizer_quadrature, _check_normalizer_identity),
     "marginal": (_check_marginal_mc,),
     "posterior": (_check_posterior_linear, _check_kl_t1_linear),

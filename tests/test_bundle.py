@@ -455,6 +455,27 @@ def test_count_mismatch_is_schema_error(tmp_path):
     expect_code(tmp_path, "schema", manifest=manifest)
 
 
+@pytest.mark.parametrize("value", [True, 1.0, "1"], ids=["true", "float", "string"])
+def test_a_manifest_count_must_be_a_json_integer(tmp_path, capsys, value):
+    # JSON true and 1.0 compare equal to the count 1 in Python; only the integer 1 states it
+    path = os.path.join(tmp_path, "bundle")
+    write_raw(path, {**base_manifest(), "counts": {"gallery": value, "mated_probes": 1}}, base_records())
+    message = f"manifest counts['gallery']={value!r} but records contain 1"
+    with pytest.raises(bd.BundleError) as exc:
+        bd.read_bundle(path)
+    assert exc.value.code == "schema" and str(exc.value) == message
+    out = os.path.join(tmp_path, "out")
+    assert cli.main(["eval", "--bundle", path, "--fpir", "0.1", "--out", out]) == 2
+    assert capsys.readouterr().err == f"error [schema]: {message}\n"
+    assert not os.path.exists(out)
+
+
+def test_integer_manifest_counts_read_back(tmp_path):
+    path = os.path.join(tmp_path, "bundle")
+    write_raw(path, {**base_manifest(), "counts": {"gallery": 1, "mated_probes": 1}}, base_records())
+    assert bd.read_bundle(path).gallery.class_ids == ("g0",)
+
+
 @pytest.mark.parametrize("key", ["validation_probes", "test_probes"])
 def test_split_count_mismatch_is_schema_error(tmp_path, key):
     manifest = base_manifest()

@@ -189,7 +189,7 @@ def test_kappa_for_threshold_is_continuous_at_a_scan_point():
     lo, hi = ga._KAPPA_RANGE
     log_grid = np.linspace(np.log(lo), np.log(hi), ga._SCAN_POINTS)
     tau = float(ga._threshold_from_params(np.exp(log_grid), 0.5, 300, 16)[143])
-    assert tau == 0.9867418739567605
+    assert tau == 0.9867418739567604
     kappas = [ga.kappa_for_threshold(t, beta=0.5, k=300, d=16)
               for t in (np.nextafter(tau, -1.0), tau, np.nextafter(tau, 1.0))]
     assert kappas[0] == kappas[1] == kappas[2]

@@ -99,7 +99,7 @@ def test_run_verification_all_passes():
 def test_run_verification_scoped():
     report = orc.run_verification("bessel", seed=3)
     assert [c["name"] for c in report["checks"]] == [
-        "bessel_half_integer", "bessel_series_consistency"]
+        "bessel_half_integer", "bessel_scipy_reference"]
     assert report["passed"] is True
     with pytest.raises(ValueError):
         orc.run_verification("everything")
@@ -117,6 +117,22 @@ def test_verification_detects_injected_fault(monkeypatch):
     assert report["passed"] is False
     failed = {c["name"] for c in report["checks"] if c["status"] == "fail"}
     assert "normalizer_quadrature" in failed
+
+
+@pytest.mark.parametrize("branch", ["series", "hankel", "debye"])
+def test_bessel_scipy_reference_catches_a_slip_in_each_branch(monkeypatch, branch):
+    # a 1e-10 relative slip confined to one of log_bessel_i's three expansions fails the check
+    original = vmf.log_bessel_i
+
+    def slipped(order, x):
+        x = np.asarray(x, dtype=np.float64)
+        above, large_order = x > vmf._bessel_plan(float(order))[0], order >= vmf._DEBYE_ORDER
+        hit = {"series": ~above, "hankel": above & (not large_order), "debye": above & large_order}[branch]
+        return original(order, x) * np.where(hit, 1.0 + 1e-10, 1.0)
+
+    monkeypatch.setattr(vmf, "log_bessel_i", slipped)
+    result = orc._check_bessel_scipy_reference(0)
+    assert result["max_deviation"] > result["tolerance"]
 
 
 def test_verification_detects_posterior_fault(monkeypatch):

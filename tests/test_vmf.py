@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import gammaln, ive, logsumexp as scipy_logsumexp
+from scipy.special import ive, logsumexp as scipy_logsumexp
 
 from osruq import vmf
 
@@ -77,6 +77,31 @@ def test_log_bessel_i_beyond_scipys_range_matches_mpmath():
             with mp.workdps(50):
                 exact = mp.log(mp.besseli(order, mp.mpf(float(x))))
                 assert abs(mp.mpf(float(g)) - exact) <= 4e-16 * abs(exact), (order, x)
+
+
+# orders of d = 2..1024 on both sides of the Debye order (d = 41, 42), at x from 0 to 1e300 and one
+# ulp either side of each order's series limit, the one boundary in x
+BESSEL_DS = (2, 3, 4, 5, 8, 16, 17, 33, 41, 42, 64, 127, 128, 255, 256, 511, 512, 1024)
+
+
+def bessel_grid(order):
+    limit = vmf._bessel_plan(order)[0]
+    return np.array([0.0, 5e-324, 1e-300, *np.logspace(-6, 10, 61).tolist(), 1e20, 1e300,
+                     np.nextafter(limit, 0.0), limit, np.nextafter(limit, np.inf)])
+
+
+@pytest.mark.parametrize("d", BESSEL_DS)
+def test_log_bessel_i_matches_mpmath_on_every_branch(d):
+    mp = pytest.importorskip("mpmath").mp
+    order = 0.5 * d - 1.0
+    xs = bessel_grid(order)
+    got = vmf.log_bessel_i(order, xs)
+    assert got[0] == (0.0 if order == 0.0 else -np.inf)  # I_0(0) = 1, I_order(0) = 0 otherwise
+    assert [vmf.log_bessel_i(order, x) for x in xs.tolist()] == got.tolist()  # the one-point path agrees
+    with mp.workdps(50):
+        for x, g in zip(xs[1:].tolist(), got[1:].tolist()):
+            ref = float(mp.log(mp.besseli(order, mp.mpf(x))))
+            assert abs(g - ref) <= 1e-13 * max(1.0, abs(ref)), (order, x, g, ref)
 
 
 def test_log_c_d_reference_values():
@@ -503,7 +528,7 @@ def test_normalizer_pair_is_bit_equal_to_the_two_functions():
         n = 0.5 * d
         order = n - 1.0
         ref_c = order * np.log(kappa) - 0.5 * d * vmf.LOG_2PI - vmf.log_bessel_i(order, kappa)
-        ref_a = (gammaln(n) + order * np.log(2.0) - order * np.log(kappa)
+        ref_a = (math.lgamma(n) + order * np.log(2.0) - order * np.log(kappa)
                  + vmf.log_bessel_i(order, kappa))
         assert same_bits(log_c, ref_c) and same_bits(log_a, ref_a), (d, kappa)
 
