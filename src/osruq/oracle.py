@@ -1,12 +1,12 @@
 """Independent re-derivations used to cross-check the main implementations.
 
 Everything here deliberately avoids the log-domain code paths of the engine:
-normalizers come from 1-d adaptive Gauss-Legendre quadrature in numpy, with
-no use of vmf's Bessel path; the engine's Bessel function is compared with
-scipy's, a library the engine does not use; posteriors and KL components are
-recomputed in plain linear arithmetic inside a restricted parameter envelope;
-and the mixture marginal is checked statistically. The returned verification
-report feeds the verify CLI command.
+normalizers and the Bessel function come from one angular integral by 1-d
+adaptive Gauss-Legendre quadrature in numpy, with no use of vmf's Bessel path;
+posteriors and KL components are recomputed in plain linear arithmetic, with
+the Bessel function as its power series, inside a restricted parameter
+envelope; and the mixture marginal is checked statistically. The returned
+verification report feeds the verify CLI command.
 """
 
 from __future__ import annotations
@@ -27,22 +27,12 @@ ENVELOPE = {"d_max": 8, "kappa_max": 50.0, "k_max": 20}
 
 def _check_envelope(d: int, kappa: float, k: int = 1):
     if d > ENVELOPE["d_max"] or kappa > ENVELOPE["kappa_max"] or k > ENVELOPE["k_max"]:
-        raise ValueError(
-            f"(d={d}, kappa={kappa}, K={k}) outside oracle envelope {ENVELOPE}"
-        )
-
-
-@functools.cache
-def _scipy_special():
-    """scipy.special, imported on the first call: verify's reference Bessel functions, which no other
-    command loads."""
-    import scipy.special
-    return scipy.special
+        raise ValueError(f"(d={d}, kappa={kappa}, K={k}) outside oracle envelope {ENVELOPE}")
 
 
 @functools.cache
 def _gauss_legendre() -> tuple:
-    # the 20- and 40-point rules' (nodes, weights) on [-1, 1]; numpy.polynomial loads with scipy.special
+    # the 20- and 40-point rules' (nodes, weights) on [-1, 1]; numpy.polynomial loads on verify's first use
     from numpy.polynomial.legendre import leggauss
     return leggauss(20), leggauss(40)
 
@@ -70,39 +60,59 @@ def _adaptive_quad(f, edges: np.ndarray) -> float:
     raise RuntimeError("adaptive quadrature did not converge in 64 bisections")
 
 
-def quad_log_c_d(d: int, kappa: float) -> float:
-    """log normalizer from adaptive Gauss-Legendre quadrature over the polar angle (d in {2, 3}).
-
-    Integrates exp(kappa (cos t - 1)) against the angular weight and shifts by kappa afterwards,
-    so large concentrations cannot overflow; any finite kappa >= 0 works. The exponent is computed
-    as -kappa (2 sin(t/2)**2), which keeps its relative precision near t = 0. Numpy only: no scipy
-    and no use of vmf's Bessel path, so a fault there cannot hide here.
+def _log_angular_integral(m: float, kappa: float) -> float:
+    """log of the integral over [0, pi] of exp(kappa cos t) sin(t)**m dt (DLMF 10.32.2), m >= 0 and kappa >= 0,
+    by quadrature of the integrand over its value at its peak t*: cos t* = kappa / h and sin t* = sqrt(m / h),
+    h = m/2 + hypot(m/2, kappa), so that no kappa overflows and no 1 - cos**2 cancels. kappa (cos t - cos t*)
+    is -2 kappa sin((t + t*)/2) sin((t - t*)/2). The edges t* +- w 2**j start at the peak's width
+    w = 1/sqrt(kappa cos t* + h), so that no kappa narrows the peak to between the first interval's nodes.
     """
-    if d not in (2, 3):
-        raise ValueError(f"quadrature oracle supports d in {{2, 3}}, got {d}")
+    h = 0.5 * m + math.hypot(0.5 * m, kappa)
+    if h == 0.0:  # m = kappa = 0: the integrand is 1
+        return math.log(math.pi)
+    c, s = kappa / h, math.sqrt(m) / math.sqrt(h)
+    peak, w = math.atan2(s, c), 1.0 / math.hypot(math.sqrt(kappa * c), math.sqrt(h))
+    steps = w * 2.0 ** np.arange(max(0, math.frexp(math.pi / w)[1]) + 1)  # the last one reaches past pi
+    edges = np.unique(np.clip(np.concatenate([[0.0, peak, math.pi], peak - steps, peak + steps]), 0.0, math.pi))
+
+    def shifted(t):
+        lead = -(kappa * np.sin(0.5 * (t + peak))) * (2.0 * np.sin(0.5 * (t - peak)))
+        return np.exp(lead + m * np.log(np.sin(t) / s) if m else lead)
+
+    with np.errstate(over="ignore"):  # the kappa term is -inf far from a peak of kappa near 1.8e308; exp gives 0
+        total = _adaptive_quad(shifted, edges)
+    return kappa * c + (m * math.log(s) if m else 0.0) + math.log(total)
+
+
+def quad_log_c_d(d: int, kappa: float) -> float:
+    """log normalizer from adaptive Gauss-Legendre quadrature over the polar angle, any d >= 2 and finite
+    kappa >= 0: -(log S^{d-2} + log of the integral of exp(kappa cos t) sin(t)**(d-2) over [0, pi]). Numpy
+    and math only, with no use of vmf's Bessel path, so a fault there cannot hide here."""
+    d = vmf._check_dimension(d)
     kappa = float(kappa)
     if not np.isfinite(kappa) or kappa < 0.0:
         raise ValueError(f"kappa must be finite and >= 0, got {kappa!r}")
-    # over [0, pi]: d=2's integrand over [0, 2 pi] is symmetric about pi, and d=3's weight is 2 pi sin t
-    weight = (lambda t: 2.0) if d == 2 else (lambda t: 2.0 * np.pi * np.sin(t))
-    # edges at pi 2**-j down to a few widths 1/sqrt(kappa) of the peak at t = 0, so that no kappa
-    # narrows the peak to between the first interval's nodes
-    levels = math.ceil(math.log2(1.0 + math.pi * math.sqrt(kappa) / 8.0))
-    edges = np.append(0.0, np.pi * 2.0 ** -np.arange(levels, -1.0, -1.0))
-    with np.errstate(over="ignore"):  # kappa * 2 sin(t/2)**2 is inf from kappa = 9e307 on, and exp gives 0
-        total = _adaptive_quad(lambda t: weight(t) * np.exp(-kappa * (2.0 * np.sin(0.5 * t) ** 2)), edges)
-    return -(kappa + math.log(total))
+    return -(_log_surface_area(d - 1) + _log_angular_integral(d - 2, kappa))
 
 
-def _surface_area(d: int) -> float:
-    return 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
+def _log_surface_area(d: int) -> float:
+    # log surface area of the unit sphere in R^d, through lgamma so that d = 512 does not overflow
+    return math.log(2.0 * math.pi ** (0.5 * d)) - math.lgamma(0.5 * d)
 
 
 def _linear_c(d: int, kappa: float) -> float:
+    """C_d(kappa) with I_nu(kappa), nu = d/2 - 1, as its series sum_k (kappa/2)**(2k + nu) / (k! Gamma(k + nu + 1))
+    up to a term below 1e-17 of the sum: every term is positive, and kappa <= 50 in the envelope."""
     if kappa == 0.0:
-        return 1.0 / _surface_area(d)
-    n = 0.5 * d
-    return kappa ** (n - 1.0) / ((2.0 * math.pi) ** n * float(_scipy_special().iv(n - 1.0, kappa)))
+        return math.exp(-_log_surface_area(d))
+    nu, q = 0.5 * d - 1.0, 0.25 * kappa * kappa
+    term = (0.5 * kappa) ** nu / math.gamma(nu + 1.0)
+    total, k = term, 0
+    while term >= 1e-17 * total:
+        k += 1
+        term *= q / (k * (k + nu))
+        total += term
+    return kappa ** nu / ((2.0 * math.pi) ** (0.5 * d) * total)
 
 
 def _linear_posterior(model: GalleryModel, z: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -110,7 +120,7 @@ def _linear_posterior(model: GalleryModel, z: np.ndarray) -> tuple[np.ndarray, f
     from direct exponentials."""
     gal = model.gallery
     c = _linear_c(gal.d, model.kappa)
-    s = _surface_area(gal.d)
+    s = math.exp(_log_surface_area(gal.d))
     prior = (1.0 - model.beta) / gal.k
     lik = c * np.exp(model.kappa * (gal.means @ z))
     marginal = prior * float(np.sum(lik)) + model.beta / s
@@ -143,21 +153,17 @@ def independent_kl_components(model: GalleryModel, z, kappa: float) -> tuple[flo
     prior = (1.0 - model.beta) / gal.k
     kl1 = float(sum(p * math.log(p / prior) for p in post if p > 0.0))
     self_density = _linear_c(gal.d, kappa) * math.exp(kappa)
-    kl2 = oog * math.log(self_density / marginal)
-    return kl1, float(kl2)
+    return kl1, float(oog * math.log(self_density / marginal))
 
 
 MC_SAMPLES = 20000  # draws of mc_marginal_check
 
 
 def mc_marginal_check(model: GalleryModel, seed: int = 0) -> dict:
-    """Importance-style normalization check of the engine marginal.
-
-    Draws MC_SAMPLES probes from the generative mixture and averages uniform_density /
-    marginal_density; the expectation is exactly 1 when the engine marginal
-    integrates to 1. Returns the estimate and its standard error; the verify
-    check passes within three standard errors.
-    """
+    """Importance-style normalization check of the engine marginal: the mean of uniform_density /
+    marginal_density over MC_SAMPLES probes drawn from the generative mixture is exactly 1 in expectation
+    when the engine marginal integrates to 1. Returns the estimate and its standard error; the verify
+    check passes within three standard errors."""
     rng = np.random.default_rng(seed)
     gal = model.gallery
     branch = rng.uniform(size=MC_SAMPLES)
@@ -187,31 +193,26 @@ def _log_i_half(x: np.ndarray) -> np.ndarray:
 
 
 def _log_i_three_halves(x: np.ndarray) -> np.ndarray:
-    # I_{3/2}(x) = sqrt(2/(pi x)) (cosh x - sinh x / x); the bracket is
-    # evaluated by series for small x to dodge the cancellation and in the
-    # log domain for large x where cosh overflows.
+    # I_{3/2}(x) = sqrt(2/(pi x)) (cosh x - sinh x / x); the bracket is evaluated by series for small x
+    # to dodge the cancellation and in the log domain for large x where cosh overflows.
     x = np.asarray(x, dtype=np.float64)
     log_bracket = np.empty_like(x)
-    small = x < 0.5
-    large = x >= 20.0
+    small, large = x < 0.5, x >= 20.0
     mid = ~small & ~large
     xs = x[small]
     x2 = xs * xs
     # cosh x - sinh x / x = sum_{k>=1} x^{2k} (2k)/(2k+1)!; successive term
     # ratios are x^2/10, x^2/28, x^2/54, x^2/88
-    series = x2 / 3.0 * (1.0 + x2 / 10.0 * (1.0 + x2 / 28.0 * (
-        1.0 + x2 / 54.0 * (1.0 + x2 / 88.0))))
+    series = x2 / 3.0 * (1.0 + x2 / 10.0 * (1.0 + x2 / 28.0 * (1.0 + x2 / 54.0 * (1.0 + x2 / 88.0))))
     log_bracket[small] = np.log(series)
-    xm = x[mid]
-    log_bracket[mid] = np.log(np.cosh(xm) - np.sinh(xm) / xm)
+    log_bracket[mid] = np.log(np.cosh(x[mid]) - np.sinh(x[mid]) / x[mid])
     xl = x[large]
     log_bracket[large] = xl - np.log(2.0) + np.log1p(-1.0 / xl + np.exp(-2.0 * xl) * (1.0 + 1.0 / xl))
     return 0.5 * (np.log(2.0) - np.log(np.pi) - np.log(x)) + log_bracket
 
 
 def _deviation(a, b) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))
 
 
@@ -219,31 +220,37 @@ def _deviation(a, b) -> float:
 
 def _check_bessel_half_integer(seed: int) -> dict:
     x = np.logspace(-3, 3, 121)
-    dev = float(np.max([
-        _deviation(vmf.log_bessel_i(0.5, x), _log_i_half(x)),
-        _deviation(vmf.log_bessel_i(1.5, x), _log_i_three_halves(x)),
-    ]))
+    dev = max(_deviation(vmf.log_bessel_i(0.5, x), _log_i_half(x)),
+              _deviation(vmf.log_bessel_i(1.5, x), _log_i_three_halves(x)))
     return {"name": "bessel_half_integer", "max_deviation": dev, "tolerance": 1e-10}
 
 
-def _check_bessel_scipy_reference(seed: int) -> dict:
-    # every branch of log_bessel_i (the order-20 split and d = 512's order 255 included) against
-    # log(ive(order, x)) + x, where scipy's scaled Bessel is a normal float
-    ive = _scipy_special().ive
-    x = np.logspace(-3, 5, 161)
+def _log_bessel_quadrature(order: float, x: float) -> float:
+    # log I_order(x) = order log(x/2) - log(pi)/2 - lgamma(order + 1/2) + log of the angular integral at m = 2 order
+    return (order * math.log(0.5 * x) - 0.5 * math.log(math.pi) - math.lgamma(order + 0.5)
+            + _log_angular_integral(2.0 * order, x))
+
+
+def _check_bessel_quadrature_reference(seed: int) -> dict:
+    # every branch of log_bessel_i (the order-20 split and d = 512's order 255 included) on a coarse log grid
+    # over [1e-3, 1e5] and at each order's series limit and one ulp either side of it
     dev = 0.0
     for order in (0.0, 0.5, 7.0, 19.5, 20.0, 63.0, 127.5, 255.0):
-        scaled = ive(order, x)
-        normal = scaled >= np.finfo(np.float64).tiny
-        dev = max(dev, _deviation(vmf.log_bessel_i(order, x[normal]), np.log(scaled[normal]) + x[normal]))
-    return {"name": "bessel_scipy_reference", "max_deviation": dev, "tolerance": 1e-11}
+        limit = vmf._bessel_plan(order)[0]
+        x = np.append(np.logspace(-3, 5, 10), [np.nextafter(limit, 0.0), limit, np.nextafter(limit, np.inf)])
+        ref = [_log_bessel_quadrature(order, point) for point in x.tolist()]
+        dev = max(dev, _deviation(vmf.log_bessel_i(order, x), ref))
+    return {"name": "bessel_quadrature_reference", "max_deviation": dev, "tolerance": 1e-11}
 
 
 def _check_normalizer_quadrature(seed: int) -> dict:
+    # log_c_d and log_alpha = -log S^{d-1} - log C_d over the advertised domain, d up to 512 and kappa up to 1e5
     dev = 0.0
-    for d in (2, 3):
-        for kappa in (0.1, 1.0, 10.0, 100.0):
-            dev = max(dev, _deviation(vmf.log_c_d(d, kappa), quad_log_c_d(d, kappa)))
+    for d in (2, 3, 16, 128, 512):
+        for kappa in np.logspace(-1, 5, 6).tolist():
+            quad = quad_log_c_d(d, kappa)
+            dev = max(dev, _deviation(vmf.log_c_d(d, kappa), quad),
+                      _deviation(vmf.log_alpha(d, kappa), -_log_surface_area(d) - quad))
     return {"name": "normalizer_quadrature", "max_deviation": dev, "tolerance": 1e-8}
 
 
@@ -338,7 +345,7 @@ def _check_decision_equivalence(seed: int) -> dict:
 
 # scope -> its checks; "all" runs every scope's checks in this order
 SCOPES = {
-    "bessel": (_check_bessel_half_integer, _check_bessel_scipy_reference),
+    "bessel": (_check_bessel_half_integer, _check_bessel_quadrature_reference),
     "quadrature": (_check_normalizer_quadrature, _check_normalizer_identity),
     "marginal": (_check_marginal_mc,),
     "posterior": (_check_posterior_linear, _check_kl_t1_linear),
@@ -352,14 +359,7 @@ def run_verification(scope: str = "all", seed: int = 0) -> dict:
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; available: {sorted(SCOPES)}")
     holistic_mod.check_seed(seed)
-    checks = []
-    for check in SCOPES[scope]:
-        result = check(seed)
+    checks = [check(seed) for check in SCOPES[scope]]
+    for result in checks:
         result["status"] = "pass" if result["max_deviation"] <= result["tolerance"] else "fail"
-        checks.append(result)
-    return {
-        "scope": scope,
-        "seed": int(seed),
-        "passed": all(c["status"] == "pass" for c in checks),
-        "checks": checks,
-    }
+    return {"scope": scope, "seed": int(seed), "passed": all(c["status"] == "pass" for c in checks), "checks": checks}

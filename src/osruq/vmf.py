@@ -244,21 +244,8 @@ def log_bessel_i(order: float, x) -> float | np.ndarray:
     return out
 
 
-def _over_kappa(formula, kappa, at_zero: float) -> float | np.ndarray:
-    # formula(kappa) on the validated kappa > 0 as an array; kappa == 0 gets the analytic limit at_zero
-    kappa_in = np.asarray(kappa, dtype=np.float64)
-    if not np.all(np.isfinite(kappa_in)) or np.any(kappa_in < 0.0):
-        raise ValueError("kappa must be finite and >= 0")
-    k = np.atleast_1d(kappa_in).astype(np.float64)
-    out = np.full(k.shape, at_zero)
-    pos = k > 0.0
-    if np.any(pos):
-        out[pos] = formula(k[pos])
-    return float(out[0]) if kappa_in.ndim == 0 else out.reshape(kappa_in.shape)
-
-
 def _log_normalizers(d: int, k):
-    # (log_c_d(d, k), log_alpha(d, k)) unchecked, for an array k > 0, from one Bessel evaluation;
+    # (log_c_d(d, k), log_alpha(d, k)) unchecked, for k > 0 (a float or an array), from one Bessel evaluation;
     # the shared (order * log k) product makes log_alpha + log_surface_area + log_c_d cancel cleanly
     n = 0.5 * d
     order = n - 1.0
@@ -268,14 +255,28 @@ def _log_normalizers(d: int, k):
             math.lgamma(n) + order * LOG_2 - order_log_k + log_i)
 
 
+def _normalizer(d: int, kappa, which: int, at_zero: float) -> float | np.ndarray:
+    # _log_normalizers(d, kappa)[which] on a validated kappa, and at_zero where kappa == 0; like
+    # log_bessel_i, one point is computed on floats, and an array's positive entries get the same bits
+    kappa_in = np.asarray(kappa, dtype=np.float64)
+    if kappa_in.ndim == 0:
+        point = float(kappa_in)
+        if not 0.0 <= point < math.inf:
+            raise ValueError("kappa must be finite and >= 0")
+        return at_zero if point == 0.0 else float(_log_normalizers(d, point)[which])
+    if not ((kappa_in >= 0.0) & (kappa_in < np.inf)).all():
+        raise ValueError("kappa must be finite and >= 0")
+    with np.errstate(divide="ignore", invalid="ignore"):  # log(0) where kappa == 0, which takes at_zero
+        return np.where(kappa_in == 0.0, at_zero, _log_normalizers(d, kappa_in)[which])
+
+
 def log_c_d(d: int, kappa) -> float | np.ndarray:
     """log normalizing constant of the vMF density in R^d.
 
     kappa == 0 returns the analytic uniform limit -log_surface_area(d); a
     scalar kappa gives a float, an array kappa an array of its shape.
     """
-    d = _check_dimension(d)
-    return _over_kappa(lambda k: _log_normalizers(d, k)[0], kappa, -log_surface_area(d))
+    return _normalizer(_check_dimension(d), kappa, 0, -log_surface_area(d))
 
 
 def log_alpha(d: int, kappa) -> float | np.ndarray:
@@ -284,8 +285,7 @@ def log_alpha(d: int, kappa) -> float | np.ndarray:
     alpha(kappa) = 1 / (surface_area * C_d(kappa)); equals Gamma(d/2) times
     (2/kappa)^(d/2-1) I_{d/2-1}(kappa), and 1 at kappa == 0 (shapes as log_c_d).
     """
-    d = _check_dimension(d)
-    return _over_kappa(lambda k: _log_normalizers(d, k)[1], kappa, 0.0)
+    return _normalizer(_check_dimension(d), kappa, 1, 0.0)
 
 
 def vmf_log_pdf(params: VmfParams, z) -> float:

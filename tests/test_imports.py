@@ -1,9 +1,8 @@
-"""Which scipy modules each command loads: gen, eval, --version and a config error load
-none (vmf's special functions are numpy and math), verify loads scipy.special as its
-Bessel reference, and no command loads scipy.integrate (verify's quadrature oracle is
-numpy's Gauss-Legendre rule).
+"""No command loads scipy: import, --version, a config error, gen, eval and verify --scope all
+leave no scipy module behind. vmf's special functions are numpy and math, and verify's
+references are numpy's Gauss-Legendre quadrature of one angular integral and a power series.
 
-The checks run in a fresh interpreter, where no other test's imports can hide a
+The check runs in a fresh interpreter, where no other test's imports can hide a
 module that osruq itself pulls in.
 """
 
@@ -46,29 +45,15 @@ SCRIPT = textwrap.dedent("""
     assert osruq.cli.main(["eval", "--bundle", bundle, "--fpir", "0.2", "--out",
                            os.path.join(out, "eval")]) == 0
     no_scipy("eval")
+
+    assert osruq.cli.main(["verify", "--scope", "all", "--out", os.path.join(out, "verify")]) == 0
+    no_scipy("verify --scope all")
 """)
-
-# in an interpreter of its own, so that no other command's imports can stand in for verify's
-VERIFY_SCRIPT = textwrap.dedent("""
-    import sys
-    import osruq.cli
-
-    assert osruq.cli.main(["verify", "--scope", "all", "--out", sys.argv[1]]) == 0
-    assert "scipy.special" in sys.modules, "verify --scope all"
-    assert "scipy.integrate" not in sys.modules, "verify --scope all"
-""")
-
-
-def run_fresh(script, out):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", script, str(out)], env=env,
-                         capture_output=True, text=True, timeout=300)
-    assert run.returncode == 0, run.stderr
 
 
 def test_scipy_loads_only_in_the_commands_that_compute_with_it(tmp_path):
-    run_fresh(SCRIPT, tmp_path)
-
-
-def test_verify_loads_scipy_special_and_never_scipy_integrate(tmp_path):
-    run_fresh(VERIFY_SCRIPT, tmp_path)
+    # since no command computes with scipy, none may load it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr

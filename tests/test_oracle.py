@@ -15,26 +15,33 @@ def test_quad_log_c_d_matches_engine():
         for kappa in (0.0, 0.1, 1.0, 10.0, 100.0):
             q = orc.quad_log_c_d(d, kappa)
             assert q == pytest.approx(vmf.log_c_d(d, kappa), rel=1e-8)
-    with pytest.raises(ValueError, match=r"quadrature oracle supports d in \{2, 3\}, got 4"):
-        orc.quad_log_c_d(4, 1.0)
+    for d in (1, 2.5):
+        with pytest.raises(ValueError, match=r"dimension must be an integer >= 2"):
+            orc.quad_log_c_d(d, 1.0)
 
 
 def _mp_log_c_d(d, kappa):
-    # closed forms: C_2 = 1 / (2 pi I_0(kappa)), C_3 = kappa / (4 pi sinh kappa), both kept e^-kappa-scaled
+    # closed forms: C_2 = 1 / (2 pi I_0(kappa)), C_3 = kappa / (4 pi sinh kappa), both kept e^-kappa-scaled;
+    # from d = 4 on, log C_d = (n - 1) log kappa - n log 2 pi - log I_{n-1}(kappa), n = d/2, and -log S^{d-1} at 0
     mp = pytest.importorskip("mpmath").mp
     with mp.workdps(50):
         k = mp.mpf(kappa)
         if d == 2:
             return float(-k - mp.log(2 * mp.pi * mp.exp(-k) * mp.besseli(0, k)))
+        if d > 3:
+            n = mp.mpf(d) / 2
+            if k == 0:
+                return float(mp.loggamma(n) - mp.log(2 * mp.pi ** n))
+            return float((n - 1) * mp.log(k) - n * mp.log(2 * mp.pi) - mp.log(mp.besseli(n - 1, k)))
         if k == 0:
             return float(-mp.log(4 * mp.pi))
         return float(-k - mp.log(2 * mp.pi * (1 - mp.exp(-2 * k)) / k))
 
 
-@pytest.mark.parametrize("d", (2, 3))
+@pytest.mark.parametrize("d", (2, 3, 4, 16, 128, 512))
 def test_quad_log_c_d_matches_mpmath(d):
-    # past the README's 1e5 the bound mostly checks that the quadrature finds the narrow peak at t = 0
-    # at all, and at 1.7e308 that kappa * 2 sin(t/2)**2 overflows to a zero integrand without a warning
+    # past the README's 1e5 the bound mostly checks that the quadrature finds the narrow peak near t = 0
+    # at all, and at 1.7e308 that the kappa term overflows to a zero integrand without a warning
     for kappa in (0.0, 1e-3, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e8, 1e300, 1.7e308):
         assert orc.quad_log_c_d(d, kappa) == pytest.approx(_mp_log_c_d(d, kappa), rel=1e-13), kappa
 
@@ -99,7 +106,7 @@ def test_run_verification_all_passes():
 def test_run_verification_scoped():
     report = orc.run_verification("bessel", seed=3)
     assert [c["name"] for c in report["checks"]] == [
-        "bessel_half_integer", "bessel_scipy_reference"]
+        "bessel_half_integer", "bessel_quadrature_reference"]
     assert report["passed"] is True
     with pytest.raises(ValueError):
         orc.run_verification("everything")
@@ -120,7 +127,7 @@ def test_verification_detects_injected_fault(monkeypatch):
 
 
 @pytest.mark.parametrize("branch", ["series", "hankel", "debye"])
-def test_bessel_scipy_reference_catches_a_slip_in_each_branch(monkeypatch, branch):
+def test_bessel_quadrature_reference_catches_a_slip_in_each_branch(monkeypatch, branch):
     # a 1e-10 relative slip confined to one of log_bessel_i's three expansions fails the check
     original = vmf.log_bessel_i
 
@@ -131,8 +138,19 @@ def test_bessel_scipy_reference_catches_a_slip_in_each_branch(monkeypatch, branc
         return original(order, x) * np.where(hit, 1.0 + 1e-10, 1.0)
 
     monkeypatch.setattr(vmf, "log_bessel_i", slipped)
-    result = orc._check_bessel_scipy_reference(0)
+    result = orc._check_bessel_quadrature_reference(0)
     assert result["max_deviation"] > result["tolerance"]
+
+
+@pytest.mark.parametrize("order, x", [(255.0, 1e-3), (127.5, 1e-2), (255.0, 1.0), (127.5, 1e-3)])
+def test_bessel_quadrature_reference_matches_mpmath_where_ive_underflows(order, x):
+    # scipy's e^-x-scaled I underflows to 0 at these points, so a check built on it had to skip them
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(50):
+        want = float(mp.log(mp.besseli(order, x)))
+    assert want < math.log(np.finfo(np.float64).tiny)
+    assert orc._log_bessel_quadrature(order, x) == pytest.approx(want, rel=1e-14)
+    assert vmf.log_bessel_i(order, x) == pytest.approx(want, rel=1e-13)
 
 
 def test_verification_detects_posterior_fault(monkeypatch):
